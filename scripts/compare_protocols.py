@@ -18,6 +18,7 @@ import statistics
 import sys
 import time
 
+from taoi_sim.cli import _aggregate_rows
 from taoi_sim.engine import PROTOCOLS, SimConfig, run_simulation
 from taoi_sim.metrics import SafetyParams
 
@@ -53,17 +54,6 @@ def median_summary(reports):
     return rows
 
 
-def pooled_pdr_profile(reps):
-    bins: dict = {}
-    for rep in reps:
-        for lo, hi, succ, opp in rep.pdr_bins:
-            cell = bins.setdefault((lo, hi), [0, 0])
-            cell[0] += succ
-            cell[1] += opp
-    return [(lo, hi, succ / opp)
-            for (lo, hi), (succ, opp) in sorted(bins.items()) if opp]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--vehicles", type=int, default=60)
@@ -93,7 +83,8 @@ def main(argv=None) -> int:
         print("  ".join(cells))
 
     print("\nreception rate by distance (taoi, pooled over seeds):")
-    for lo, hi, rate in pooled_pdr_profile(reports["taoi"]):
+    _, bin_rows = _aggregate_rows(reports["taoi"])
+    for _, _, lo, hi, rate in bin_rows:
         bar = "#" * round(rate * 40)
         print(f"  {lo:5.0f}-{hi:5.0f} m  {rate:6.3f}  {bar}")
 

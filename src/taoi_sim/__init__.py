@@ -9,21 +9,16 @@ replays tiny slotted scenarios and brute-forces optimal schedules for
 cross-checking the event loop.
 """
 
-from .aoi import (NeighborRecord, aggregate_taoi, average_pairwise_aoi,
-                  instantaneous_aoi, instantaneous_taoi, system_aoi,
-                  vehicle_aoi, vehicle_taoi)
+from .aoi import NeighborRecord, instantaneous_aoi, vehicle_aoi, vehicle_taoi
 from .channel import (ChannelConfig, TransmissionEvent, csma_access,
                       delivery_outcome, nakagami_fading_draw, path_loss_db,
                       rx_power_dbm, tx_duration)
 from .engine import RunReport, SimConfig, Simulation, run_simulation
 from .errors import ConfigError, SimError, TraceError, UndefinedValueError
-from .metrics import (Bsm, PdrCounters, SafetyParams, average_tracking_error,
-                      collision_risk_indicator, delta_ttc, estimate_position,
-                      pdr_record, self_tracking_error, tracking_error,
-                      ttc_threshold)
+from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
+                      sample_te_and_risk, self_tracking_error)
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
-                       VehicleState, krauss_step, lane_change, load_trace,
-                       position_at)
+                       VehicleState, krauss_step, lane_change, load_trace)
 from .oracle import (Motion, ScheduleProblem, ScheduleSolution,
                      enumerate_optimal, replay_schedule, toy_problem)
 from .rate_control import (Action, ControllerState, aoi_rate_update,
@@ -37,14 +32,10 @@ __all__ = [
     "RunReport", "SafetyParams", "ScheduleProblem", "ScheduleSolution",
     "SimConfig", "SimError", "Simulation", "TraceError", "TrajectoryTable",
     "TransmissionEvent", "UndefinedValueError", "VehicleState",
-    "aggregate_taoi", "aoi_rate_update", "assess_self_risk",
-    "average_pairwise_aoi", "average_tracking_error",
-    "collision_risk_indicator", "csma_access", "delivery_outcome",
-    "delta_ttc", "enumerate_optimal", "estimate_position", "fixed_rate",
-    "instantaneous_aoi", "instantaneous_taoi", "krauss_step", "lane_change",
-    "load_trace", "nakagami_fading_draw", "path_loss_db", "pdr_record",
-    "position_at", "replay_schedule", "run_simulation", "rx_power_dbm",
-    "self_tracking_error", "system_aoi", "taoi_rate_update", "toy_problem",
-    "tracking_error", "ttc_threshold", "tx_duration", "vehicle_aoi",
-    "vehicle_taoi",
+    "aoi_rate_update", "assess_self_risk", "csma_access", "delivery_outcome",
+    "enumerate_optimal", "fixed_rate", "instantaneous_aoi", "krauss_step",
+    "lane_change", "load_trace", "nakagami_fading_draw", "path_loss_db",
+    "pdr_record", "replay_schedule", "run_simulation", "rx_power_dbm",
+    "sample_te_and_risk", "self_tracking_error", "taoi_rate_update",
+    "toy_problem", "tx_duration", "vehicle_aoi", "vehicle_taoi",
 ]

@@ -20,9 +20,6 @@ Callers must never mix the two on one record.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .errors import UndefinedValueError
 
 
@@ -36,9 +33,9 @@ class NeighborRecord:
     __slots__ = (
         "sender", "gen_time", "bx", "by", "bvx", "bvy",
         "neighbor_risky", "neighbor_interval",
-        "first_seen", "last_seen", "cursor",
+        "last_seen", "cursor",
         "aoi_area_mi", "taoi_area_mi", "aoi_area_run", "taoi_area_run",
-        "te_sum", "te_count",
+        "te_last", "te_sum", "te_count",
     )
 
     def __init__(self, sender: int, gen_time: float, x: float, y: float,
@@ -51,29 +48,15 @@ class NeighborRecord:
         self.bvy = vy
         self.neighbor_risky = risky
         self.neighbor_interval = interval
-        self.first_seen = now
         self.last_seen = now
         self.cursor = now
         self.aoi_area_mi = 0.0
         self.taoi_area_mi = 0.0
         self.aoi_area_run = 0.0
         self.taoi_area_run = 0.0
+        self.te_last = 0.0
         self.te_sum = 0.0
         self.te_count = 0
-
-    @property
-    def last_reception_time(self) -> float:
-        return self.last_seen
-
-    @property
-    def last_bsm(self):
-        """Reconstructed view of the cached snapshot."""
-        from .metrics import Bsm
-        return Bsm(self.sender, self.gen_time, self.bx, self.by,
-                   math.hypot(self.bvx, self.bvy),
-                   math.atan2(self.bvy, self.bvx),
-                   self.neighbor_risky, self.neighbor_interval)
-
 
 def record_from_bsm(bsm, now: float) -> NeighborRecord:
     if bsm.gen_time > now:
@@ -98,15 +81,6 @@ def instantaneous_aoi(record: NeighborRecord, t: float) -> float:
     if t < record.gen_time:
         raise ValueError(f"t={t} precedes snapshot generation {record.gen_time}")
     return t - record.gen_time
-
-
-def instantaneous_taoi(record: NeighborRecord, t: float, gate=None) -> float:
-    """Flag-gated age: equals the age while the gate is raised, else 0.
-    The gate defaults to the sender's piggybacked riskiness flag; passing
-    an explicit gate supports the receiver-side reading."""
-    if gate is None:
-        gate = record.neighbor_risky
-    return instantaneous_aoi(record, t) if gate else 0.0
 
 
 def advance(record: NeighborRecord, t: float, gate: int) -> None:
@@ -169,105 +143,46 @@ def slot_sample(record: NeighborRecord, t: float, slot: float, gate: int) -> flo
     return a
 
 
-def time_average(area: float, window: float) -> float:
-    """Time-average age over a window given the accumulated sawtooth area."""
-    if window <= 0:
-        raise UndefinedValueError(f"average over non-positive window: {window}")
-    return area / window
+def vehicle_aoi(heard, t_mi: float) -> float:
+    """Vehicle AoI over one measurement interval: the mean time-average
+    age of the links in ``heard``, the receiver's records of the senders
+    it heard in the window (window areas already closed at its end).
 
-
-def average_pairwise_aoi(record: NeighborRecord, window: float,
-                         run: bool = False) -> float:
-    """Average age of one link over the current measurement window, or over
-    the whole run when ``run`` is set."""
-    return time_average(record.aoi_area_run if run else record.aoi_area_mi,
-                        window)
-
-
-def vehicle_aoi(records, window: float) -> float:
-    """Mean over the receiver's neighbor set of the pairwise average ages.
-
-    Raises UndefinedValueError when the receiver has no neighbors; the
-    caller decides what "undefined" means for control.
+    Raises UndefinedValueError when nobody was heard; the caller decides
+    what "undefined" means for control.
     """
-    recs = list(records)
-    if not recs:
+    if not heard:
         raise UndefinedValueError("vehicle AoI with no neighbors")
-    return sum(average_pairwise_aoi(r, window) for r in recs) / len(recs)
+    return sum(r.aoi_area_mi for r in heard) * (1.0 / t_mi) / len(heard)
 
 
-def vehicle_taoi(records, window: float) -> tuple[float, bool]:
-    """Mean gated age over the risky subset of the neighbor set.
+def vehicle_taoi(heard, t_mi: float, distances,
+                 range_m: float) -> tuple[float | None, int]:
+    """Vehicle TAoI over one measurement interval: the mean time-average
+    gated age over the risky subset of ``heard``.
 
-    Returns (value, has_risky). With no risky neighbors the value is 0.0
-    and the marker is False; controllers treat that case structurally
-    rather than as a measured zero.
+    A sender counts as risky for the window when its gate was open at any
+    point in it, which is exactly when it accumulated gated area; the
+    latest flag alone would drop senders whose flag fell mid-window. The
+    subset is clipped to ``range_m`` (``distances[sender]`` is the
+    receiver's distance to each sender): radio reach decides who is heard,
+    but a hazard beyond the risk-assessment range has no claim on this
+    vehicle's rate decision.
+
+    Returns (value, risky count); the value is None when the subset is
+    empty, which controllers treat structurally rather than as a zero.
     """
-    risky = [r for r in records if r.neighbor_risky]
-    if not risky:
-        return 0.0, False
-    val = sum(time_average(r.taoi_area_mi, window) for r in risky) / len(risky)
-    return val, True
-
-
-def system_aoi(pair_averages, n_vehicles: int) -> float:
-    """Network-wide mean over all ordered pairs: the pairwise averages are
-    summed and divided by n(n-1), so pairs without history weigh zero."""
-    if n_vehicles < 2:
-        raise ValueError(f"need at least 2 vehicles, got {n_vehicles}")
-    return sum(pair_averages) / (n_vehicles * (n_vehicles - 1))
-
-
-@dataclass(frozen=True)
-class AoiSnapshot:
-    """Windowed AoI/TAoI aggregate: per ordered pair, per vehicle, system."""
-
-    pairwise_aoi: dict
-    pairwise_taoi: dict
-    vehicle_aoi: dict
-    vehicle_taoi: dict
-    system_aoi: float
-    system_taoi: float
-    window: tuple
-
-
-def aggregate_taoi(records_by_receiver: dict, window_start: float,
-                   window_end: float, n_vehicles: int) -> AoiSnapshot:
-    """Assemble a snapshot from per-receiver record maps over one window.
-
-    ``records_by_receiver`` maps receiver id to {sender id: NeighborRecord}.
-    Window areas must already be advanced to window_end by the caller.
-    Per-vehicle TAoI of a receiver with no risky neighbors is reported as
-    0.0 (the controller handles that case structurally, not numerically).
-    """
-    window = window_end - window_start
-    if window <= 0:
-        raise UndefinedValueError("empty aggregation window")
-    pair_aoi, pair_taoi = {}, {}
-    veh_aoi, veh_taoi = {}, {}
-    for rid, recs in records_by_receiver.items():
-        for sid, rec in recs.items():
-            pair_aoi[(sid, rid)] = time_average(rec.aoi_area_mi, window)
-            pair_taoi[(sid, rid)] = time_average(rec.taoi_area_mi, window)
-        if recs:
-            veh_aoi[rid] = vehicle_aoi(recs.values(), window)
-            val, has = vehicle_taoi(recs.values(), window)
-            veh_taoi[rid] = val if has else 0.0
-    sys_aoi = system_aoi(pair_aoi.values(), n_vehicles)
-    sys_taoi = system_aoi(pair_taoi.values(), n_vehicles)
-    return AoiSnapshot(pair_aoi, pair_taoi, veh_aoi, veh_taoi,
-                       sys_aoi, sys_taoi, (window_start, window_end))
+    risky = [r for r in heard
+             if r.taoi_area_mi > 0.0 and distances[r.sender] <= range_m]
+    n = len(risky)
+    if not n:
+        return None, 0
+    return sum(r.taoi_area_mi for r in risky) * (1.0 / t_mi) / n, n
 
 
 def reset_window(record: NeighborRecord) -> None:
     record.aoi_area_mi = 0.0
     record.taoi_area_mi = 0.0
-
-
-def mean_tracking_error(record: NeighborRecord) -> float:
-    if record.te_count == 0:
-        raise UndefinedValueError("no tracking-error samples for this pair")
-    return record.te_sum / record.te_count
 
 
 def sawtooth_area(reception_times, gen_times, t_end: float) -> float:

@@ -222,9 +222,3 @@ def delivery_outcome(tx: TransmissionEvent, receivers, concurrent, rng,
             got.add(r.id)
     return got
 
-
-def mean_decode_distance(cfg: ChannelConfig) -> float:
-    """Distance where the mean received power equals the sensitivity
-    threshold; diagnostic only."""
-    margin = cfg.tx_power_dbm - cfg.reference_loss_db - cfg.rx_sensitivity_dbm
-    return 10.0 ** (margin / (10.0 * cfg.path_loss_exponent))

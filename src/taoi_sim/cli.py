@@ -297,8 +297,6 @@ def _cmd_sweep(args) -> int:
         reports = [run_simulation(cfg) for cfg in configs]
     out = Path(args.out)
     emit_reports(reports, out)
-    _write_csv(out / "comparison.csv", SUMMARY_FIELDS,
-               [_summary_row(r) for r in reports])
     agg_rows, bin_rows = _aggregate_rows(reports)
     _write_csv(out / "aggregates.csv",
                ("protocol", "n_vehicles", "runs", "mean_system_aoi_s",

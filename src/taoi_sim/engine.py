@@ -18,9 +18,7 @@ before delivery and age after delivery as right-endpoint steps.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -28,13 +26,12 @@ import numpy as np
 from . import aoi
 from .channel import (ChannelConfig, ChannelTimeline, TransmissionEvent,
                       csma_access, delivery_outcome, tx_duration)
-from .errors import ConfigError, TraceError
+from .errors import ConfigError, TraceError, UndefinedValueError
 from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
-                      self_tracking_error)
+                      sample_te_and_risk, self_tracking_error)
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
-                       VehicleState, initial_states, krauss_step, load_trace,
-                       write_trace)
-from .rate_control import (Action, ControllerState, aoi_rate_update,
+                       initial_states, krauss_step, load_trace, write_trace)
+from .rate_control import (ControllerState, aoi_rate_update,
                            assess_self_risk, fixed_rate, taoi_rate_update)
 
 logger = logging.getLogger("taoi_sim.engine")
@@ -138,6 +135,21 @@ class SimConfig:
             raise ConfigError("neighbor_timeout_s must be positive")
         if self.slot_capacity < 1:
             raise ConfigError("slot_capacity must be at least 1")
+        # the risk metric divides by decel and rel_speed_floor, the fading
+        # draw by every m: a zero must fail here, not mid-run as a
+        # ZeroDivisionError, and a negative one would run on silently
+        safety = self.safety
+        if not safety.decel > 0:
+            raise ConfigError(f"decel must be positive, got {safety.decel}")
+        if not safety.rel_speed_floor > 0:
+            raise ConfigError(f"rel_speed_floor must be positive, got "
+                              f"{safety.rel_speed_floor}")
+        if not safety.t_react >= 0:
+            raise ConfigError(f"t_react must be >= 0, got {safety.t_react}")
+        ch = self.channel
+        for m in [m for _, m in ch.nakagami_bins] + [ch.nakagami_m_far]:
+            if not m > 0:
+                raise ConfigError(f"every Nakagami m must be positive, got {m}")
         if self.forced_schedule is not None:
             if self.channel_mode != "idealized_slotted":
                 raise ConfigError("forced_schedule requires idealized_slotted mode")
@@ -293,8 +305,7 @@ class Simulation:
             self._init_virtual_records()
             if cfg.collect_pair_tables:
                 self.pair_tables = {
-                    (s, r): {"aoi": [], "taoi": [], "te": [], "truth": [],
-                             "estimate": []}
+                    (s, r): {"aoi": [], "te": []}
                     for s in range(self.n) for r in range(self.n) if s != r}
 
         # cached per-tick ground-truth arrays (filled by _refresh_arrays)
@@ -455,39 +466,16 @@ class Simulation:
         cfg = self.cfg
         evict_before = t_s - cfg.neighbor_timeout_s
         range_m = cfg.channel.range_m
-        floor = cfg.safety.rel_speed_floor
-        t_react = cfg.safety.t_react
-        decel = cfg.safety.decel
-        xs, ys = self._xs, self._ys
-        vxs, vys = self._vxs, self._vys
-        dist = self._dist
-        hypot = math.hypot
+        xs, ys, vxs, vys = self._xs, self._ys, self._vxs, self._vys
+        speeds, dist = self._speeds, self._dist
         risk = 0
         for v in self.vehicles:
-            recs = v.records
-            if not recs:
+            if not v.records:
                 continue
-            i = v.idx
-            drow = dist[i]
-            vx_i, vy_i = vxs[i], vys[i]
-            thr = t_react + self._speeds[i] / decel
-            dead = None
-            for u, rec in recs.items():
-                if rec.last_seen < evict_before:
-                    if dead is None:
-                        dead = [u]
-                    else:
-                        dead.append(u)
-                    continue
-                dtg = t_s - rec.gen_time
-                te = hypot(xs[u] - (rec.bx + rec.bvx * dtg),
-                           ys[u] - (rec.by + rec.bvy * dtg))
-                rec.te_sum += te
-                rec.te_count += 1
-                if drow[u] <= range_m:
-                    rel = hypot(vxs[u] - vx_i, vys[u] - vy_i)
-                    if te / (rel if rel > floor else floor) > thr:
-                        risk += 1
+            r, dead = sample_te_and_risk(
+                v.records, t_s, v.idx, xs, ys, vxs, vys, speeds, dist[v.idx],
+                range_m, cfg.safety, evict_before)
+            risk += r
             if dead:
                 for u in dead:
                     self._evict(v, u)
@@ -592,10 +580,8 @@ class Simulation:
         cutoff = cfg.channel.max_reception_range_m
         candidates = [self.states[j] for j in range(self.n)
                       if j != idx and drow[j] <= cutoff]
-        concurrent = [c for c in self.active_txs
-                      if c is not tx and c.start < tx.end and c.end > tx.start]
-        got = delivery_outcome(tx, candidates, concurrent, self.fading_rng,
-                               cfg.channel)
+        got = delivery_outcome(tx, candidates, self.active_txs,
+                               self.fading_rng, cfg.channel)
         for j in sorted(got):
             self.on_bsm_reception(self.vehicles[j], tx.bsm, t_s)
         in_range = [s for s in candidates if drow[s.id] <= cfg.channel.range_m]
@@ -603,8 +589,6 @@ class Simulation:
             pdr_record(self.states[idx], in_range,
                        got & {s.id for s in in_range}, self.pdr,
                        distances={s.id: drow[s.id] for s in in_range})
-        else:
-            self.pdr.transmissions[idx] = self.pdr.transmissions.get(idx, 0) + 1
         self.active_txs = [c for c in self.active_txs if c.end > t_s]
         if v.waiting:
             v.pending = v.waiting.pop(0)
@@ -649,22 +633,16 @@ class Simulation:
         k = t_ns // self.slot_ns
         slot_s = self.cfg.slot_s
         tables = self.pair_tables
-        # phase 1: tracking error against pre-delivery snapshots
-        xs, ys = self._xs, self._ys
-        hypot = math.hypot
+        # phase 1: tracking error against pre-delivery snapshots; the
+        # slotted abstraction scores no collision risk and evicts nothing
         for v in self.vehicles:
-            for u, rec in v.records.items():
-                dtg = t_s - rec.gen_time
-                ex = rec.bx + rec.bvx * dtg
-                ey = rec.by + rec.bvy * dtg
-                te = hypot(xs[u] - ex, ys[u] - ey)
-                rec.te_sum += te
-                rec.te_count += 1
-                if tables is not None:
-                    row = tables[(u, v.idx)]
-                    row["te"].append(te)
-                    row["truth"].append((xs[u], ys[u]))
-                    row["estimate"].append((ex, ey))
+            sample_te_and_risk(v.records, t_s, v.idx, self._xs, self._ys,
+                               self._vxs, self._vys, self._speeds,
+                               self._dist[v.idx], self.cfg.channel.range_m,
+                               self.cfg.safety)
+            if tables is not None:
+                for u, rec in v.records.items():
+                    tables[(u, v.idx)]["te"].append(rec.te_last)
         # phase 2: zero-delay delivery
         if self.cfg.forced_schedule is not None:
             sched = self.cfg.forced_schedule
@@ -691,9 +669,7 @@ class Simulation:
                 gate = self._gate(v, rec)
                 a = aoi.slot_sample(rec, t_s, slot_s, gate)
                 if tables is not None:
-                    row = tables[(u, v.idx)]
-                    row["aoi"].append(a)
-                    row["taoi"].append(a if gate else 0.0)
+                    tables[(u, v.idx)]["aoi"].append(a)
         if t_ns + self.slot_ns <= self.T_ns:
             self._push(t_ns + self.slot_ns, EV_SLOT)
 
@@ -731,35 +707,18 @@ class Simulation:
         # partial; flags are still assessed, windows still reset, but the
         # controllers hold and metric memories stay unprimed
         first_boundary = t_s <= t_mi + 1e-9
-        active = [] if first_boundary else [
-            (u, r) for u, r in recs.items() if r.last_seen >= w_start]
-        if active:
-            inv = 1.0 / t_mi
-            aoi_v = sum(r.aoi_area_mi for _, r in active) * inv / len(active)
-            delta_avg = sum(r.neighbor_interval
-                            for _, r in active) / len(active)
-            # a neighbor counts as risky for this window if its gate was
-            # open at any point in it, which is exactly when it contributed
-            # tracked-age area; the latest flag alone would drop area from
-            # senders whose flag fell mid-window and dilute with senders
-            # flagged only at the very end. The census is clipped to the
-            # risk-assessment range: radio reach decides who is heard, but
-            # a hazard two hundred meters beyond it has no claim on this
-            # vehicle's rate decision, and the tracked-age average keeps
-            # the same basis so both speak about the same vehicles.
-            drow = self._dist[v.idx]
-            scope = cfg.channel.range_m
-            risky = [r for u, r in active
-                     if r.taoi_area_mi > 0.0 and drow[u] <= scope]
-            if risky:
-                taoi_v = sum(r.taoi_area_mi for r in risky) * inv / len(risky)
-            else:
-                taoi_v = None
+        heard = [] if first_boundary else [
+            r for r in recs.values() if r.last_seen >= w_start]
+        if heard:
+            aoi_v = aoi.vehicle_aoi(heard, t_mi)
+            delta_avg = sum(r.neighbor_interval for r in heard) / len(heard)
+            taoi_v, n_risky = aoi.vehicle_taoi(heard, t_mi, self._dist[v.idx],
+                                               cfg.channel.range_m)
             if aoi_v > 2.0 * delta_avg:
                 v.congested_mis += 1
         else:
             aoi_v = delta_avg = taoi_v = None
-            risky = []
+            n_risky = 0
 
         if first_boundary:
             delta = v.ctrl.delta
@@ -770,7 +729,7 @@ class Simulation:
                                        delta_avg)
         else:
             delta, _ = taoi_rate_update(v.ctrl, taoi_v, aoi_v, delta_avg,
-                                        len(risky))
+                                        n_risky)
         for rec in recs.values():
             aoi.reset_window(rec)
 
@@ -808,7 +767,7 @@ class Simulation:
             if acc[3] > 0]
         try:
             overall_pdr = self.pdr.overall_pdr()
-        except Exception:
+        except UndefinedValueError:
             overall_pdr = None
         generated = sum(v.generated for v in self.vehicles)
         dropped = sum(v.dropped for v in self.vehicles)

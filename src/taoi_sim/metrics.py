@@ -46,41 +46,6 @@ class SafetyParams:
     te_threshold: float = 0.5      # m, self-TE level that flags a vehicle risky
 
 
-def estimate_position(bsm: Bsm, t: float) -> tuple[float, float]:
-    """Constant-velocity extrapolation of a received snapshot to time t.
-
-    Raises ValueError for t earlier than the snapshot; estimates never
-    run backwards in time.
-    """
-    if t < bsm.gen_time:
-        raise ValueError(
-            f"cannot extrapolate backwards: t={t} < gen_time={bsm.gen_time}")
-    dt = t - bsm.gen_time
-    return (bsm.x + bsm.speed * math.cos(bsm.heading) * dt,
-            bsm.y + bsm.speed * math.sin(bsm.heading) * dt)
-
-
-def tracking_error(truth, estimate) -> float:
-    """Euclidean distance between ground truth and an extrapolated position.
-
-    ``truth`` is anything with .x and .y attributes; ``estimate`` is an
-    (x, y) pair as returned by estimate_position.
-    """
-    return math.hypot(truth.x - estimate[0], truth.y - estimate[1])
-
-
-def average_tracking_error(samples) -> float:
-    """Mean of uniformly ticked tracking-error samples.
-
-    Accepts plain floats or (timestamp, value) pairs; timestamps are not
-    weighted because the sampling cadence is uniform.
-    """
-    vals = [s[1] if isinstance(s, tuple) else s for s in samples]
-    if not vals:
-        raise UndefinedValueError("average tracking error over empty window")
-    return sum(vals) / len(vals)
-
-
 def self_tracking_error(own_now, own_prev, t_mi: float) -> float:
     """How far the vehicle's own motion drifted from the constant-velocity
     prediction neighbors would have made from its state one measurement
@@ -93,26 +58,52 @@ def self_tracking_error(own_now, own_prev, t_mi: float) -> float:
     return math.hypot(own_now.x - ex, own_now.y - ey)
 
 
-def delta_ttc(te: float, rel_speed: float, params: SafetyParams) -> float:
-    """Time-to-collision margin consumed by the tracking error.
+def sample_te_and_risk(records, t: float, i: int, xs, ys, vxs, vys, speeds,
+                       distances, range_m: float, params: SafetyParams,
+                       evict_before: float = -math.inf):
+    """One receiver's per-tick tracking-error and collision-risk sample.
 
-    Relative speed is floored so that near-zero closing speeds do not
-    blow the ratio up to infinity.
+    ``records`` maps sender id to the receiver's NeighborRecord; ``xs``,
+    ``ys``, ``vxs``, ``vys`` and ``speeds`` are every vehicle's ground
+    truth at time t, ``i`` is the receiver and ``distances[u]`` its
+    distance to vehicle u. Each record whose last reception is not older
+    than ``evict_before`` is dead-reckoned to t under constant velocity;
+    the Euclidean gap to the sender's true position is the tracking error,
+    stored as ``te_last`` and added to the record's running sums.
+
+    A sender within ``range_m`` is a collision risk when the TTC
+    distortion, tracking error over relative speed (floored so that
+    near-zero closing speeds stay finite), strictly exceeds the
+    receiver's tolerance: reaction time plus the time to brake from its
+    own speed.
+
+    Returns (risk count, sender ids past ``evict_before`` or None); the
+    latter are not sampled, and the caller evicts them.
     """
-    if te < 0:
-        raise ValueError(f"negative tracking error: {te}")
-    return te / max(abs(rel_speed), params.rel_speed_floor)
-
-
-def ttc_threshold(receiver_speed: float, params: SafetyParams) -> float:
-    """Tolerable TTC distortion: reaction time plus the time needed to brake
-    from the receiver's current speed."""
-    return params.t_react + receiver_speed / params.decel
-
-
-def collision_risk_indicator(dttc: float, threshold: float) -> int:
-    """1 when the TTC distortion strictly exceeds the tolerance, else 0."""
-    return 1 if dttc > threshold else 0
+    floor = params.rel_speed_floor
+    thr = params.t_react + speeds[i] / params.decel
+    vx_i, vy_i = vxs[i], vys[i]
+    hypot = math.hypot
+    risk = 0
+    dead = None
+    for u, rec in records.items():
+        if rec.last_seen < evict_before:
+            if dead is None:
+                dead = [u]
+            else:
+                dead.append(u)
+            continue
+        dtg = t - rec.gen_time
+        te = hypot(xs[u] - (rec.bx + rec.bvx * dtg),
+                   ys[u] - (rec.by + rec.bvy * dtg))
+        rec.te_last = te
+        rec.te_sum += te
+        rec.te_count += 1
+        if distances[u] <= range_m:
+            rel = hypot(vxs[u] - vx_i, vys[u] - vy_i)
+            if te / (rel if rel > floor else floor) > thr:
+                risk += 1
+    return risk, dead
 
 
 @dataclass
@@ -124,7 +115,6 @@ class PdrCounters:
     """
 
     bin_width: float = 25.0
-    transmissions: dict = field(default_factory=dict)  # sender id -> count
     successes: dict = field(default_factory=dict)      # bin index -> count
     opportunities: dict = field(default_factory=dict)  # bin index -> count
 
@@ -163,7 +153,6 @@ def pdr_record(sender, in_range_receivers, successes, counters: PdrCounters,
     extra = set(successes) - ids
     if extra:
         raise ValueError(f"successes outside the in-range set: {sorted(extra)}")
-    counters.transmissions[sender.id] = counters.transmissions.get(sender.id, 0) + 1
     for r in in_range_receivers:
         if distances is not None:
             d = distances[r.id]

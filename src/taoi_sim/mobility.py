@@ -369,12 +369,6 @@ class TrajectoryTable:
             hd[k], ln[k], t)
 
 
-def position_at(table: TrajectoryTable, vid: int, t: float) -> VehicleState:
-    """Interpolated state at time t; heading and lane are held from the
-    sample at or before t."""
-    return table.state_at(vid, t)
-
-
 def _build_table(groups: dict) -> TrajectoryTable:
     tick = None
     for vid, rows in groups.items():

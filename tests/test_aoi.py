@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taoi_sim import aoi
+from taoi_sim.engine import SimConfig, Simulation
 from taoi_sim.errors import UndefinedValueError
 from taoi_sim.metrics import Bsm
 
@@ -42,13 +43,15 @@ class TestInstantaneous:
             aoi.instantaneous_aoi(None, 1.0)
 
     def test_gated_age_follows_the_flag(self):
-        risky = aoi.record_from_bsm(_bsm(0.0, risky=1), now=0.0)
-        calm = aoi.record_from_bsm(_bsm(0.0, risky=0), now=0.0)
-        assert aoi.instantaneous_taoi(risky, 2.0) == 2.0
-        assert aoi.instantaneous_taoi(calm, 2.0) == 0.0
-        # explicit gate overrides the piggybacked flag
-        assert aoi.instantaneous_taoi(calm, 2.0, gate=1) == 2.0
-        assert aoi.instantaneous_taoi(risky, 2.0, gate=0) == 0.0
+        # gated area accrues the full age while the gate is open, else none;
+        # the gate is the sender's flag or, read receiver-side, the
+        # receiver's own, whatever the record carries
+        for flag in (0, 1):
+            for gate in (flag, 1 - flag):
+                rec = aoi.record_from_bsm(_bsm(0.0, risky=flag), now=0.0)
+                aoi.advance(rec, 2.0, gate)
+                assert rec.aoi_area_run == 2.0
+                assert rec.taoi_area_run == (2.0 if gate else 0.0)
 
     @given(st.floats(0.0, 50.0), st.floats(0.0, 10.0))
     def test_unit_slope_property(self, t, dt):
@@ -63,7 +66,7 @@ class TestAdvance:
         rec = _fresh()
         aoi.advance(rec, 5.0, gate=1)
         assert rec.aoi_area_run == pytest.approx(12.5)
-        assert aoi.average_pairwise_aoi(rec, 5.0, run=True) == pytest.approx(2.5)
+        assert rec.aoi_area_run / 5.0 == pytest.approx(2.5)
 
     def test_gate_zero_skips_taoi(self):
         rec = _fresh()
@@ -108,7 +111,7 @@ class TestReception:
         rec = _fresh()
         for k in range(1, 6):
             aoi.apply_reception(rec, _bsm(float(k)), now=float(k), gate=1)
-        assert aoi.average_pairwise_aoi(rec, 5.0, run=True) == pytest.approx(0.5)
+        assert rec.aoi_area_run / 5.0 == pytest.approx(0.5)
 
     @given(st.floats(0.05, 2.0), st.integers(2, 12))
     def test_half_period_property(self, period, cycles):
@@ -116,7 +119,7 @@ class TestReception:
         for k in range(1, cycles + 1):
             t = k * period
             aoi.apply_reception(rec, _bsm(t), now=t, gate=1)
-        avg = aoi.average_pairwise_aoi(rec, cycles * period, run=True)
+        avg = rec.aoi_area_run / (cycles * period)
         assert avg == pytest.approx(period / 2.0, rel=1e-9)
 
 
@@ -175,6 +178,12 @@ class TestSlotSample:
         assert rec.taoi_area_run == 0.0
 
 
+def _sim(**kw):
+    """A three-vehicle run that has not started: tests feed receptions
+    by hand and close it with the engine's own wrap-up."""
+    return Simulation(SimConfig(vehicle_count=3, duration_s=6.0, seed=0, **kw))
+
+
 class TestAggregation:
     def test_vehicle_aoi_averages_the_neighbor_set(self):
         fast = _fresh()
@@ -194,41 +203,44 @@ class TestAggregation:
             aoi.vehicle_aoi([], 5.0)
 
     def test_vehicle_taoi_restricted_to_risky_subset(self):
-        risky = _fresh(risky=1)
+        # risky for the first half of the window, then its flag fell: the
+        # gated area it accrued still counts it
+        fell = aoi.virtual_record(0, 0.0, 0.0, 1, 0.1)
+        aoi.apply_reception(fell, Bsm(0, 2.0, 0.0, 0.0, 0.0, 0.0,
+                                      riskiness_flag=0), now=2.0, gate=1)
+        aoi.advance(fell, 4.0, fell.neighbor_risky)
         calm = aoi.virtual_record(1, 0.0, 0.0, 0, 0.1)
-        aoi.advance(risky, 4.0, 1)
         aoi.advance(calm, 4.0, 0)
-        for r in (risky, calm):
-            r.aoi_area_mi = r.aoi_area_run
-            r.taoi_area_mi = r.taoi_area_run
-        val, has = aoi.vehicle_taoi([risky, calm], 4.0)
-        assert has and val == pytest.approx(2.0)
-        val, has = aoi.vehicle_taoi([calm], 4.0)
-        assert (val, has) == (0.0, False)
+        far = aoi.virtual_record(2, 0.0, 0.0, 1, 0.1)
+        aoi.advance(far, 4.0, 1)
+        distances = [40.0, 40.0, 150.5]
+        val, n = aoi.vehicle_taoi([fell, calm, far], 4.0, distances, 150.0)
+        # gated area 2.0 (age 0 -> 2 over [0, 2]) over the 4 s window
+        assert (val, n) == (pytest.approx(0.5), 1)
+        # the risky sender beyond range_m counts once it is inside it
+        val, n = aoi.vehicle_taoi([fell, calm, far], 4.0, distances, 150.5)
+        assert n == 2 and val == pytest.approx((2.0 + 8.0) / 4.0 / 2)
+        assert aoi.vehicle_taoi([calm], 4.0, distances, 150.0) == (None, 0)
 
     def test_system_average_spreads_over_all_ordered_pairs(self):
-        assert aoi.system_aoi([0.5, 0.5], 2) == pytest.approx(0.5)
-        # pairs without history simply weigh zero
-        assert aoi.system_aoi([3.0], 3) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            aoi.system_aoi([0.5], 1)
-
-    def test_window_snapshot(self):
-        a, b = _fresh(), aoi.virtual_record(1, 0.0, 0.0, 1, 0.1)
-        aoi.advance(a, 1.0, 1)
-        aoi.advance(b, 1.0, 1)
-        snap = aoi.aggregate_taoi({1: {0: a}, 0: {1: b}}, 0.0, 1.0, 2)
-        assert snap.system_aoi == pytest.approx(0.5)
-        assert snap.system_taoi == pytest.approx(0.5)
-        assert snap.pairwise_aoi[(0, 1)] == pytest.approx(0.5)
-        assert snap.vehicle_aoi[0] == pytest.approx(0.5)
-        assert snap.window == (0.0, 1.0)
+        # one link heard once at t=0 averages 3 s over the 6 s run; the
+        # other five ordered pairs of three vehicles weigh zero
+        sim = _sim()
+        sim.on_bsm_reception(sim.vehicles[1], _bsm(0.0, risky=1), 0.0)
+        rep = sim._finalize()
+        assert rep.system_aoi_s == pytest.approx(0.5)
+        assert rep.system_taoi_s == pytest.approx(0.5)
 
     def test_empty_window_is_undefined(self):
-        with pytest.raises(UndefinedValueError):
-            aoi.aggregate_taoi({}, 1.0, 1.0, 2)
-        with pytest.raises(UndefinedValueError):
-            aoi.time_average(1.0, 0.0)
+        # heard at 0.5 s, silent over the (2, 3] window: no neighbor
+        # population, so neither vehicle AoI nor TAoI has a value
+        sim = _sim()
+        v = sim.vehicles[0]
+        sim.on_bsm_reception(v, Bsm(1, 0.5, 30.0, 2.0, 15.0, 0.0,
+                                    riskiness_flag=1), 0.5)
+        sim.measurement_tick(v, 3.0)
+        t, vid, _, _, aoi_v, taoi_v = sim.timeseries[-1]
+        assert (t, vid, aoi_v, taoi_v) == (3.0, 0, None, None)
 
 
 class TestWindowReset:
@@ -241,8 +253,11 @@ class TestWindowReset:
         assert rec.aoi_area_run == pytest.approx(2.0)
 
     def test_mean_tracking_error_needs_samples(self):
-        rec = _fresh()
-        with pytest.raises(UndefinedValueError):
-            aoi.mean_tracking_error(rec)
+        # the engine reports a pair's mean error only once it has samples
+        sim = _sim()
+        sim.on_bsm_reception(sim.vehicles[1], _bsm(0.0), 0.0)
+        assert sim._finalize().te_pairs == []
+        sim = _sim()
+        rec = sim.on_bsm_reception(sim.vehicles[1], _bsm(0.0), 0.0)
         rec.te_sum, rec.te_count = 3.0, 2
-        assert aoi.mean_tracking_error(rec) == 1.5
+        assert sim._finalize().te_pairs == [(1, 0, 1.5, 2)]

@@ -14,7 +14,6 @@ from taoi_sim.channel import (
     TransmissionEvent,
     csma_access,
     delivery_outcome,
-    mean_decode_distance,
     nakagami_fading_draw,
     nakagami_m,
     path_loss_db,
@@ -252,5 +251,8 @@ class TestDelivery:
         assert far < 0.5
 
     def test_mean_decode_distance_value(self):
-        # fade margin 74.14 dB over a 30 dB/decade slope
-        assert mean_decode_distance(CFG) == pytest.approx(296.1, abs=0.5)
+        # fade margin 74.14 dB over a 30 dB/decade slope: the mean received
+        # power crosses the sensitivity threshold at 296.1 m
+        tx = CFG.tx_power_dbm
+        assert (rx_power_dbm(tx, 295.6, 1.0, CFG) > CFG.rx_sensitivity_dbm
+                > rx_power_dbm(tx, 296.6, 1.0, CFG))

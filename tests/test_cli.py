@@ -178,7 +178,8 @@ class TestSweepCommand:
                    "--out", str(out)])
         assert rc == 0
         capsys.readouterr()
-        with open(out / "comparison.csv", newline="") as fh:
+        assert not (out / "comparison.csv").exists()
+        with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert {(r["protocol"], r["seed"]) for r in rows} == \

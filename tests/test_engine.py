@@ -12,6 +12,7 @@ import math
 import pytest
 
 from taoi_sim import aoi
+from taoi_sim.channel import ChannelConfig
 from taoi_sim.engine import SimConfig, Simulation, run_simulation
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.metrics import Bsm, SafetyParams
@@ -171,6 +172,21 @@ class TestLifecycle:
         assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
         assert rep.system_aoi_s > 0.0
 
+    @pytest.mark.parametrize("kw", [
+        # frames long enough that the FIFO queue actually holds some
+        dict(queue="fcfs", bsm_size_bytes=30000),
+        dict(taoi_gate="receiver"),
+    ], ids=["fcfs", "receiver_gate"])
+    def test_alternative_modes_stay_sound(self, kw):
+        cfg = dict(vehicle_count=12, duration_s=3.0, protocol="taoi", seed=2,
+                   **kw)
+        rep = run_simulation(SimConfig(**cfg))
+        c = rep.counts
+        assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
+        assert c["generated"] > 0
+        assert 0.0 <= rep.system_taoi_s <= rep.system_aoi_s
+        assert run_simulation(SimConfig(**cfg)).json_dict() == rep.json_dict()
+
 
 class TestReceptionBookkeeping:
     @pytest.fixture
@@ -262,6 +278,13 @@ class TestConfigGuards:
         dict(neighbor_timeout_s=0.0),
         dict(slot_capacity=0),
         dict(forced_schedule=((0,), (1,))),  # realistic mode cannot force
+        dict(safety=SafetyParams(decel=0.0)),
+        dict(safety=SafetyParams(decel=-1.0)),
+        dict(safety=SafetyParams(rel_speed_floor=0.0)),
+        dict(safety=SafetyParams(t_react=-0.5)),
+        dict(channel=ChannelConfig(nakagami_m_far=0.0)),
+        dict(channel=ChannelConfig(nakagami_bins=((80.0, 3.0), (200.0, 0.0)))),
+        dict(channel=ChannelConfig(nakagami_bins=((80.0, -1.0),))),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

@@ -1,4 +1,9 @@
-"""Safety metrics: position extrapolation, tracking error, delta-TTC, PDR."""
+"""Safety metrics: dead reckoning, tracking error, TTC risk, PDR.
+
+Tracking error and the collision-risk indicator are pinned through
+``sample_te_and_risk``, the per-receiver sweep the engine runs every
+tick, fed with one hand-built neighbor record.
+"""
 
 import math
 
@@ -6,89 +11,127 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taoi_sim.aoi import record_from_bsm
 from taoi_sim.errors import UndefinedValueError
 from taoi_sim.metrics import (
     Bsm,
     PdrCounters,
     SafetyParams,
-    average_tracking_error,
-    collision_risk_indicator,
-    delta_ttc,
-    estimate_position,
     pdr_record,
+    sample_te_and_risk,
     self_tracking_error,
-    tracking_error,
-    ttc_threshold,
 )
 from taoi_sim.mobility import VehicleState
 
 PARAMS = SafetyParams()
+RANGE_M = 150.0
+
+
+def _sweep(rec, t, truth_xy, sender_v=(0.0, 0.0), receiver_v=(0.0, 0.0),
+           receiver_speed=0.0, distance=10.0, evict_before=-math.inf):
+    """Receiver 0 holding one record of sender 1, whose true position at t
+    is ``truth_xy``. Returns (risk count, evicted senders)."""
+    xs, ys = [0.0, truth_xy[0]], [0.0, truth_xy[1]]
+    vxs, vys = [receiver_v[0], sender_v[0]], [receiver_v[1], sender_v[1]]
+    speeds = [receiver_speed, math.hypot(*sender_v)]
+    return sample_te_and_risk({1: rec}, t, 0, xs, ys, vxs, vys, speeds,
+                              [0.0, distance], RANGE_M, PARAMS, evict_before)
+
+
+def _te(bsm, t, truth_xy):
+    rec = record_from_bsm(bsm, now=bsm.gen_time)
+    _sweep(rec, t, truth_xy)
+    return rec.te_last
+
+
+def _at(x, y):
+    """Zero-velocity snapshot of sender 1: the estimate stays at (x, y)."""
+    return record_from_bsm(Bsm(1, 0.0, x, y, 0.0, 0.0), now=0.0)
+
+
+def _risk(te, rel, receiver_speed=0.0, distance=10.0):
+    """Risk flag for a pair with exactly the given tracking error and
+    relative speed; the receiver drives along +y at ``receiver_speed``."""
+    risk, _ = _sweep(_at(0.0, 0.0), 1.0, (te, 0.0),
+                     sender_v=(rel, receiver_speed),
+                     receiver_v=(0.0, receiver_speed),
+                     receiver_speed=receiver_speed, distance=distance)
+    return risk
 
 
 class TestEstimatePosition:
     def test_extrapolates_along_heading(self):
-        bsm = Bsm(sender=0, gen_time=0.0, x=0.0, y=0.0, speed=2.0,
+        bsm = Bsm(sender=1, gen_time=0.0, x=0.0, y=0.0, speed=2.0,
                   heading=math.pi / 2)
-        x, y = estimate_position(bsm, 4.0)
-        assert x == pytest.approx(0.0, abs=1e-12)
-        assert y == pytest.approx(8.0)
+        assert _te(bsm, 4.0, (0.0, 8.0)) == pytest.approx(0.0, abs=1e-12)
+        assert _te(bsm, 4.0, (0.0, 0.0)) == pytest.approx(8.0)
 
     def test_zero_elapsed_returns_snapshot(self):
-        bsm = Bsm(0, 3.0, x=7.5, y=-2.0, speed=19.0, heading=1.1)
-        assert estimate_position(bsm, 3.0) == (7.5, -2.0)
+        bsm = Bsm(1, 3.0, x=7.5, y=-2.0, speed=19.0, heading=1.1)
+        assert _te(bsm, 3.0, (7.5, -2.0)) == 0.0
 
     def test_longer_horizon(self):
-        bsm = Bsm(0, 2.0, x=0.0, y=4.0, speed=2.0, heading=math.pi / 2)
-        _, y = estimate_position(bsm, 6.0)
-        assert y == pytest.approx(12.0)
-
-    def test_refuses_backwards_extrapolation(self):
-        bsm = Bsm(0, 5.0, 0.0, 0.0, 10.0, 0.0)
-        with pytest.raises(ValueError):
-            estimate_position(bsm, 4.999)
+        bsm = Bsm(1, 2.0, x=0.0, y=4.0, speed=2.0, heading=math.pi / 2)
+        assert _te(bsm, 6.0, (0.0, 12.0)) == pytest.approx(0.0, abs=1e-12)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 10.0),
            st.floats(0.0, 30.0), st.floats(0.0, 2.0 * math.pi))
     def test_displacement_is_speed_times_elapsed(self, t0, dt, speed, heading):
-        bsm = Bsm(0, t0, 1.0, -3.0, speed, heading)
-        x, y = estimate_position(bsm, t0 + dt)
-        assert math.hypot(x - 1.0, y + 3.0) == pytest.approx(speed * dt, abs=1e-6)
+        # truth parked at the snapshot: the error is the distance travelled
+        bsm = Bsm(1, t0, 1.0, -3.0, speed, heading)
+        te = _te(bsm, t0 + dt, (1.0, -3.0))
+        assert te == pytest.approx(speed * dt, abs=1e-6)
 
 
 class TestTrackingError:
     def test_euclidean_gap(self):
-        truth = VehicleState(1, 0.0, 4.0, 4.0, math.pi / 2, 0, t=2.0)
-        assert tracking_error(truth, (0.0, 0.0)) == 4.0
+        rec = _at(0.0, 0.0)
+        _sweep(rec, 2.0, (0.0, 4.0))
+        assert rec.te_last == 4.0
 
     def test_along_track_offset(self):
-        truth = VehicleState(1, 0.0, 9.0, 6.0, math.pi / 2, 0, t=3.0)
-        assert tracking_error(truth, (0.0, 8.0)) == 1.0
+        rec = _at(0.0, 8.0)
+        _sweep(rec, 3.0, (0.0, 9.0))
+        assert rec.te_last == 1.0
 
     def test_zero_on_perfect_estimate(self):
-        truth = VehicleState(1, 3.0, 4.0, 10.0, 0.0, 0)
-        assert tracking_error(truth, (3.0, 4.0)) == 0.0
+        rec = _at(3.0, 4.0)
+        _sweep(rec, 1.0, (3.0, 4.0))
+        assert rec.te_last == 0.0
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_never_negative(self, x, y, ex, ey):
-        truth = VehicleState(0, x, y, 1.0, 0.0, 0)
-        assert tracking_error(truth, (ex, ey)) >= 0.0
+        rec = _at(ex, ey)
+        _sweep(rec, 1.0, (x, y))
+        assert rec.te_last >= 0.0
 
 
 class TestAverageTrackingError:
+    """Each tick adds one sample to the record's running sums; the
+    reported per-pair error is their mean."""
+
+    @staticmethod
+    def _mean(offsets):
+        rec = _at(0.0, 0.0)
+        for k, off in enumerate(offsets, start=1):
+            _sweep(rec, 0.1 * k, (off, 0.0))
+        assert rec.te_count == len(offsets)
+        return rec.te_sum / rec.te_count
+
     def test_alternating_pattern(self):
-        assert average_tracking_error([1.0, 4.0, 1.0, 4.0, 1.0, 4.0]) == 2.5
+        assert self._mean([1.0, 4.0, 1.0, 4.0, 1.0, 4.0]) == 2.5
 
     def test_front_loaded_pattern(self):
-        assert average_tracking_error([1.0, 4.0, 1.0, 1.0, 1.0, 1.0]) == 1.5
-
-    def test_accepts_timestamped_samples(self):
-        samples = [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]
-        assert average_tracking_error(samples) == 4.0
+        assert self._mean([1.0, 4.0, 1.0, 1.0, 1.0, 1.0]) == 1.5
 
     def test_empty_is_undefined(self):
-        with pytest.raises(UndefinedValueError):
-            average_tracking_error([])
+        # a record past its reception timeout takes no sample and is handed
+        # back for eviction, so its mean error never gets a value
+        rec = _at(0.0, 0.0)
+        risk, dead = _sweep(rec, 6.0, (50.0, 0.0), evict_before=1.0)
+        assert (risk, dead) == (0, [1])
+        assert rec.te_count == 0 and rec.te_sum == 0.0
 
 
 class TestSelfTrackingError:
@@ -117,40 +160,52 @@ class TestSelfTrackingError:
 
 
 class TestDeltaTtc:
+    """TTC distortion: tracking error over the floored relative speed."""
+
     def test_basic_ratio(self):
-        assert delta_ttc(5.0, 2.0, PARAMS) == 2.5
+        # 5 m over 2 m/s is 2.5 s: above a 2 s tolerance, below 3 s
+        assert _risk(5.0, 2.0, receiver_speed=4.6) == 1
+        assert _risk(5.0, 2.0, receiver_speed=9.2) == 0
 
     def test_zero_error_means_zero_perturbation(self):
-        assert delta_ttc(0.0, 17.3, PARAMS) == 0.0
+        assert _risk(0.0, 17.3) == 0
+        assert _risk(0.0, 0.0) == 0
 
     def test_relative_speed_floor(self):
-        # stationary pair: floor of 0.1 m/s keeps the ratio finite
-        assert delta_ttc(5.0, 0.0, PARAMS) == pytest.approx(50.0)
+        # stationary pair: the 0.1 m/s floor keeps the ratio at 50 s
+        below = (48.0 - 1e-6) * PARAMS.decel   # tolerance just under 49 s
+        above = (50.0 + 1e-6) * PARAMS.decel   # tolerance just over 51 s
+        for rel in (0.0, 0.05):
+            assert _risk(5.0, rel, receiver_speed=below) == 1
+            assert _risk(5.0, rel, receiver_speed=above) == 0
 
     def test_approaching_and_receding_same_magnitude(self):
-        assert delta_ttc(5.0, -2.0, PARAMS) == delta_ttc(5.0, 2.0, PARAMS)
+        for speed in (4.6, 9.2):
+            assert _risk(5.0, -2.0, speed) == _risk(5.0, 2.0, speed)
 
-    def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            delta_ttc(-0.1, 2.0, PARAMS)
-
-    @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.01, 50.0))
-    def test_monotone_in_tracking_error(self, a, b, rel):
+    @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.01, 50.0),
+           st.floats(0.0, 40.0))
+    def test_monotone_in_tracking_error(self, a, b, rel, speed):
         lo, hi = sorted((a, b))
-        assert delta_ttc(lo, rel, PARAMS) <= delta_ttc(hi, rel, PARAMS)
+        assert _risk(lo, rel, speed) <= _risk(hi, rel, speed)
 
 
 class TestRiskIndicator:
     def test_threshold_scales_with_speed(self):
-        assert ttc_threshold(0.0, PARAMS) == pytest.approx(1.0)
-        assert ttc_threshold(4.6, PARAMS) == pytest.approx(2.0)
-        assert ttc_threshold(23.0, PARAMS) == pytest.approx(6.0)
+        # tolerance is reaction time plus braking time: 1 s, 2 s, 6 s
+        for speed, tol in ((0.0, 1.0), (4.6, 2.0), (23.0, 6.0)):
+            assert _risk(tol * (1 + 1e-9), 1.0, speed) == 1
+            assert _risk(tol * (1 - 1e-9), 1.0, speed) == 0
 
     def test_indicator_is_strict(self):
-        th = ttc_threshold(23.0, PARAMS)
-        assert collision_risk_indicator(th + 1e-9, th) == 1
-        assert collision_risk_indicator(th, th) == 0
-        assert collision_risk_indicator(0.0, th) == 0
+        th = PARAMS.t_react + 23.0 / PARAMS.decel
+        assert _risk(th + 1e-9, 1.0, 23.0) == 1
+        assert _risk(th, 1.0, 23.0) == 0
+        assert _risk(0.0, 1.0, 23.0) == 0
+
+    def test_only_senders_in_range_count(self):
+        assert _risk(5.0, 2.0, distance=RANGE_M) == 1
+        assert _risk(5.0, 2.0, distance=RANGE_M + 0.1) == 0
 
 
 class TestPdr:
@@ -164,7 +219,6 @@ class TestPdr:
         rx = [self._veh(i, 30.0 * i) for i in (1, 2, 3)]
         pdr_record(tx, rx, {1, 2}, counters)
         assert counters.overall_pdr() == pytest.approx(2.0 / 3.0)
-        assert counters.transmissions == {0: 1}
 
     def test_bin_rows_sorted_with_edges(self):
         counters = PdrCounters()
@@ -187,7 +241,6 @@ class TestPdr:
     def test_empty_reception_set_still_counts_the_transmission(self):
         counters = PdrCounters()
         pdr_record(self._veh(0, 0.0), [], set(), counters)
-        assert counters.transmissions == {0: 1}
         assert counters.opportunities == {}
         with pytest.raises(UndefinedValueError):
             counters.overall_pdr()

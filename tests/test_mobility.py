@@ -17,7 +17,6 @@ from taoi_sim.mobility import (
     krauss_step,
     lane_change,
     load_trace,
-    position_at,
     v_safe,
     write_trace,
 )
@@ -224,7 +223,7 @@ class TestTraceIo:
         p = _write(tmp_path / "t.csv",
                    "0.000,0,0.0,2.0,10.0,0.0,0\n"
                    "1.000,0,10.0,2.0,12.0,0.0,0\n")
-        s = position_at(load_trace(p), 0, 0.5)
+        s = load_trace(p).state_at(0, 0.5)
         assert s.x == pytest.approx(5.0)
         assert s.speed == pytest.approx(11.0)
         assert s.lane == 0
@@ -233,7 +232,7 @@ class TestTraceIo:
         p = _write(tmp_path / "t.csv",
                    "0.100,0,1.0,2.0,10.0,0.0,0\n"
                    "0.000,0,0.0,2.0,10.0,0.0,0\n")
-        s = position_at(load_trace(p), 0, 0.05)
+        s = load_trace(p).state_at(0, 0.05)
         assert s.x == pytest.approx(0.5)
 
     def test_query_outside_span_rejected(self, tmp_path):
