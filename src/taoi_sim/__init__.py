@@ -18,7 +18,7 @@ from .errors import ConfigError, SimError, TraceError, UndefinedValueError
 from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
                       sample_te_and_risk, self_tracking_error)
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
-                       VehicleState, krauss_step, lane_change, load_trace)
+                       VehicleState, krauss_step, load_trace)
 from .oracle import (Motion, ScheduleProblem, ScheduleSolution,
                      enumerate_optimal, replay_schedule, toy_problem)
 from .rate_control import (Action, ControllerState, aoi_rate_update,
@@ -34,7 +34,7 @@ __all__ = [
     "TransmissionEvent", "UndefinedValueError", "VehicleState",
     "aoi_rate_update", "assess_self_risk", "csma_access", "delivery_outcome",
     "enumerate_optimal", "fixed_rate", "instantaneous_aoi", "krauss_step",
-    "lane_change", "load_trace", "nakagami_fading_draw", "path_loss_db",
+    "load_trace", "nakagami_fading_draw", "path_loss_db",
     "pdr_record", "replay_schedule", "run_simulation", "rx_power_dbm",
     "sample_te_and_risk", "self_tracking_error", "taoi_rate_update",
     "toy_problem", "tx_duration", "vehicle_aoi", "vehicle_taoi",

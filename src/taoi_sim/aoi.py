@@ -4,8 +4,10 @@ A receiver keeps one NeighborRecord per sender it has heard from. The age
 of that link is the time since the generation of the freshest received
 snapshot; it grows with unit slope between receptions and drops to the
 in-flight delay on each reception. The record holds exact sawtooth areas
-(trapezoids between bookkeeping events) plus a gated variant that only
-accumulates while the relevant riskiness flag is raised.
+(trapezoids between bookkeeping events) plus a gated variant, the tracked
+age, that only accumulates while the sender's riskiness flag is raised:
+the flag from the sender's own self-tracking-error assessment, carried in
+its freshest received BSM (``neighbor_risky``).
 
 Two accumulation styles coexist and are validated by different oracles:
 
@@ -83,12 +85,12 @@ def instantaneous_aoi(record: NeighborRecord, t: float) -> float:
     return t - record.gen_time
 
 
-def advance(record: NeighborRecord, t: float, gate: int) -> None:
+def advance(record: NeighborRecord, t: float) -> None:
     """Extend the exact sawtooth areas from the record's cursor to t.
 
     Valid only when no reception occurred inside (cursor, t]; receptions
-    go through apply_reception which advances first. ``gate`` is the
-    riskiness flag in force over the whole stretch.
+    go through apply_reception which advances first. The sender flag of
+    the cached snapshot is in force over the whole stretch.
     """
     if t < record.cursor:
         raise ValueError(f"cursor moved backwards: {t} < {record.cursor}")
@@ -99,7 +101,7 @@ def advance(record: NeighborRecord, t: float, gate: int) -> None:
     area = 0.5 * (a0 + a1) * (t - record.cursor)
     record.aoi_area_mi += area
     record.aoi_area_run += area
-    if gate:
+    if record.neighbor_risky:
         record.taoi_area_mi += area
         record.taoi_area_run += area
     record.cursor = t
@@ -121,22 +123,23 @@ def swap_snapshot(record: NeighborRecord, bsm, now: float) -> None:
     record.last_seen = now
 
 
-def apply_reception(record: NeighborRecord, bsm, now: float, gate: int) -> None:
+def apply_reception(record: NeighborRecord, bsm, now: float) -> None:
     """Continuous-mode reception: close the sawtooth up to now under the
-    outgoing snapshot's gate, then install the new snapshot. The age right
+    outgoing snapshot's flag, then install the new snapshot. The age right
     after the call is the in-flight delay now - bsm.gen_time."""
-    advance(record, now, gate)
+    advance(record, now)
     swap_snapshot(record, bsm, now)
 
 
-def slot_sample(record: NeighborRecord, t: float, slot: float, gate: int) -> float:
+def slot_sample(record: NeighborRecord, t: float, slot: float) -> float:
     """Right-endpoint step accounting for the idealized slotted mode: add
-    age(t) * slot to the accumulators and return the sampled age. Callers
-    invoke this after the slot's deliveries have been applied."""
+    age(t) * slot to the accumulators (the gated ones under the flag of
+    the snapshot held at t) and return the sampled age. Callers invoke
+    this after the slot's deliveries have been applied."""
     a = instantaneous_aoi(record, t)
     record.aoi_area_mi += a * slot
     record.aoi_area_run += a * slot
-    if gate:
+    if record.neighbor_risky:
         record.taoi_area_mi += a * slot
         record.taoi_area_run += a * slot
     record.cursor = t

@@ -148,7 +148,7 @@ def csma_access(sender: int, intended_start: float, timeline: ChannelTimeline,
     start, access is granted right after the gap with no backoff draw.
     Otherwise one backoff counter is drawn uniformly from [0, cw); the
     sender waits out the busy period, observes an idle gap, then counts
-    down one unit per idle slot, freezing (and re-waiting the gap) across
+    down one unit per idle slot, freezing (and observing the gap anew) across
     any busy period that interrupts the countdown. Counters that reach
     zero at the same instant produce overlapping transmissions; the
     outcome of that is the receiver's problem, not the medium's.

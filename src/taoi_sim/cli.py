@@ -214,39 +214,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-@dataclasses.dataclass
-class SweepSpec:
-    """One comparison matrix: every protocol at every density, each run
-    repeated over the seed list on top of a shared base config."""
-
-    protocols: tuple
-    vehicle_counts: tuple
-    seeds: tuple
-    base: SimConfig
-
-    def __post_init__(self):
-        if not (self.protocols and self.vehicle_counts and self.seeds):
-            raise ConfigError("sweep needs protocols, densities and seeds")
-        bad = [p for p in self.protocols if p not in PROTOCOLS]
-        if bad:
-            raise ConfigError(f"unknown protocols {bad}; pick from {PROTOCOLS}")
-        low = [n for n in self.vehicle_counts if n < 2]
-        if low:
-            raise ConfigError(f"densities must be >= 2 vehicles, got {low}")
-
-    def configs(self) -> list:
-        out = []
-        for protocol in self.protocols:
-            for count in self.vehicle_counts:
-                for seed in self.seeds:
-                    cfg = dataclasses.replace(
-                        self.base, protocol=protocol, vehicle_count=count,
-                        seed=seed)
-                    cfg.validate()
-                    out.append(cfg)
-        return out
-
-
 def _run_worker(cfg: SimConfig) -> RunReport:
     return run_simulation(cfg)
 
@@ -283,12 +250,14 @@ def _aggregate_rows(reports):
 
 def _cmd_sweep(args) -> int:
     base = parse_config(args.config)
-    spec = SweepSpec(
-        protocols=tuple(args.protocols.split(",")),
-        vehicle_counts=tuple(int(x) for x in args.densities.split(",")),
-        seeds=tuple(int(x) for x in args.seeds.split(",")),
-        base=base)
-    configs = spec.configs()
+    # every protocol at every density over the seed list, all validated
+    # before the first run starts
+    configs = [dataclasses.replace(base, protocol=protocol,
+                                   vehicle_count=count, seed=seed)
+               for protocol in args.protocols.split(",")
+               for count in args.densities for seed in args.seeds]
+    for cfg in configs:
+        cfg.validate()
     logger.info("sweep: %d runs, %d job(s)", len(configs), args.jobs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -398,6 +367,15 @@ def _cmd_reproduce_tables(_args) -> int:
 
 # --------------------------------------------------------------- dispatch
 
+def _int_list(text: str) -> list:
+    """argparse type of a comma list of integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="taoi-sim",
@@ -414,9 +392,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="base flat JSON config")
     p.add_argument("--protocols", default=",".join(PROTOCOLS),
                    help="comma list, e.g. fixed10hz,taoi")
-    p.add_argument("--densities", default="150",
+    p.add_argument("--densities", type=_int_list, default="150",
                    help="comma list of vehicle counts")
-    p.add_argument("--seeds", default="0", help="comma list of seeds")
+    p.add_argument("--seeds", type=_int_list, default="0",
+                   help="comma list of seeds")
     p.add_argument("--jobs", type=int, default=1,
                    help="concurrent runs (processes)")
     p.add_argument("--out", default="sweep", help="artifact directory")

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -49,8 +51,6 @@ EV_END = 6
 
 PROTOCOLS = ("fixed10hz", "aoi", "taoi")
 CHANNEL_MODES = ("realistic", "idealized_slotted")
-QUEUE_MODES = ("replace", "fcfs")
-GATE_MODES = ("sender", "receiver")
 
 # named RNG streams off the master seed
 STREAM_INIT = 0
@@ -66,8 +66,6 @@ class SimConfig:
     seed: int = 0
     protocol: str = "taoi"
     channel_mode: str = "realistic"
-    queue: str = "replace"
-    taoi_gate: str = "sender"
     mobility_tick_s: float = 0.1
     neighbor_timeout_s: float = 5.0
     bsm_size_bytes: int = 1000
@@ -95,6 +93,9 @@ class SimConfig:
     safety: SafetyParams = field(default_factory=SafetyParams)
 
     def validate(self) -> None:
+        for section in (self, self.road, self.krauss, self.channel,
+                        self.safety):
+            _check_numbers(section)
         if self.vehicle_count < 2:
             raise ConfigError(
                 f"vehicle_count must be at least 2, got {self.vehicle_count}")
@@ -106,12 +107,6 @@ class SimConfig:
         if self.channel_mode not in CHANNEL_MODES:
             raise ConfigError(f"channel_mode must be one of {CHANNEL_MODES}, "
                               f"got {self.channel_mode!r}")
-        if self.queue not in QUEUE_MODES:
-            raise ConfigError(f"queue must be one of {QUEUE_MODES}, "
-                              f"got {self.queue!r}")
-        if self.taoi_gate not in GATE_MODES:
-            raise ConfigError(f"taoi_gate must be one of {GATE_MODES}, "
-                              f"got {self.taoi_gate!r}")
         if self.mobility_tick_s <= 0:
             raise ConfigError("mobility_tick_s must be positive")
         if self.seed < 0:
@@ -121,7 +116,7 @@ class SimConfig:
             if val <= 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
             ratio = val / self.mobility_tick_s
-            if abs(ratio - round(ratio)) > 1e-9:
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(
                     f"{name}={val} must be an integer multiple of "
                     f"mobility_tick_s={self.mobility_tick_s}")
@@ -135,6 +130,8 @@ class SimConfig:
             raise ConfigError("neighbor_timeout_s must be positive")
         if self.slot_capacity < 1:
             raise ConfigError("slot_capacity must be at least 1")
+        if self.bsm_size_bytes < 1:
+            raise ConfigError("bsm_size_bytes must be at least 1")
         # the risk metric divides by decel and rel_speed_floor, the fading
         # draw by every m: a zero must fail here, not mid-run as a
         # ZeroDivisionError, and a negative one would run on silently
@@ -148,8 +145,21 @@ class SimConfig:
             raise ConfigError(f"t_react must be >= 0, got {safety.t_react}")
         ch = self.channel
         for m in [m for _, m in ch.nakagami_bins] + [ch.nakagami_m_far]:
-            if not m > 0:
-                raise ConfigError(f"every Nakagami m must be positive, got {m}")
+            if not 0 < m < math.inf:
+                raise ConfigError(
+                    f"every Nakagami m must be positive and finite, got {m}")
+        # nakagami_m takes the first bin whose bound exceeds the distance,
+        # so a bound at or below its predecessor's would never be reached
+        bounds = [bound for bound, _ in ch.nakagami_bins]
+        if not all(math.isfinite(b) for b in bounds) or any(
+                lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+            raise ConfigError(f"nakagami_bins bounds must be finite and "
+                              f"strictly ascending, got {bounds}")
+        if ch.range_m > ch.max_reception_range_m:
+            raise ConfigError(
+                f"range_m={ch.range_m} exceeds max_reception_range_m="
+                f"{ch.max_reception_range_m}: receivers between the two "
+                f"would never be evaluated")
         if self.forced_schedule is not None:
             if self.channel_mode != "idealized_slotted":
                 raise ConfigError("forced_schedule requires idealized_slotted mode")
@@ -160,6 +170,19 @@ class SimConfig:
                     if not 0 <= v < self.vehicle_count:
                         raise ConfigError(
                             f"forced_schedule slot {k + 1}: unknown vehicle {v}")
+
+
+def _check_numbers(section) -> None:
+    """Every float of a config section must be finite and every
+    int-annotated field an integer: JSON can deliver NaN, Infinity and
+    4.5 to any of them."""
+    for f in fields(section):
+        val = getattr(section, f.name)
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{f.name} must be finite, got {val}")
+        if f.type in ("int", int) and (
+                isinstance(val, bool) or not isinstance(val, numbers.Integral)):
+            raise ConfigError(f"{f.name} must be an integer, got {val!r}")
 
 
 @dataclass
@@ -210,22 +233,18 @@ class RunReport:
 
 
 class _Vehicle:
-    """Per-vehicle runtime state owned by the event loop."""
+    """Per-vehicle runtime state owned by the event loop. The MAC is idle
+    exactly when ``queued`` and ``airing`` are both None."""
 
-    __slots__ = ("idx", "ctrl", "records", "mac_phase", "pending", "waiting",
-                 "airing", "mi_prev", "generated", "dropped", "sent",
-                 "risky_mis", "congested_mis", "mi_count", "delta_sum",
-                 "pending_slots")
-
-    IDLE, ACCESS, AIRING = 0, 1, 2
+    __slots__ = ("idx", "ctrl", "records", "queued", "airing", "mi_prev",
+                 "generated", "dropped", "sent", "risky_mis", "congested_mis",
+                 "mi_count", "delta_sum", "pending_slots")
 
     def __init__(self, idx: int, ctrl: ControllerState):
         self.idx = idx
         self.ctrl = ctrl
         self.records: dict[int, aoi.NeighborRecord] = {}
-        self.mac_phase = _Vehicle.IDLE
-        self.pending = None      # payload committed to the next TxStart
-        self.waiting = []        # frames queued behind the airing one
+        self.queued = None       # the one BSM not yet on the air
         self.airing = None       # TransmissionEvent on the air
         self.mi_prev = None      # own state at the previous MI boundary
         self.generated = 0
@@ -254,7 +273,6 @@ class Simulation:
         self.t_mi_ns = round(cfg.t_mi_s * NS)
         self.slot_ns = round(cfg.slot_s * NS)
         self.idealized = cfg.channel_mode == "idealized_slotted"
-        self.sender_gate = cfg.taoi_gate == "sender"
 
         self.init_rng = _stream(cfg.seed, STREAM_INIT)
         self.mob_rng = _stream(cfg.seed, STREAM_MOBILITY)
@@ -278,7 +296,7 @@ class Simulation:
         self.vehicles = [
             _Vehicle(i, ControllerState(
                 delta=cfg.delta_init_s, delta_min=cfg.delta_min_s,
-                delta_max=cfg.delta_max_s, beta=cfg.beta, t_mi=cfg.t_mi_s,
+                delta_max=cfg.delta_max_s, beta=cfg.beta,
                 te_threshold=cfg.safety.te_threshold, eps_cmp=cfg.eps_cmp_s,
                 spread_lambda=cfg.spread_lambda, prev_delta=cfg.delta_init_s))
             for i in range(self.n)]
@@ -481,13 +499,10 @@ class Simulation:
                     self._evict(v, u)
         self.risk_count += risk
 
-    def _gate(self, v: _Vehicle, rec: aoi.NeighborRecord) -> int:
-        return rec.neighbor_risky if self.sender_gate else v.ctrl.riskiness_flag
-
     def _evict(self, v: _Vehicle, u: int) -> None:
         rec = v.records.pop(u)
         end = rec.last_seen + self.cfg.neighbor_timeout_s
-        aoi.advance(rec, end, self._gate(v, rec))
+        aoi.advance(rec, end)
         self._retire(u, v.idx, rec)
 
     def _retire(self, sender: int, receiver: int, rec) -> None:
@@ -516,7 +531,7 @@ class Simulation:
                 x, y, heading = self.cfg.road.lane_pose(arc, s.lane)
         ctrl = self.vehicles[idx].ctrl
         return Bsm(idx, t_s, x, y, speed, heading, ctrl.riskiness_flag,
-                   ctrl.delta, self.cfg.bsm_size_bytes)
+                   ctrl.delta)
 
     def _on_generation(self, t_ns: int, idx: int) -> None:
         v = self.vehicles[idx]
@@ -528,33 +543,18 @@ class Simulation:
             if nxt <= self.T_ns:
                 self._push(nxt, EV_GEN, idx)
             return
-        bsm = self._snapshot_bsm(idx, t_ns)
-        if v.mac_phase == _Vehicle.IDLE:
-            v.pending = bsm
+        # a frame not yet on the air is replaced by the fresher payload,
+        # keeping any medium grant already won; an idle MAC starts access
+        if v.queued is not None:
+            v.dropped += 1
+        elif v.airing is None:
             self._begin_access(v, t_ns)
-        elif v.mac_phase == _Vehicle.ACCESS:
-            if self.cfg.queue == "replace":
-                # frame not on the air yet: swap in the fresher payload,
-                # keep the already-won medium grant
-                v.pending = bsm
-                v.dropped += 1
-            else:
-                v.waiting.append(bsm)
-        else:  # AIRING
-            if self.cfg.queue == "replace":
-                if v.waiting:
-                    v.waiting[0] = bsm
-                    v.dropped += 1
-                else:
-                    v.waiting.append(bsm)
-            else:
-                v.waiting.append(bsm)
+        v.queued = self._snapshot_bsm(idx, t_ns)
         nxt = t_ns + round(v.ctrl.delta * NS)
         if nxt <= self.T_ns:
             self._push(nxt, EV_GEN, idx)
 
     def _begin_access(self, v: _Vehicle, t_ns: int) -> None:
-        v.mac_phase = _Vehicle.ACCESS
         start_s = csma_access(v.idx, t_ns / NS, self.timeline,
                               self.backoff_rng, self.cfg.channel)
         self.timeline.commit(start_s, start_s + self.tx_dur_s)
@@ -562,10 +562,9 @@ class Simulation:
 
     def _on_tx_start(self, t_ns: int, idx: int) -> None:
         v = self.vehicles[idx]
-        tx = TransmissionEvent(idx, t_ns / NS, self.tx_dur_s, v.pending)
-        v.pending = None
+        tx = TransmissionEvent(idx, t_ns / NS, self.tx_dur_s, v.queued)
+        v.queued = None
         v.airing = tx
-        v.mac_phase = _Vehicle.AIRING
         self.active_txs.append(tx)
         self._push(t_ns + round(self.tx_dur_s * NS), EV_TX_END, idx)
 
@@ -590,11 +589,8 @@ class Simulation:
                        got & {s.id for s in in_range}, self.pdr,
                        distances={s.id: drow[s.id] for s in in_range})
         self.active_txs = [c for c in self.active_txs if c.end > t_s]
-        if v.waiting:
-            v.pending = v.waiting.pop(0)
+        if v.queued is not None:
             self._begin_access(v, t_ns)
-        else:
-            v.mac_phase = _Vehicle.IDLE
 
     def on_bsm_reception(self, v: _Vehicle, bsm: Bsm, t_s: float):
         """Fold one decoded BSM into the receiver's pair record: close the
@@ -605,7 +601,7 @@ class Simulation:
             rec = aoi.record_from_bsm(bsm, t_s)
             v.records[bsm.sender] = rec
         else:
-            aoi.apply_reception(rec, bsm, t_s, self._gate(v, rec))
+            aoi.apply_reception(rec, bsm, t_s)
         return rec
 
     # -------------------------------------------------- idealized channel
@@ -613,7 +609,7 @@ class Simulation:
     def _enqueue_slot_request(self, v: _Vehicle, t_ns: int) -> None:
         """Assign the generation to the first strictly later slot with
         spare capacity (first committed wins)."""
-        if self.cfg.queue == "replace" and v.pending_slots > 0:
+        if v.pending_slots > 0:
             # an un-aired request is already boarded; the fresher payload
             # would be identical at slot time, so the duplicate is dropped
             v.dropped += 1
@@ -666,8 +662,7 @@ class Simulation:
         # phase 3: post-delivery right-endpoint age samples
         for v in self.vehicles:
             for u, rec in v.records.items():
-                gate = self._gate(v, rec)
-                a = aoi.slot_sample(rec, t_s, slot_s, gate)
+                a = aoi.slot_sample(rec, t_s, slot_s)
                 if tables is not None:
                     tables[(u, v.idx)]["aoi"].append(a)
         if t_ns + self.slot_ns <= self.T_ns:
@@ -690,7 +685,7 @@ class Simulation:
         # close the elapsed window under the flags that were in force
         if not self.idealized:
             for rec in v.records.values():
-                aoi.advance(rec, t_s, self._gate(v, rec))
+                aoi.advance(rec, t_s)
         own_now = self.states[v.idx]
         self_te = self_tracking_error(own_now, v.mi_prev, t_mi)
         flag = assess_self_risk(self_te, v.ctrl)
@@ -751,7 +746,7 @@ class Simulation:
             for v in self.vehicles:
                 for u, rec in v.records.items():
                     if not self.idealized:
-                        aoi.advance(rec, t_end, self._gate(v, rec))
+                        aoi.advance(rec, t_end)
                     self._retire(u, v.idx, rec)
         denom = self.n * (self.n - 1)
         if T > 0 and self.pair_areas:
@@ -773,8 +768,7 @@ class Simulation:
         dropped = sum(v.dropped for v in self.vehicles)
         sent = sum(v.sent for v in self.vehicles)
         in_flight = sum(
-            (1 if v.pending is not None else 0) + (1 if v.airing else 0)
-            + len(v.waiting) + v.pending_slots
+            (v.queued is not None) + (v.airing is not None) + v.pending_slots
             for v in self.vehicles)
         if generated != dropped + sent + in_flight:
             raise AssertionError(

@@ -29,7 +29,6 @@ class Bsm:
     heading: float         # rad
     riskiness_flag: int = 0
     interval: float = 0.1  # s
-    size: int = 1000       # bytes
 
     def velocity(self) -> tuple[float, float]:
         return (self.speed * math.cos(self.heading),

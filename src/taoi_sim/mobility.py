@@ -239,20 +239,6 @@ def _lane_change_target(i, lanes, arcs, speeds, rings, params, road) -> int:
     return best_lane
 
 
-def lane_change(vehicle: VehicleState, neighbors, params: KraussParams,
-                road: RoadConfig = RoadConfig()) -> int:
-    """Decide the lane for one vehicle given the surrounding traffic.
-    Returns the chosen lane index (possibly the current one)."""
-    states = [vehicle, *neighbors]
-    lanes = [s.lane for s in states]
-    arcs = [road.project(s.x, s.y, s.lane) for s in states]
-    speeds = [s.speed for s in states]
-    rings = {l: _Ring(road.perimeter(l)) for l in range(road.lanes)}
-    for j, s in enumerate(states):
-        rings[lanes[j]].insert(arcs[j], j)
-    return _lane_change_target(0, lanes, arcs, speeds, rings, params, road)
-
-
 def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
                 rng) -> list:
     """Advance every vehicle by one tick.

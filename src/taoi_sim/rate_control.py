@@ -59,7 +59,6 @@ class ControllerState:
     delta_min: float = 0.02       # s
     delta_max: float = 1.0        # s
     beta: float = 1.1             # multiplicative step, > 1
-    t_mi: float = 1.0             # s, measurement interval
     te_threshold: float = 0.5     # m, self-TE riskiness threshold
     eps_cmp: float = 1e-9         # s, metric comparison tolerance
     spread_lambda: float = 0.25   # AoI-policy pull toward the neighborhood mean

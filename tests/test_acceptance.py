@@ -96,12 +96,13 @@ def test_zero_threshold_collapses_taoi_to_aoi():
         horizon_ms = rng.randrange(1500, 6001)
         rx_ms, gens_ms = _random_log(rng, horizon_ms)
         rec = aoi.virtual_record(0, 0.0, 0.0, 1, 0.1)
-        # threshold zero means every flag assessment returns risky, so the
-        # gate is open on every stretch of every link
+        # threshold zero means every flag assessment returns risky, so every
+        # BSM raises the flag and the gate is open on every stretch of
+        # every link
         for r, g in zip(rx_ms, gens_ms):
             bsm = Bsm(0, g * MS, 0.0, 0.0, 0.0, 0.0, riskiness_flag=1)
-            aoi.apply_reception(rec, bsm, r * MS, gate=1)
-        aoi.advance(rec, horizon_ms * MS, 1)
+            aoi.apply_reception(rec, bsm, r * MS)
+        aoi.advance(rec, horizon_ms * MS)
         assert abs(rec.taoi_area_run - rec.aoi_area_run) <= 1e-9
         window = horizon_ms * MS
         aoi_avgs.append(rec.aoi_area_run / window)
@@ -133,8 +134,8 @@ def test_pairwise_area_matches_a_millisecond_riemann_sum():
 
         rec = aoi.virtual_record(0, 0.0, 0.0, 1, 0.1)
         for g, r in zip(gen_s, rx_s):
-            aoi.apply_reception(rec, Bsm(0, g, 0.0, 0.0, 0.0, 0.0, 1), r, 1)
-        aoi.advance(rec, horizon_ms * MS, 1)
+            aoi.apply_reception(rec, Bsm(0, g, 0.0, 0.0, 0.0, 0.0, 1), r)
+        aoi.advance(rec, horizon_ms * MS)
 
         # receptions sit on the grid, so the age is linear inside every
         # cell and the midpoint rule integrates it without error

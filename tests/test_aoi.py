@@ -43,15 +43,14 @@ class TestInstantaneous:
             aoi.instantaneous_aoi(None, 1.0)
 
     def test_gated_age_follows_the_flag(self):
-        # gated area accrues the full age while the gate is open, else none;
-        # the gate is the sender's flag or, read receiver-side, the
-        # receiver's own, whatever the record carries
+        # gated area accrues the full age while the flag the sender
+        # piggybacked on its BSM is raised, else none
         for flag in (0, 1):
-            for gate in (flag, 1 - flag):
-                rec = aoi.record_from_bsm(_bsm(0.0, risky=flag), now=0.0)
-                aoi.advance(rec, 2.0, gate)
-                assert rec.aoi_area_run == 2.0
-                assert rec.taoi_area_run == (2.0 if gate else 0.0)
+            rec = aoi.record_from_bsm(_bsm(0.0, risky=flag), now=0.0)
+            assert rec.neighbor_risky == flag
+            aoi.advance(rec, 2.0)
+            assert rec.aoi_area_run == 2.0
+            assert rec.taoi_area_run == (2.0 if flag else 0.0)
 
     @given(st.floats(0.0, 50.0), st.floats(0.0, 10.0))
     def test_unit_slope_property(self, t, dt):
@@ -64,39 +63,39 @@ class TestInstantaneous:
 class TestAdvance:
     def test_trapezoid_area(self):
         rec = _fresh()
-        aoi.advance(rec, 5.0, gate=1)
+        aoi.advance(rec, 5.0)
         assert rec.aoi_area_run == pytest.approx(12.5)
         assert rec.aoi_area_run / 5.0 == pytest.approx(2.5)
 
     def test_gate_zero_skips_taoi(self):
-        rec = _fresh()
-        aoi.advance(rec, 5.0, gate=0)
+        rec = _fresh(risky=0)
+        aoi.advance(rec, 5.0)
         assert rec.aoi_area_run == pytest.approx(12.5)
         assert rec.taoi_area_run == 0.0
 
     def test_same_time_is_a_noop(self):
         rec = _fresh()
-        aoi.advance(rec, 3.0, 1)
+        aoi.advance(rec, 3.0)
         before = rec.aoi_area_run
-        aoi.advance(rec, 3.0, 1)
+        aoi.advance(rec, 3.0)
         assert rec.aoi_area_run == before
 
     def test_backwards_rejected(self):
         rec = _fresh()
-        aoi.advance(rec, 3.0, 1)
+        aoi.advance(rec, 3.0)
         with pytest.raises(ValueError):
-            aoi.advance(rec, 2.999, 1)
+            aoi.advance(rec, 2.999)
 
 
 class TestReception:
     def test_age_resets_to_in_flight_delay(self):
         rec = aoi.record_from_bsm(_bsm(0.0), now=0.0)
-        aoi.apply_reception(rec, _bsm(0.0985), now=0.1, gate=1)
+        aoi.apply_reception(rec, _bsm(0.0985), now=0.1)
         assert aoi.instantaneous_aoi(rec, 0.1) == pytest.approx(0.0015)
 
     def test_reception_closes_the_previous_tooth(self):
         rec = aoi.record_from_bsm(_bsm(0.0985), now=0.1)
-        aoi.apply_reception(rec, _bsm(0.2), now=0.2, gate=1)
+        aoi.apply_reception(rec, _bsm(0.2), now=0.2)
         # trapezoid from age 0.0015 up to 0.1015 over the 0.1 s stretch
         assert rec.aoi_area_run == pytest.approx(0.00515)
 
@@ -110,7 +109,7 @@ class TestReception:
     def test_periodic_zero_delay_averages_half_period(self):
         rec = _fresh()
         for k in range(1, 6):
-            aoi.apply_reception(rec, _bsm(float(k)), now=float(k), gate=1)
+            aoi.apply_reception(rec, _bsm(float(k)), now=float(k))
         assert rec.aoi_area_run / 5.0 == pytest.approx(0.5)
 
     @given(st.floats(0.05, 2.0), st.integers(2, 12))
@@ -118,7 +117,7 @@ class TestReception:
         rec = _fresh()
         for k in range(1, cycles + 1):
             t = k * period
-            aoi.apply_reception(rec, _bsm(t), now=t, gate=1)
+            aoi.apply_reception(rec, _bsm(t), now=t)
         avg = rec.aoi_area_run / (cycles * period)
         assert avg == pytest.approx(period / 2.0, rel=1e-9)
 
@@ -133,11 +132,12 @@ class TestDualRouteArea:
         rxs = times[1::2][: len(gens)]
         rec = _fresh()
         for g, r in zip(gens, rxs):
-            aoi.apply_reception(rec, _bsm(g), now=r, gate=1)
-        aoi.advance(rec, t_end, 1)
+            aoi.apply_reception(rec, _bsm(g), now=r)
+        aoi.advance(rec, t_end)
         expected = aoi.sawtooth_area(rxs, gens, t_end)
         assert rec.aoi_area_run == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        # gate held open the whole run: the gated area is the same number
+        # every snapshot raises the flag, so the gate is open the whole
+        # run and the gated area is the same number
         assert rec.taoi_area_run == pytest.approx(rec.aoi_area_run, abs=1e-12)
 
     @given(st.lists(st.floats(0.001, 9.999), min_size=2, max_size=20,
@@ -147,10 +147,11 @@ class TestDualRouteArea:
         times = sorted(times)
         gens = times[0::2][: len(times) // 2]
         rxs = times[1::2][: len(gens)]
-        rec = _fresh()
+        # the record starts under gates[0]; reception i carries gates[i + 1]
+        rec = _fresh(risky=gates[0])
         for i, (g, r) in enumerate(zip(gens, rxs)):
-            aoi.apply_reception(rec, _bsm(g), now=r, gate=gates[i])
-        aoi.advance(rec, 10.0, gates[-1])
+            aoi.apply_reception(rec, _bsm(g, risky=gates[i + 1]), now=r)
+        aoi.advance(rec, 10.0)
         assert rec.taoi_area_run <= rec.aoi_area_run + 1e-12
         assert rec.taoi_area_mi <= rec.aoi_area_mi + 1e-12
 
@@ -166,14 +167,14 @@ class TestDualRouteArea:
 class TestSlotSample:
     def test_right_endpoint_step(self):
         rec = _fresh()
-        got = aoi.slot_sample(rec, 3.0, slot=1.0, gate=1)
+        got = aoi.slot_sample(rec, 3.0, slot=1.0)
         assert got == 3.0
         assert rec.aoi_area_run == pytest.approx(3.0)
         assert rec.taoi_area_run == pytest.approx(3.0)
 
     def test_gate_zero_keeps_taoi_flat(self):
-        rec = _fresh()
-        aoi.slot_sample(rec, 2.0, slot=1.0, gate=0)
+        rec = _fresh(risky=0)
+        aoi.slot_sample(rec, 2.0, slot=1.0)
         assert rec.aoi_area_run == pytest.approx(2.0)
         assert rec.taoi_area_run == 0.0
 
@@ -188,9 +189,9 @@ class TestAggregation:
     def test_vehicle_aoi_averages_the_neighbor_set(self):
         fast = _fresh()
         for k in range(1, 6):
-            aoi.apply_reception(fast, _bsm(float(k)), now=float(k), gate=1)
+            aoi.apply_reception(fast, _bsm(float(k)), now=float(k))
         silent = _fresh()
-        aoi.advance(silent, 5.0, 1)
+        aoi.advance(silent, 5.0)
         # pairwise averages 0.5 and 2.5 over the same 5 s window
         recs = [fast, silent]
         for r in recs:
@@ -207,12 +208,12 @@ class TestAggregation:
         # gated area it accrued still counts it
         fell = aoi.virtual_record(0, 0.0, 0.0, 1, 0.1)
         aoi.apply_reception(fell, Bsm(0, 2.0, 0.0, 0.0, 0.0, 0.0,
-                                      riskiness_flag=0), now=2.0, gate=1)
-        aoi.advance(fell, 4.0, fell.neighbor_risky)
+                                      riskiness_flag=0), now=2.0)
+        aoi.advance(fell, 4.0)
         calm = aoi.virtual_record(1, 0.0, 0.0, 0, 0.1)
-        aoi.advance(calm, 4.0, 0)
+        aoi.advance(calm, 4.0)
         far = aoi.virtual_record(2, 0.0, 0.0, 1, 0.1)
-        aoi.advance(far, 4.0, 1)
+        aoi.advance(far, 4.0)
         distances = [40.0, 40.0, 150.5]
         val, n = aoi.vehicle_taoi([fell, calm, far], 4.0, distances, 150.0)
         # gated area 2.0 (age 0 -> 2 over [0, 2]) over the 4 s window
@@ -246,7 +247,7 @@ class TestAggregation:
 class TestWindowReset:
     def test_reset_clears_window_but_not_run_totals(self):
         rec = _fresh()
-        aoi.advance(rec, 2.0, 1)
+        aoi.advance(rec, 2.0)
         aoi.reset_window(rec)
         assert rec.aoi_area_mi == 0.0
         assert rec.taoi_area_mi == 0.0

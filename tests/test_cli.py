@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -196,6 +197,46 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "s")])
         assert rc == 2
         capsys.readouterr()
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SMALL = {"vehicle_count": 6, "duration_s": 1.0}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("config,sweep_args", [
+        ({"duration_s": math.nan}, None),
+        ({"vehicle_count": 4.5}, None),
+        ({"range_m": 400}, None),
+        ({"nakagami_bins": [[200, 1.5], [80, 3.0]]}, None),
+        ({"queue": "replace"}, None),
+        ({}, ["--densities", "3,x"]),
+        ({}, ["--seeds", "1,,2"]),
+        ({}, ["--densities", "6,1"]),
+    ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
+            "descending_nakagami_bins", "removed_queue_key",
+            "bad_density_list", "bad_seed_list", "density_below_two"])
+    def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
+                                                      config, sweep_args):
+        # small, so that a value the checks let through fails fast
+        path = write_config(tmp_path, **{**SMALL, **config})
+        out = tmp_path / "out"
+        argv = (["sweep", "--config", path, *sweep_args] if sweep_args
+                else ["run", "--config", path])
+        rc = _exit_code([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+        # rejected before the first run starts
+        assert not out.exists()
 
 
 class TestOracleCommand:

@@ -15,7 +15,6 @@ from taoi_sim.mobility import (
     VehicleState,
     initial_states,
     krauss_step,
-    lane_change,
     load_trace,
     v_safe,
     write_trace,
@@ -123,15 +122,23 @@ class TestKraussStep:
                 assert b - a > 0.0
 
 
+def _lane_after_step(states):
+    """Lane of vehicle 0 after one Krauss tick. Vehicle 0 decides first in
+    id order, so nobody else's move can influence its choice."""
+    out = krauss_step(states, KraussParams(), ROAD, 0.1,
+                      np.random.default_rng(0))
+    return out[0].lane
+
+
 class TestLaneChange:
     def test_alone_stays_put(self):
         v = _veh(0, 500.0, 20.0, lane=1)
-        assert lane_change(v, [], KraussParams(), ROAD) == 1
+        assert _lane_after_step([v]) == 1
 
     def test_overtakes_a_slow_leader_preferring_the_lower_lane(self):
         v = _veh(0, 500.0, 20.0, lane=1)
         leader = _veh(1, 505.0, 5.0, lane=1)
-        assert lane_change(v, [leader], KraussParams(), ROAD) == 0
+        assert _lane_after_step([v, leader]) == 0
 
     def test_rear_traffic_vetoes_the_move(self):
         v = _veh(0, 500.0, 20.0, lane=1)
@@ -140,7 +147,7 @@ class TestLaneChange:
         for lane in (0, 2):
             arc = ROAD.lane_remap(500.0, 1, lane)
             blockers.append(_veh(2 + lane, arc - 1.0, 20.0, lane=lane))
-        assert lane_change(v, [leader, *blockers], KraussParams(), ROAD) == 1
+        assert _lane_after_step([v, leader, *blockers]) == 1
 
 
 class TestInitialStates:
