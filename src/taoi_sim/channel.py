@@ -7,11 +7,19 @@ to every sender's carrier sensing (the circuit is small relative to the
 sensing range, so hidden terminals are not modeled). Fading is drawn
 fresh per evaluated link and never cached; the Gamma draw has unit mean
 so the path-loss mean is preserved.
+
+The fading stream's draw order is frozen, because every decision after a
+changed draw changes with it: a finished frame draws once per evaluated
+receiver for its own signal, in receiver order, and a receiver whose own
+signal decodes then draws once per in-range overlapping frame, in
+``concurrent`` order, until the first one garbles it (see
+``delivery_outcome``).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,37 +67,6 @@ class TransmissionEvent:
         return self.start + self.duration
 
 
-def path_loss_db(distance: float, cfg: ChannelConfig) -> float:
-    """Log-distance attenuation; undefined at or below zero meters."""
-    if distance <= 0:
-        raise ValueError(f"path loss undefined for distance {distance}")
-    return (cfg.reference_loss_db
-            + 10.0 * cfg.path_loss_exponent * math.log10(distance))
-
-
-def nakagami_m(distance: float, cfg: ChannelConfig) -> float:
-    """Fading severity bin: near links fade gently, far links approach
-    Rayleigh."""
-    for bound, m in cfg.nakagami_bins:
-        if distance < bound:
-            return m
-    return cfg.nakagami_m_far
-
-
-def nakagami_fading_draw(rng, distance: float, cfg: ChannelConfig) -> float:
-    """Unit-mean power fading sample: Gamma(shape=m, scale=1/m)."""
-    m = nakagami_m(distance, cfg)
-    return rng.gamma(m, 1.0 / m)
-
-
-def rx_power_dbm(tx_power: float, distance: float, fading: float,
-                 cfg: ChannelConfig) -> float:
-    """Received power after path loss and a multiplicative fading sample."""
-    if fading <= 0:
-        raise ValueError(f"fading sample must be positive, got {fading}")
-    return tx_power - path_loss_db(distance, cfg) + 10.0 * math.log10(fading)
-
-
 def tx_duration(size: int, rate: float, cfg: ChannelConfig) -> float:
     """Airtime of one frame: payload bytes at the data rate (Mbps) plus the
     preamble overhead."""
@@ -106,10 +83,21 @@ class ChannelTimeline:
     Carrier sensing consults this structure; commitments are made at
     access-resolution time, so a later-arriving sender sees every frame
     already granted the medium even if that frame starts in the future.
+
+    Beside the intervals the timeline keeps their running maximum end in
+    list order (``_reach[i] = max(end_0, ..., end_i)``), which is
+    non-decreasing. Every interval before the first index whose reach
+    exceeds ``a`` ends at or before ``a``, and no interval before it can
+    overlap ``[a, b)``; that index, found by bisection, is the bound. The
+    interval at the bound ends after ``a``, so it is the earliest overlap
+    if it starts before ``b``, and nothing overlaps otherwise. Lookups take
+    O(log n) and answer exactly what a linear scan from the oldest
+    interval would, for intervals of any lengths.
     """
 
     def __init__(self):
         self._starts: list[float] = []
+        self._reach: list[float] = []
         self._intervals: list[tuple[float, float]] = []
 
     def commit(self, start: float, end: float) -> None:
@@ -118,23 +106,30 @@ class ChannelTimeline:
         idx = bisect.bisect_left(self._starts, start)
         self._starts.insert(idx, start)
         self._intervals.insert(idx, (start, end))
+        reach = self._reach
+        if idx and reach[idx - 1] > end:
+            end = reach[idx - 1]
+        reach.insert(idx, end)
+        # later reaches rise to this one; they usually already exceed it
+        for j in range(idx + 1, len(reach)):
+            if reach[j] >= end:
+                break
+            reach[j] = end
 
     def prune(self, before: float) -> None:
         """Drop intervals that ended before the given time."""
         keep = [iv for iv in self._intervals if iv[1] >= before]
         self._intervals = keep
         self._starts = [iv[0] for iv in keep]
+        self._reach = list(itertools.accumulate((iv[1] for iv in keep), max))
 
     def first_overlap(self, a: float, b: float):
-        """Earliest committed interval intersecting [a, b), or None."""
-        best = None
-        for s, e in self._intervals:
-            if s >= b:
-                break
-            if e > a:
-                if best is None or s < best[0]:
-                    best = (s, e)
-        return best
+        """Earliest committed interval intersecting [a, b), or None. Among
+        intervals with equal starts the latest committed comes first."""
+        i = bisect.bisect_right(self._reach, a)
+        if i < len(self._starts) and self._starts[i] < b:
+            return self._intervals[i]
+        return None
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -183,42 +178,65 @@ def delivery_outcome(tx: TransmissionEvent, receivers, concurrent, rng,
                      cfg: ChannelConfig) -> set:
     """Decide which receivers decode a finished frame.
 
-    A receiver succeeds when its own-signal draw clears the sensitivity
-    threshold and no time-overlapping concurrent frame reaches it at
-    carrier-sense level (any such frame garbles the capture; there is no
-    SINR capture model). A receiver that is itself transmitting an
-    overlapping frame is half-duplex deaf and fails outright.
+    A link of length d meters takes the Nakagami shape m of the first
+    ``nakagami_bins`` bound above d (``nakagami_m_far`` beyond the last
+    bound; the bounds ascend), one unit-mean fading sample
+    ``f = rng.gamma(m, 1.0 / m)``, and arrives with
+    ``tx_power - (reference_loss + (10 * exponent) * log10(d)) +
+    10 * log10(f)`` dBm. A receiver succeeds when its own signal clears the
+    sensitivity threshold and no time-overlapping concurrent frame reaches
+    it at carrier-sense level (any such frame garbles the capture; there
+    is no SINR capture model). A receiver that is itself transmitting an
+    overlapping frame is half-duplex deaf and fails outright. Links longer
+    than ``max_reception_range_m`` are not evaluated.
 
-    Determinism: receivers are evaluated in the given order and one
-    own-signal draw happens per receiver before any interferer draws;
-    interferers are evaluated in the given order with short-circuit on
-    the first hit. Callers pass both sequences pre-sorted.
+    Determinism: the fading stream is consumed in a frozen order. Every
+    evaluated receiver (not the sender, not deaf, within the cutoff) takes
+    one own-signal draw, in receiver order. A receiver whose own signal
+    clears sensitivity then takes one draw per overlapping frame within
+    the cutoff of it, in ``concurrent`` order, and stops at the first that
+    garbles. Nothing else draws. Callers pass both sequences pre-sorted;
+    any other order changes every later decision of a run.
     """
-    overlapping = [c for c in concurrent
-                   if c is not tx and c.start < tx.end and c.end > tx.start]
-    busy_senders = {c.sender for c in overlapping}
+    start, end = tx.start, tx.end
+    interferers = []
+    deaf = {tx.sender}   # the sender does not hear its own frame
+    for c in concurrent:
+        if c is not tx and c.start < end and c.end > start:
+            interferers.append((c.bsm.x, c.bsm.y))
+            deaf.add(c.sender)
+    # the whole link budget is inlined below: the loop runs once per
+    # receiver-link of every frame, and each term keeps its float order
+    gamma, hypot, log10 = rng.gamma, math.hypot, math.log10
+    bin_of = bisect.bisect_right
+    bounds = [bound for bound, _ in cfg.nakagami_bins]
+    shapes = [(m, 1.0 / m) for _, m in cfg.nakagami_bins]
+    shapes.append((cfg.nakagami_m_far, 1.0 / cfg.nakagami_m_far))
+    tx_dbm, ref = cfg.tx_power_dbm, cfg.reference_loss_db
+    slope = 10.0 * cfg.path_loss_exponent
+    cutoff = cfg.max_reception_range_m
+    sensitivity, sense = cfg.rx_sensitivity_dbm, cfg.carrier_sense_dbm
+    x0, y0 = tx.bsm.x, tx.bsm.y
     got = set()
     for r in receivers:
-        if r.id == tx.sender:
+        if r.id in deaf:
             continue
-        d = math.hypot(r.x - tx.bsm.x, r.y - tx.bsm.y)
-        if d > cfg.max_reception_range_m:
+        x, y = r.x, r.y
+        d = hypot(x - x0, y - y0)
+        if d > cutoff:
             continue
-        if r.id in busy_senders:
+        m, scale = shapes[bin_of(bounds, d)]
+        if (tx_dbm - (ref + slope * log10(d)) + 10.0 * log10(gamma(m, scale))
+                < sensitivity):
             continue
-        fading = nakagami_fading_draw(rng, d, cfg)
-        if rx_power_dbm(cfg.tx_power_dbm, d, fading, cfg) < cfg.rx_sensitivity_dbm:
-            continue
-        garbled = False
-        for c in overlapping:
-            di = math.hypot(r.x - c.bsm.x, r.y - c.bsm.y)
-            if di > cfg.max_reception_range_m:
+        for cx, cy in interferers:
+            d = hypot(x - cx, y - cy)
+            if d > cutoff:
                 continue
-            fi = nakagami_fading_draw(rng, di, cfg)
-            if rx_power_dbm(cfg.tx_power_dbm, di, fi, cfg) >= cfg.carrier_sense_dbm:
-                garbled = True
+            m, scale = shapes[bin_of(bounds, d)]
+            if (tx_dbm - (ref + slope * log10(d))
+                    + 10.0 * log10(gamma(m, scale)) >= sense):
                 break
-        if not garbled:
+        else:
             got.add(r.id)
     return got
-

@@ -35,9 +35,10 @@ from .errors import ConfigError, SimError
 from .metrics import SafetyParams
 from .mobility import KraussParams, RoadConfig
 from .channel import ChannelConfig
-from .oracle import (ALTERNATING_SCHEDULE, OBJECTIVES, SINGLE_SHOT_SCHEDULE,
-                     TABLE_ALTERNATING, TABLE_SINGLE_SHOT, enumerate_optimal,
-                     reference_rows, replay_schedule, toy_problem)
+from .oracle import (ALTERNATING_SCHEDULE, MAX_SLOTS, OBJECTIVES,
+                     SINGLE_SHOT_SCHEDULE, TABLE_ALTERNATING,
+                     TABLE_SINGLE_SHOT, enumerate_optimal, reference_rows,
+                     replay_schedule, toy_problem)
 
 logger = logging.getLogger("taoi_sim.cli")
 
@@ -376,6 +377,18 @@ def _int_list(text: str) -> list:
             f"expected a comma list of integers, got {text!r}") from None
 
 
+def _slot_count(text: str) -> int:
+    """argparse type of the oracle's horizon: 1 to MAX_SLOTS slots."""
+    try:
+        slots = int(text)
+    except ValueError:
+        slots = 0
+    if not 1 <= slots <= MAX_SLOTS:
+        raise argparse.ArgumentTypeError(
+            f"expected a slot count from 1 to {MAX_SLOTS}, got {text!r}")
+    return slots
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="taoi-sim",
@@ -402,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle",
                        help="enumerate the optimal small-problem schedule")
-    p.add_argument("--slots", type=int, default=6)
+    p.add_argument("--slots", type=_slot_count, default=6)
     p.add_argument("--objective", choices=OBJECTIVES, default="system_aoi")
 
     sub.add_parser("reproduce-tables",

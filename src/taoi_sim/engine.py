@@ -111,6 +111,11 @@ class SimConfig:
             raise ConfigError("mobility_tick_s must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("trace_path", "dump_trace_path"):
+            val = getattr(self, name)
+            if val is not None and not isinstance(val, str):
+                raise ConfigError(
+                    f"{name} must be a path string or null, got {val!r}")
         for name in ("t_mi_s", "slot_s"):
             val = getattr(self, name)
             if val <= 0:
@@ -148,8 +153,8 @@ class SimConfig:
             if not 0 < m < math.inf:
                 raise ConfigError(
                     f"every Nakagami m must be positive and finite, got {m}")
-        # nakagami_m takes the first bin whose bound exceeds the distance,
-        # so a bound at or below its predecessor's would never be reached
+        # delivery_outcome bisects for the first bin whose bound exceeds
+        # the distance, which needs the bounds strictly ascending
         bounds = [bound for bound, _ in ch.nakagami_bins]
         if not all(math.isfinite(b) for b in bounds) or any(
                 lo >= hi for lo, hi in zip(bounds, bounds[1:])):
@@ -574,20 +579,19 @@ class Simulation:
         tx = v.airing
         v.airing = None
         v.sent += 1
-        cfg = self.cfg
-        drow = self._dist[idx]
-        cutoff = cfg.channel.max_reception_range_m
-        candidates = [self.states[j] for j in range(self.n)
-                      if j != idx and drow[j] <= cutoff]
-        got = delivery_outcome(tx, candidates, self.active_txs,
-                               self.fading_rng, cfg.channel)
+        ch = self.cfg.channel
+        drow, states = self._dist[idx], self.states
+        cutoff = ch.max_reception_range_m
+        near = [j for j, d in enumerate(drow) if d <= cutoff and j != idx]
+        got = delivery_outcome(tx, [states[j] for j in near], self.active_txs,
+                               self.fading_rng, ch)
         for j in sorted(got):
             self.on_bsm_reception(self.vehicles[j], tx.bsm, t_s)
-        in_range = [s for s in candidates if drow[s.id] <= cfg.channel.range_m]
+        # range_m <= cutoff, so the PDR audience is a subset of ``near``
+        in_range = {j: drow[j] for j in near if drow[j] <= ch.range_m}
         if in_range:
-            pdr_record(self.states[idx], in_range,
-                       got & {s.id for s in in_range}, self.pdr,
-                       distances={s.id: drow[s.id] for s in in_range})
+            pdr_record(states[idx], [states[j] for j in in_range],
+                       got & in_range.keys(), self.pdr, distances=in_range)
         self.active_txs = [c for c in self.active_txs if c.end > t_s]
         if v.queued is not None:
             self._begin_access(v, t_ns)

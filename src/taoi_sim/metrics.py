@@ -117,11 +117,6 @@ class PdrCounters:
     successes: dict = field(default_factory=dict)      # bin index -> count
     opportunities: dict = field(default_factory=dict)  # bin index -> count
 
-    def bin_index(self, distance: float) -> int:
-        if distance < 0:
-            raise ValueError(f"negative distance: {distance}")
-        return int(distance // self.bin_width)
-
     def overall_pdr(self) -> float:
         opp = sum(self.opportunities.values())
         if opp == 0:
@@ -149,16 +144,19 @@ def pdr_record(sender, in_range_receivers, successes, counters: PdrCounters,
     from the coordinates.
     """
     ids = {r.id for r in in_range_receivers}
-    extra = set(successes) - ids
-    if extra:
-        raise ValueError(f"successes outside the in-range set: {sorted(extra)}")
+    if not ids.issuperset(successes):
+        raise ValueError(f"successes outside the in-range set: "
+                         f"{sorted(set(successes) - ids)}")
+    width, opportunities = counters.bin_width, counters.opportunities
+    hits = counters.successes
+    sx, sy = sender.x, sender.y
     for r in in_range_receivers:
-        if distances is not None:
-            d = distances[r.id]
-        else:
-            d = math.hypot(r.x - sender.x, r.y - sender.y)
-        idx = counters.bin_index(d)
-        counters.opportunities[idx] = counters.opportunities.get(idx, 0) + 1
+        d = (distances[r.id] if distances is not None
+             else math.hypot(r.x - sx, r.y - sy))
+        if d < 0:
+            raise ValueError(f"negative distance: {d}")
+        idx = int(d // width)
+        opportunities[idx] = opportunities.get(idx, 0) + 1
         if r.id in successes:
-            counters.successes[idx] = counters.successes.get(idx, 0) + 1
+            hits[idx] = hits.get(idx, 0) + 1
     return counters

@@ -220,9 +220,11 @@ class TestBadInput:
         ({}, ["--densities", "3,x"]),
         ({}, ["--seeds", "1,,2"]),
         ({}, ["--densities", "6,1"]),
+        ({"trace_path": 5}, None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
-            "bad_density_list", "bad_seed_list", "density_below_two"])
+            "bad_density_list", "bad_seed_list", "density_below_two",
+            "non_string_trace_path"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         # small, so that a value the checks let through fails fast
@@ -237,6 +239,14 @@ class TestBadInput:
         assert "Traceback" not in err
         # rejected before the first run starts
         assert not out.exists()
+
+    @pytest.mark.parametrize("slots", ["0", "-1", "13", "six"])
+    def test_oracle_slot_count_out_of_bounds(self, capsys, slots):
+        rc = _exit_code(["oracle", "--slots", slots])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestOracleCommand:

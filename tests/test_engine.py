@@ -301,6 +301,8 @@ class TestConfigGuards:
         dict(road=RoadConfig(length=math.inf)),
         dict(road=RoadConfig(lanes=2.5)),
         dict(krauss=KraussParams(max_accel=math.nan)),
+        dict(trace_path=5),             # open(5) would open a descriptor
+        dict(dump_trace_path=["out.csv"]),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

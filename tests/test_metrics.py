@@ -253,7 +253,8 @@ class TestPdr:
     def test_negative_distance_rejected(self):
         counters = PdrCounters()
         with pytest.raises(ValueError):
-            counters.bin_index(-0.5)
+            pdr_record(self._veh(0, 0.0), [self._veh(1, 5.0)], set(), counters,
+                       distances={1: -0.5})
 
 
 def test_bsm_velocity_components():
