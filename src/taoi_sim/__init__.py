@@ -9,7 +9,7 @@ replays tiny slotted scenarios and brute-forces optimal schedules for
 cross-checking the event loop.
 """
 
-from .aoi import NeighborRecord, instantaneous_aoi, vehicle_aoi, vehicle_taoi
+from .aoi import PairTable, instantaneous_aoi, vehicle_aoi, vehicle_taoi
 from .channel import (ChannelConfig, TransmissionEvent, csma_access,
                       delivery_outcome, tx_duration)
 from .engine import RunReport, SimConfig, Simulation, run_simulation
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "Bsm", "ChannelConfig", "ConfigError", "ControllerState",
-    "KraussParams", "Motion", "NeighborRecord", "PdrCounters", "RoadConfig",
+    "KraussParams", "Motion", "PairTable", "PdrCounters", "RoadConfig",
     "RunReport", "SafetyParams", "ScheduleProblem", "ScheduleSolution",
     "SimConfig", "SimError", "Simulation", "TraceError", "TrajectoryTable",
     "TransmissionEvent", "UndefinedValueError", "VehicleState",

@@ -1,13 +1,19 @@
-"""Age-of-information accounting per ordered sender-receiver pair.
+"""Age-of-information accounting per ordered receiver-sender pair.
 
-A receiver keeps one NeighborRecord per sender it has heard from. The age
-of that link is the time since the generation of the freshest received
-snapshot; it grows with unit slope between receptions and drops to the
-in-flight delay on each reception. The record holds exact sawtooth areas
-(trapezoids between bookkeeping events) plus a gated variant, the tracked
-age, that only accumulates while the sender's riskiness flag is raised:
-the flag from the sender's own self-tracking-error assessment, carried in
-its freshest received BSM (``neighbor_risky``).
+A receiver keeps one record per sender it has heard from. The age of that
+link is the time since the generation of the freshest received snapshot;
+it grows with unit slope between receptions and drops to the in-flight
+delay on each reception. A record holds exact sawtooth areas (trapezoids
+between bookkeeping events) plus a gated variant, the tracked age, that
+only accumulates while the sender's riskiness flag is raised: the flag
+from the sender's own self-tracking-error assessment, carried in its
+freshest received BSM (``risky``).
+
+Every record of a run lives in one ``PairTable``: flat arrays of n * n
+cells, where cell ``r * n + s`` holds receiver r's record of sender s and
+``live`` says which cells hold one. The functions below take the table
+and an integer array of cells and update those cells together; a cell may
+appear at most once per call.
 
 Two accumulation styles coexist and are validated by different oracles:
 
@@ -17,203 +23,252 @@ Two accumulation styles coexist and are validated by different oracles:
   boundary times the slot length), which is the discrete arithmetic of the
   idealized slotted channel abstraction.
 
-Callers must never mix the two on one record.
+Callers must never mix the two on one table.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from .errors import UndefinedValueError
 
+# the cached snapshot of a record, in the order of a log entry's fields
+SNAPSHOT = ("gen_time", "bx", "by", "bvx", "bvy", "risky", "interval")
 
-class NeighborRecord:
-    """Per-(receiver, sender) reception state and area accumulators.
 
-    The last snapshot is cached as flat floats (position, velocity
-    components, generation time) so hot loops avoid attribute chains.
+class PairTable:
+    """Reception state and area accumulators of every ordered pair.
+
+    Beside the live records the table keeps each pair's retired totals:
+    a record leaves the table when it is evicted or when the run ends, and
+    its run areas and tracking-error sums are added to the totals of its
+    pair (``ret_*``). ``seq`` numbers records in the order they were
+    opened; ``retire_order`` lists the pairs in the order of their first
+    retirement.
     """
 
-    __slots__ = (
-        "sender", "gen_time", "bx", "by", "bvx", "bvy",
-        "neighbor_risky", "neighbor_interval",
-        "last_seen", "cursor",
-        "aoi_area_mi", "taoi_area_mi", "aoi_area_run", "taoi_area_run",
-        "te_last", "te_sum", "te_count",
-    )
+    def __init__(self, n: int):
+        cells = n * n
+        self.n = n
+        self.live = np.zeros(cells, bool)
+        self.seq = np.zeros(cells, np.int64)
+        self.next_seq = 0
+        for name in (*SNAPSHOT, "last_seen", "cursor", "aoi_mi", "taoi_mi",
+                     "aoi_run", "taoi_run", "te_last", "te_sum",
+                     "ret_aoi", "ret_taoi", "ret_te_sum"):
+            setattr(self, name, np.zeros(cells))
+        self.risky = np.zeros(cells, np.int8)
+        self.te_count = np.zeros(cells, np.int64)
+        self.ret_te_count = np.zeros(cells, np.int64)
+        self.retired = np.zeros(cells, bool)
+        self.retire_order: list = []   # arrays of cells
 
-    def __init__(self, sender: int, gen_time: float, x: float, y: float,
-                 vx: float, vy: float, risky: int, interval: float, now: float):
-        self.sender = sender
-        self.gen_time = gen_time
-        self.bx = x
-        self.by = y
-        self.bvx = vx
-        self.bvy = vy
-        self.neighbor_risky = risky
-        self.neighbor_interval = interval
-        self.last_seen = now
-        self.cursor = now
-        self.aoi_area_mi = 0.0
-        self.taoi_area_mi = 0.0
-        self.aoi_area_run = 0.0
-        self.taoi_area_run = 0.0
-        self.te_last = 0.0
-        self.te_sum = 0.0
-        self.te_count = 0
+    def by_insertion(self, cells):
+        """The cells ordered by receiver, then by when their record was
+        opened: the order in which a receiver walks its neighbours."""
+        cells = np.asarray(cells)
+        return cells[np.lexsort((self.seq[cells], cells // self.n))]
 
-def record_from_bsm(bsm, now: float) -> NeighborRecord:
-    if bsm.gen_time > now:
-        raise ValueError(f"snapshot from the future: gen={bsm.gen_time} > now={now}")
+    def retire(self, cells) -> None:
+        """Close the records in ``cells`` (given in retirement order) and
+        add their run totals to their pairs'."""
+        first = cells[~self.retired[cells]]
+        if len(first):
+            self.retired[first] = True
+            self.retire_order.append(first)
+        self.ret_aoi[cells] += self.aoi_run[cells]
+        self.ret_taoi[cells] += self.taoi_run[cells]
+        self.ret_te_sum[cells] += self.te_sum[cells]
+        self.ret_te_count[cells] += self.te_count[cells]
+        self.live[cells] = False
+
+
+class PairRow:
+    """Receiver r's records as seen from its vehicle: ``len`` is the
+    number of senders it currently holds a record of."""
+
+    __slots__ = ("live", "lo", "hi")
+
+    def __init__(self, table: PairTable, r: int):
+        self.live = table.live
+        self.lo, self.hi = r * table.n, (r + 1) * table.n
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.live[self.lo:self.hi]))
+
+
+def snapshot(bsm) -> tuple:
+    """A BSM's fields in ``SNAPSHOT`` order."""
     vx, vy = bsm.velocity()
-    return NeighborRecord(bsm.sender, bsm.gen_time, bsm.x, bsm.y, vx, vy,
-                          bsm.riskiness_flag, bsm.interval, now)
+    return (bsm.gen_time, bsm.x, bsm.y, vx, vy, bsm.riskiness_flag,
+            bsm.interval)
 
 
-def virtual_record(sender: int, x: float, y: float, risky: int,
-                   interval: float) -> NeighborRecord:
-    """Time-zero bootstrap record used by the idealized slotted mode: every
-    pair starts with a perfectly fresh position snapshot carrying zero
-    velocity, so the age at the origin is zero for all pairs."""
-    return NeighborRecord(sender, 0.0, x, y, 0.0, 0.0, risky, interval, 0.0)
+def log_entry(bsm, now: float, receivers) -> tuple:
+    """One decoded frame for ``apply_reception``: (sender, now, snapshot
+    fields) and the ids of the receivers that decoded it at ``now``."""
+    return (bsm.sender, now, *snapshot(bsm)), receivers
 
 
-def instantaneous_aoi(record: NeighborRecord, t: float) -> float:
-    """Age of the freshest snapshot at time t (unit slope since generation)."""
-    if record is None:
+def swap_snapshot(table: PairTable, cells, fields, now) -> None:
+    """Replace the cached snapshots of ``cells`` with the snapshot fields
+    (``SNAPSHOT`` order; scalars or arrays aligned with the cells)
+    received at ``now``, without touching the areas (the slotted mode
+    accounts areas separately at slot boundaries)."""
+    gen = fields[0]
+    if np.any(gen > now):
+        raise ValueError(f"snapshot from the future: gen={gen} > now={now}")
+    for name, values in zip(SNAPSHOT, fields):
+        getattr(table, name)[cells] = values
+    table.last_seen[cells] = now
+
+
+def record_from_bsm(table: PairTable, cells, fields, now) -> None:
+    """Open a record in each of ``cells``, which hold none, from snapshot
+    fields received at ``now`` (see ``swap_snapshot``). Records are
+    numbered in cell order."""
+    swap_snapshot(table, cells, fields, now)
+    k = len(cells)
+    table.live[cells] = True
+    table.seq[cells] = np.arange(table.next_seq, table.next_seq + k)
+    table.next_seq += k
+    table.cursor[cells] = now
+    for acc in (table.aoi_mi, table.taoi_mi, table.aoi_run, table.taoi_run,
+                table.te_last, table.te_sum, table.te_count):
+        acc[cells] = 0
+
+
+def instantaneous_aoi(table: PairTable, cells, t: float):
+    """Age of each cell's freshest snapshot at time t (unit slope since
+    generation)."""
+    if not table.live[cells].all():
         raise UndefinedValueError("no reception history for this pair")
-    if t < record.gen_time:
-        raise ValueError(f"t={t} precedes snapshot generation {record.gen_time}")
-    return t - record.gen_time
+    gen = table.gen_time[cells]
+    if np.any(t < gen):
+        raise ValueError(f"t={t} precedes snapshot generation {gen.min()}")
+    return t - gen
 
 
-def advance(record: NeighborRecord, t: float) -> None:
-    """Extend the exact sawtooth areas from the record's cursor to t.
+def advance(table: PairTable, cells, t) -> None:
+    """Extend the exact sawtooth areas of ``cells`` from their cursors to
+    t (a scalar or one time per cell).
 
     Valid only when no reception occurred inside (cursor, t]; receptions
     go through apply_reception which advances first. The sender flag of
-    the cached snapshot is in force over the whole stretch.
+    the cached snapshot is in force over the whole stretch. A cell already
+    at t gains an area of exactly zero.
     """
-    if t < record.cursor:
-        raise ValueError(f"cursor moved backwards: {t} < {record.cursor}")
-    if t == record.cursor:
+    cursor = table.cursor[cells]
+    if np.any(t < cursor):
+        raise ValueError(f"cursor moved backwards: {t} < {cursor}")
+    gen = table.gen_time[cells]
+    area = 0.5 * ((cursor - gen) + (t - gen)) * (t - cursor)
+    table.aoi_mi[cells] += area
+    table.aoi_run[cells] += area
+    gated = table.risky[cells] != 0
+    g = cells[gated]
+    table.taoi_mi[g] += area[gated]
+    table.taoi_run[g] += area[gated]
+    table.cursor[cells] = t
+
+
+def apply_reception(table: PairTable, log) -> None:
+    """Continuous-mode receptions: apply a log of decoded frames (see
+    ``log_entry``), in log order, which is time order.
+
+    Each reception closes the pair's sawtooth up to its time under the
+    outgoing snapshot's flag and installs the new snapshot, so the age
+    right after it is the in-flight delay; a pair without a record gets
+    one. A pair that appears k times in the log is updated in k rounds,
+    its i-th reception in round i, so every cell sees its receptions in
+    time order; new records are opened in log order.
+    """
+    if not log:
         return
-    a0 = record.cursor - record.gen_time
-    a1 = t - record.gen_time
-    area = 0.5 * (a0 + a1) * (t - record.cursor)
-    record.aoi_area_mi += area
-    record.aoi_area_run += area
-    if record.neighbor_risky:
-        record.taoi_area_mi += area
-        record.taoi_area_run += area
-    record.cursor = t
+    frames = np.array([fields for fields, _ in log], dtype=float)
+    counts = [len(rx) for _, rx in log]
+    frame = np.repeat(np.arange(len(log)), counts)
+    receivers = np.fromiter(chain.from_iterable(rx for _, rx in log),
+                            np.intp, len(frame))
+    cells = receivers * table.n + frames[frame, 0].astype(np.intp)
+    # an entry's round is the number of earlier entries of its cell
+    order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
+    starts = np.flatnonzero(np.concatenate(([True],
+                                            ranked[1:] != ranked[:-1])))
+    sizes = np.diff(np.append(starts, len(ranked)))
+    rank = np.empty(len(cells), np.intp)
+    rank[order] = np.arange(len(ranked)) - np.repeat(starts, sizes)
+    for k in range(sizes.max(initial=0)):
+        entries = np.flatnonzero(rank == k)
+        c, f = cells[entries], frames[frame[entries]]
+        fresh = ~table.live[c]
+        if fresh.any():
+            new = f[fresh]
+            record_from_bsm(table, c[fresh], new[:, 2:].T, new[:, 1])
+            c, f = c[~fresh], f[~fresh]
+        if len(c):
+            advance(table, c, f[:, 1])
+            swap_snapshot(table, c, f[:, 2:].T, f[:, 1])
 
 
-def swap_snapshot(record: NeighborRecord, bsm, now: float) -> None:
-    """Replace the cached snapshot without touching the areas (the slotted
-    mode accounts areas separately at slot boundaries)."""
-    if bsm.gen_time > now:
-        raise ValueError(f"snapshot from the future: gen={bsm.gen_time} > now={now}")
-    vx, vy = bsm.velocity()
-    record.gen_time = bsm.gen_time
-    record.bx = bsm.x
-    record.by = bsm.y
-    record.bvx = vx
-    record.bvy = vy
-    record.neighbor_risky = bsm.riskiness_flag
-    record.neighbor_interval = bsm.interval
-    record.last_seen = now
-
-
-def apply_reception(record: NeighborRecord, bsm, now: float) -> None:
-    """Continuous-mode reception: close the sawtooth up to now under the
-    outgoing snapshot's flag, then install the new snapshot. The age right
-    after the call is the in-flight delay now - bsm.gen_time."""
-    advance(record, now)
-    swap_snapshot(record, bsm, now)
-
-
-def slot_sample(record: NeighborRecord, t: float, slot: float) -> float:
+def slot_sample(table: PairTable, cells, t: float, slot: float):
     """Right-endpoint step accounting for the idealized slotted mode: add
-    age(t) * slot to the accumulators (the gated ones under the flag of
-    the snapshot held at t) and return the sampled age. Callers invoke
-    this after the slot's deliveries have been applied."""
-    a = instantaneous_aoi(record, t)
-    record.aoi_area_mi += a * slot
-    record.aoi_area_run += a * slot
-    if record.neighbor_risky:
-        record.taoi_area_mi += a * slot
-        record.taoi_area_run += a * slot
-    record.cursor = t
+    age(t) * slot to the accumulators of ``cells`` (the gated ones under
+    the flag of the snapshot held at t) and return the sampled ages.
+    Callers invoke this after the slot's deliveries have been applied."""
+    a = instantaneous_aoi(table, cells, t)
+    step = a * slot
+    table.aoi_mi[cells] += step
+    table.aoi_run[cells] += step
+    gated = table.risky[cells] != 0
+    g = cells[gated]
+    table.taoi_mi[g] += step[gated]
+    table.taoi_run[g] += step[gated]
+    table.cursor[cells] = t
     return a
 
 
-def vehicle_aoi(heard, t_mi: float) -> float:
+def vehicle_aoi(areas, t_mi: float) -> float:
     """Vehicle AoI over one measurement interval: the mean time-average
-    age of the links in ``heard``, the receiver's records of the senders
-    it heard in the window (window areas already closed at its end).
+    age of the links the receiver heard in the window, given their window
+    areas (closed at its end) in the order the receiver opened them.
 
     Raises UndefinedValueError when nobody was heard; the caller decides
     what "undefined" means for control.
     """
-    if not heard:
+    if not areas:
         raise UndefinedValueError("vehicle AoI with no neighbors")
-    return sum(r.aoi_area_mi for r in heard) * (1.0 / t_mi) / len(heard)
+    return sum(areas) * (1.0 / t_mi) / len(areas)
 
 
-def vehicle_taoi(heard, t_mi: float, distances,
-                 range_m: float) -> tuple[float | None, int]:
+def vehicle_taoi(gated_areas, in_range, t_mi: float) -> tuple[float | None, int]:
     """Vehicle TAoI over one measurement interval: the mean time-average
-    gated age over the risky subset of ``heard``.
+    gated age over the risky subset of the links heard in the window,
+    given their gated window areas and whether each sender is within the
+    risk-assessment range, in the order the receiver opened them.
 
     A sender counts as risky for the window when its gate was open at any
     point in it, which is exactly when it accumulated gated area; the
     latest flag alone would drop senders whose flag fell mid-window. The
-    subset is clipped to ``range_m`` (``distances[sender]`` is the
-    receiver's distance to each sender): radio reach decides who is heard,
+    subset is clipped to the range: radio reach decides who is heard,
     but a hazard beyond the risk-assessment range has no claim on this
     vehicle's rate decision.
 
     Returns (value, risky count); the value is None when the subset is
     empty, which controllers treat structurally rather than as a zero.
     """
-    risky = [r for r in heard
-             if r.taoi_area_mi > 0.0 and distances[r.sender] <= range_m]
+    risky = [a for a, near in zip(gated_areas, in_range) if near and a > 0.0]
     n = len(risky)
     if not n:
         return None, 0
-    return sum(r.taoi_area_mi for r in risky) * (1.0 / t_mi) / n, n
+    return sum(risky) * (1.0 / t_mi) / n, n
 
 
-def reset_window(record: NeighborRecord) -> None:
-    record.aoi_area_mi = 0.0
-    record.taoi_area_mi = 0.0
-
-
-def sawtooth_area(reception_times, gen_times, t_end: float) -> float:
-    """Exact area under one link's age sawtooth over [0, t_end].
-
-    ``reception_times``/``gen_times`` are parallel, increasing sequences
-    (reception i delivers the snapshot generated at gen_times[i] <=
-    reception_times[i]); the link starts with a fresh snapshot at time 0.
-    Used by tests as an independent closed-form route.
-    """
-    if len(reception_times) != len(gen_times):
-        raise ValueError("reception/generation sequences differ in length")
-    area = 0.0
-    cursor, gen = 0.0, 0.0
-    events = [*zip(reception_times, gen_times), (t_end, None)]
-    for rx, g in events:
-        if rx < cursor:
-            raise ValueError("reception times must be increasing")
-        if rx > t_end:
-            break
-        a0, a1 = cursor - gen, rx - gen
-        area += 0.5 * (a0 + a1) * (rx - cursor)
-        cursor = rx
-        if g is not None:
-            if g > rx:
-                raise ValueError("snapshot generated after its reception")
-            gen = g
-    if cursor < t_end:
-        a0, a1 = cursor - gen, t_end - gen
-        area += 0.5 * (a0 + a1) * (t_end - cursor)
-    return area
+def reset_window(table: PairTable) -> None:
+    """Start a new measurement window: zero every window area. Cells
+    without a record are zeroed too; opening a record zeroes them anyway."""
+    table.aoi_mi.fill(0.0)
+    table.taoi_mi.fill(0.0)

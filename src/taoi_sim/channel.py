@@ -183,12 +183,14 @@ def delivery_outcome(tx: TransmissionEvent, receivers, concurrent, rng,
     bound; the bounds ascend), one unit-mean fading sample
     ``f = rng.gamma(m, 1.0 / m)``, and arrives with
     ``tx_power - (reference_loss + (10 * exponent) * log10(d)) +
-    10 * log10(f)`` dBm. A receiver succeeds when its own signal clears the
-    sensitivity threshold and no time-overlapping concurrent frame reaches
-    it at carrier-sense level (any such frame garbles the capture; there
-    is no SINR capture model). A receiver that is itself transmitting an
-    overlapping frame is half-duplex deaf and fails outright. Links longer
-    than ``max_reception_range_m`` are not evaluated.
+    10 * log10(f)`` dBm. Links shorter than the 1 m reference distance,
+    down to co-located nodes, take the reference loss. A receiver
+    succeeds when its own signal clears the sensitivity threshold and no
+    time-overlapping concurrent frame reaches it at carrier-sense level
+    (any such frame garbles the capture; there is no SINR capture model).
+    A receiver that is itself transmitting an overlapping frame is
+    half-duplex deaf and fails outright. Links longer than
+    ``max_reception_range_m`` are not evaluated.
 
     Determinism: the fading stream is consumed in a frozen order. Every
     evaluated receiver (not the sender, not deaf, within the cutoff) takes
@@ -226,16 +228,16 @@ def delivery_outcome(tx: TransmissionEvent, receivers, concurrent, rng,
         if d > cutoff:
             continue
         m, scale = shapes[bin_of(bounds, d)]
-        if (tx_dbm - (ref + slope * log10(d)) + 10.0 * log10(gamma(m, scale))
-                < sensitivity):
+        loss = ref + slope * log10(d) if d > 1.0 else ref
+        if tx_dbm - loss + 10.0 * log10(gamma(m, scale)) < sensitivity:
             continue
         for cx, cy in interferers:
             d = hypot(x - cx, y - cy)
             if d > cutoff:
                 continue
             m, scale = shapes[bin_of(bounds, d)]
-            if (tx_dbm - (ref + slope * log10(d))
-                    + 10.0 * log10(gamma(m, scale)) >= sense):
+            loss = ref + slope * log10(d) if d > 1.0 else ref
+            if tx_dbm - loss + 10.0 * log10(gamma(m, scale)) >= sense:
                 break
         else:
             got.add(r.id)

@@ -245,10 +245,10 @@ class _Vehicle:
                  "generated", "dropped", "sent", "risky_mis", "congested_mis",
                  "mi_count", "delta_sum", "pending_slots")
 
-    def __init__(self, idx: int, ctrl: ControllerState):
+    def __init__(self, idx: int, ctrl: ControllerState, records: aoi.PairRow):
         self.idx = idx
         self.ctrl = ctrl
-        self.records: dict[int, aoi.NeighborRecord] = {}
+        self.records = records   # this receiver's row of the pair table
         self.queued = None       # the one BSM not yet on the air
         self.airing = None       # TransmissionEvent on the air
         self.mi_prev = None      # own state at the previous MI boundary
@@ -298,12 +298,15 @@ class Simulation:
             round(float(self.init_rng.uniform(0.0, cfg.delta_init_s)) * NS)
             for _ in range(self.n)]
 
+        self.pairs = aoi.PairTable(self.n)
+        self._rx_log: list = []   # decoded frames not yet in the pair table
         self.vehicles = [
             _Vehicle(i, ControllerState(
                 delta=cfg.delta_init_s, delta_min=cfg.delta_min_s,
                 delta_max=cfg.delta_max_s, beta=cfg.beta,
                 te_threshold=cfg.safety.te_threshold, eps_cmp=cfg.eps_cmp_s,
-                spread_lambda=cfg.spread_lambda, prev_delta=cfg.delta_init_s))
+                spread_lambda=cfg.spread_lambda, prev_delta=cfg.delta_init_s),
+                aoi.PairRow(self.pairs, i))
             for i in range(self.n)]
         for i, v in enumerate(self.vehicles):
             v.mi_prev = self.states[i]
@@ -317,7 +320,6 @@ class Simulation:
         self.negative_gap_events = 0
         self.timeseries: list = []
         self.interval_hist: dict[int, int] = {}
-        self.pair_areas: dict = {}   # (sender, receiver) -> [aoi, taoi, te_sum, te_n]
         self.trace_rows: list = []
         self.pair_tables = None
 
@@ -368,14 +370,15 @@ class Simulation:
         zero-velocity snapshot at t0 (all ages start at 0). The bootstrap
         flag is raised, matching the fresh controller state: a sender with
         no history is unproven, so its age counts as tracked age."""
+        n = self.n
+        cells = np.flatnonzero(~np.eye(n, dtype=bool))
+        senders = cells % n
+        xs = np.array([s.x for s in self.states])[senders]
+        ys = np.array([s.y for s in self.states])[senders]
         flag0 = 1
-        for v in self.vehicles:
-            for u in range(self.n):
-                if u == v.idx:
-                    continue
-                s = self.states[u]
-                v.records[u] = aoi.virtual_record(
-                    u, s.x, s.y, flag0, self.cfg.delta_init_s)
+        aoi.record_from_bsm(self.pairs, cells,
+                            (0.0, xs, ys, 0.0, 0.0, flag0,
+                             self.cfg.delta_init_s), 0.0)
 
     def _push(self, t_ns: int, kind: int, vid: int = -1) -> None:
         self._seq += 1
@@ -387,12 +390,12 @@ class Simulation:
         speeds = np.array([s.speed for s in self.states])
         headings = np.array([s.heading for s in self.states])
         self._dist = np.hypot(xs[:, None] - xs[None, :],
-                              ys[:, None] - ys[None, :]).tolist()
-        self._xs = xs.tolist()
-        self._ys = ys.tolist()
-        self._speeds = speeds.tolist()
-        self._vxs = (speeds * np.cos(headings)).tolist()
-        self._vys = (speeds * np.sin(headings)).tolist()
+                              ys[:, None] - ys[None, :])
+        self._xs = xs
+        self._ys = ys
+        self._speeds = speeds
+        self._vxs = speeds * np.cos(headings)
+        self._vys = speeds * np.sin(headings)
 
     # ------------------------------------------------------------ running
 
@@ -487,35 +490,23 @@ class Simulation:
         """Per-tick tracking error for every live record, collision risk
         for in-range pairs, and reception-timeout eviction."""
         cfg = self.cfg
-        evict_before = t_s - cfg.neighbor_timeout_s
-        range_m = cfg.channel.range_m
-        xs, ys, vxs, vys = self._xs, self._ys, self._vxs, self._vys
-        speeds, dist = self._speeds, self._dist
-        risk = 0
-        for v in self.vehicles:
-            if not v.records:
-                continue
-            r, dead = sample_te_and_risk(
-                v.records, t_s, v.idx, xs, ys, vxs, vys, speeds, dist[v.idx],
-                range_m, cfg.safety, evict_before)
-            risk += r
-            if dead:
-                for u in dead:
-                    self._evict(v, u)
+        self._flush_receptions()
+        risk, dead = sample_te_and_risk(
+            self.pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
+            self._speeds, self._dist, cfg.channel.range_m, cfg.safety,
+            t_s - cfg.neighbor_timeout_s)
         self.risk_count += risk
-
-    def _evict(self, v: _Vehicle, u: int) -> None:
-        rec = v.records.pop(u)
-        end = rec.last_seen + self.cfg.neighbor_timeout_s
-        aoi.advance(rec, end)
-        self._retire(u, v.idx, rec)
-
-    def _retire(self, sender: int, receiver: int, rec) -> None:
-        acc = self.pair_areas.setdefault((sender, receiver), [0.0, 0.0, 0.0, 0])
-        acc[0] += rec.aoi_area_run
-        acc[1] += rec.taoi_area_run
-        acc[2] += rec.te_sum
-        acc[3] += rec.te_count
+        if dead is not None:
+            # a silent record's age runs on until its timeout expires. A
+            # record that survived a measurement tick by the last bit of
+            # ``t - timeout`` can have its cursor one ulp past
+            # ``last_seen + timeout``; its area is then already closed
+            pairs = self.pairs
+            dead = pairs.by_insertion(dead)
+            aoi.advance(pairs, dead, np.maximum(
+                pairs.cursor[dead],
+                pairs.last_seen[dead] + cfg.neighbor_timeout_s))
+            pairs.retire(dead)
 
     # ------------------------------------------------------ realistic MAC
 
@@ -581,14 +572,15 @@ class Simulation:
         v.sent += 1
         ch = self.cfg.channel
         drow, states = self._dist[idx], self.states
-        cutoff = ch.max_reception_range_m
-        near = [j for j, d in enumerate(drow) if d <= cutoff and j != idx]
-        got = delivery_outcome(tx, [states[j] for j in near], self.active_txs,
-                               self.fading_rng, ch)
-        for j in sorted(got):
-            self.on_bsm_reception(self.vehicles[j], tx.bsm, t_s)
+        near = np.flatnonzero(drow <= ch.max_reception_range_m)
+        near = near[near != idx]
+        got = delivery_outcome(tx, [states[j] for j in near.tolist()],
+                               self.active_txs, self.fading_rng, ch)
+        if got:
+            self._rx_log.append(aoi.log_entry(tx.bsm, t_s, got))
         # range_m <= cutoff, so the PDR audience is a subset of ``near``
-        in_range = {j: drow[j] for j in near if drow[j] <= ch.range_m}
+        in_range = {j: d for j, d in zip(near.tolist(), drow[near].tolist())
+                    if d <= ch.range_m}
         if in_range:
             pdr_record(states[idx], [states[j] for j in in_range],
                        got & in_range.keys(), self.pdr, distances=in_range)
@@ -596,17 +588,13 @@ class Simulation:
         if v.queued is not None:
             self._begin_access(v, t_ns)
 
-    def on_bsm_reception(self, v: _Vehicle, bsm: Bsm, t_s: float):
-        """Fold one decoded BSM into the receiver's pair record: close the
-        age sawtooth under the outgoing flag, reset it to the in-flight
-        delay, refresh flag and interval."""
-        rec = v.records.get(bsm.sender)
-        if rec is None:
-            rec = aoi.record_from_bsm(bsm, t_s)
-            v.records[bsm.sender] = rec
-        else:
-            aoi.apply_reception(rec, bsm, t_s)
-        return rec
+    def _flush_receptions(self) -> None:
+        """Fold every decoded frame logged since the last flush into the
+        pair table. Runs wherever pair state is read: the mobility tick,
+        the measurement boundary and the wrap-up."""
+        if self._rx_log:
+            aoi.apply_reception(self.pairs, self._rx_log)
+            self._rx_log = []
 
     # -------------------------------------------------- idealized channel
 
@@ -633,16 +621,16 @@ class Simulation:
         k = t_ns // self.slot_ns
         slot_s = self.cfg.slot_s
         tables = self.pair_tables
+        pairs, n = self.pairs, self.n
+        cells = np.flatnonzero(pairs.live)   # every ordered pair
         # phase 1: tracking error against pre-delivery snapshots; the
         # slotted abstraction scores no collision risk and evicts nothing
-        for v in self.vehicles:
-            sample_te_and_risk(v.records, t_s, v.idx, self._xs, self._ys,
-                               self._vxs, self._vys, self._speeds,
-                               self._dist[v.idx], self.cfg.channel.range_m,
-                               self.cfg.safety)
-            if tables is not None:
-                for u, rec in v.records.items():
-                    tables[(u, v.idx)]["te"].append(rec.te_last)
+        sample_te_and_risk(pairs, t_s, self._xs, self._ys, self._vxs,
+                           self._vys, self._speeds, self._dist,
+                           self.cfg.channel.range_m, self.cfg.safety)
+        if tables is not None:
+            for c, te in zip(cells.tolist(), pairs.te_last[cells].tolist()):
+                tables[(c % n, c // n)]["te"].append(te)
         # phase 2: zero-delay delivery
         if self.cfg.forced_schedule is not None:
             sched = self.cfg.forced_schedule
@@ -657,62 +645,73 @@ class Simulation:
             v.sent += 1
             if self.cfg.forced_schedule is None:
                 v.pending_slots -= 1
-            for r in self.vehicles:
-                if r.idx == idx:
-                    continue
-                # snapshot swap only: the step accounting in phase 3 owns
-                # every slot's area contribution
-                aoi.swap_snapshot(r.records[idx], bsm, t_s)
+            # snapshot swap only: the step accounting in phase 3 owns
+            # every slot's area contribution
+            column = np.arange(idx, n * n, n)
+            aoi.swap_snapshot(pairs, column[column != idx * n + idx],
+                              aoi.snapshot(bsm), t_s)
         # phase 3: post-delivery right-endpoint age samples
-        for v in self.vehicles:
-            for u, rec in v.records.items():
-                a = aoi.slot_sample(rec, t_s, slot_s)
-                if tables is not None:
-                    tables[(u, v.idx)]["aoi"].append(a)
+        ages = aoi.slot_sample(pairs, cells, t_s, slot_s)
+        if tables is not None:
+            for c, a in zip(cells.tolist(), ages.tolist()):
+                tables[(c % n, c // n)]["aoi"].append(a)
         if t_ns + self.slot_ns <= self.T_ns:
             self._push(t_ns + self.slot_ns, EV_SLOT)
 
     # --------------------------------------------------- measurement loop
 
     def _on_measurement(self, t_ns: int) -> None:
+        """Every vehicle's MI boundary: the windowed AoI and TAoI census
+        of its row of the pair table, then its controller step, then the
+        window reset."""
         t_s = t_ns / NS
+        cfg, pairs, n = self.cfg, self.pairs, self.n
+        t_mi = cfg.t_mi_s
+        self._flush_receptions()
+        live = np.flatnonzero(pairs.live)
+        # close the elapsed window under the flags that were in force
+        if not self.idealized:
+            aoi.advance(pairs, live, t_s)
+        # the measurement population is every neighbor actually heard this
+        # window; records gone silent stay around for tracking-error
+        # bookkeeping but say nothing about the current local picture.
+        # Cold start: the first boundary closes a window nobody broadcast
+        # into from its start, so every windowed metric is structurally
+        # partial; flags are still assessed, windows still reset, but the
+        # controllers hold and metric memories stay unprimed
+        first_boundary = t_s <= t_mi + 1e-9
+        heard = live[:0] if first_boundary else pairs.by_insertion(
+            live[pairs.last_seen[live] >= t_s - t_mi])
+        bounds = np.searchsorted(heard // n, np.arange(n + 1)).tolist()
+        areas = pairs.aoi_mi[heard].tolist()
+        gated = pairs.taoi_mi[heard].tolist()
+        intervals = pairs.interval[heard].tolist()
+        in_range = (self._dist.ravel()[heard] <= cfg.channel.range_m).tolist()
         for v in self.vehicles:
-            self.measurement_tick(v, t_s)
+            lo, hi = bounds[v.idx], bounds[v.idx + 1]
+            self._control_step(v, t_s, first_boundary, areas[lo:hi],
+                               gated[lo:hi], intervals[lo:hi], in_range[lo:hi])
+        aoi.reset_window(pairs)
         if t_ns + self.t_mi_ns <= self.T_ns:
             self._push(t_ns + self.t_mi_ns, EV_MEASUREMENT)
 
-    def measurement_tick(self, v: _Vehicle, t_s: float) -> tuple[int, float]:
-        """One vehicle's MI boundary: self-risk assessment, windowed AoI and
-        TAoI, the protocol's rate update, accumulator reset."""
+    def _control_step(self, v: _Vehicle, t_s: float, first_boundary: bool,
+                      areas, gated, intervals, in_range) -> None:
+        """One vehicle's self-risk assessment and rate update from the
+        window areas, gated areas, broadcast intervals and in-range flags
+        of the senders it heard, in the order it opened their records."""
         cfg = self.cfg
         t_mi = cfg.t_mi_s
-        # close the elapsed window under the flags that were in force
-        if not self.idealized:
-            for rec in v.records.values():
-                aoi.advance(rec, t_s)
         own_now = self.states[v.idx]
         self_te = self_tracking_error(own_now, v.mi_prev, t_mi)
         flag = assess_self_risk(self_te, v.ctrl)
         v.risky_mis += flag
         v.mi_prev = own_now
 
-        # the measurement population is every neighbor actually heard this
-        # window; records gone silent stay around for tracking-error
-        # bookkeeping but say nothing about the current local picture
-        recs = v.records
-        w_start = t_s - t_mi
-        # cold start: the first boundary closes a window nobody broadcast
-        # into from its start, so every windowed metric is structurally
-        # partial; flags are still assessed, windows still reset, but the
-        # controllers hold and metric memories stay unprimed
-        first_boundary = t_s <= t_mi + 1e-9
-        heard = [] if first_boundary else [
-            r for r in recs.values() if r.last_seen >= w_start]
-        if heard:
-            aoi_v = aoi.vehicle_aoi(heard, t_mi)
-            delta_avg = sum(r.neighbor_interval for r in heard) / len(heard)
-            taoi_v, n_risky = aoi.vehicle_taoi(heard, t_mi, self._dist[v.idx],
-                                               cfg.channel.range_m)
+        if areas:
+            aoi_v = aoi.vehicle_aoi(areas, t_mi)
+            delta_avg = sum(intervals) / len(intervals)
+            taoi_v, n_risky = aoi.vehicle_taoi(gated, in_range, t_mi)
             if aoi_v > 2.0 * delta_avg:
                 v.congested_mis += 1
         else:
@@ -729,8 +728,6 @@ class Simulation:
         else:
             delta, _ = taoi_rate_update(v.ctrl, taoi_v, aoi_v, delta_avg,
                                         n_risky)
-        for rec in recs.values():
-            aoi.reset_window(rec)
 
         v.mi_count += 1
         v.delta_sum += delta
@@ -738,32 +735,35 @@ class Simulation:
         self.interval_hist[bin_lo] = self.interval_hist.get(bin_lo, 0) + 1
         self.timeseries.append((t_s, v.idx, delta * 1000.0, flag, aoi_v,
                                 taoi_v))
-        return flag, delta
 
     # ----------------------------------------------------------- wrap-up
 
     def _finalize(self) -> RunReport:
         cfg = self.cfg
         T = cfg.duration_s
+        pairs, n = self.pairs, self.n
         if T > 0:
-            t_end = self.T_ns / NS
-            for v in self.vehicles:
-                for u, rec in v.records.items():
-                    if not self.idealized:
-                        aoi.advance(rec, t_end)
-                    self._retire(u, v.idx, rec)
-        denom = self.n * (self.n - 1)
-        if T > 0 and self.pair_areas:
-            sys_aoi = sum(a[0] for a in self.pair_areas.values()) / T / denom
-            sys_taoi = sum(a[1] for a in self.pair_areas.values()) / T / denom
+            self._flush_receptions()
+            live = pairs.by_insertion(np.flatnonzero(pairs.live))
+            if not self.idealized:
+                aoi.advance(pairs, live, self.T_ns / NS)
+            pairs.retire(live)
+        denom = n * (n - 1)
+        if T > 0 and pairs.retire_order:
+            # Python sums in first-retirement order: the reduction order
+            # is part of the byte-identical reports
+            order = np.concatenate(pairs.retire_order)
+            sys_aoi = sum(pairs.ret_aoi[order].tolist()) / T / denom
+            sys_taoi = sum(pairs.ret_taoi[order].tolist()) / T / denom
         else:
             sys_aoi = 0.0
             sys_taoi = 0.0
+        sampled = np.flatnonzero(pairs.ret_te_count)
         te_pairs = [
-            (rcv, snd, acc[2] / acc[3], acc[3])
-            for (snd, rcv), acc in sorted(
-                self.pair_areas.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            if acc[3] > 0]
+            (c // n, c % n, te_sum / count, count)
+            for c, te_sum, count in zip(sampled.tolist(),
+                                        pairs.ret_te_sum[sampled].tolist(),
+                                        pairs.ret_te_count[sampled].tolist())]
         try:
             overall_pdr = self.pdr.overall_pdr()
         except UndefinedValueError:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import UndefinedValueError
 
 
@@ -57,52 +59,58 @@ def self_tracking_error(own_now, own_prev, t_mi: float) -> float:
     return math.hypot(own_now.x - ex, own_now.y - ey)
 
 
-def sample_te_and_risk(records, t: float, i: int, xs, ys, vxs, vys, speeds,
-                       distances, range_m: float, params: SafetyParams,
+def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
+                       range_m: float, params: SafetyParams,
                        evict_before: float = -math.inf):
-    """One receiver's per-tick tracking-error and collision-risk sample.
+    """Every receiver's per-tick tracking-error and collision-risk sample.
 
-    ``records`` maps sender id to the receiver's NeighborRecord; ``xs``,
-    ``ys``, ``vxs``, ``vys`` and ``speeds`` are every vehicle's ground
-    truth at time t, ``i`` is the receiver and ``distances[u]`` its
-    distance to vehicle u. Each record whose last reception is not older
-    than ``evict_before`` is dead-reckoned to t under constant velocity;
-    the Euclidean gap to the sender's true position is the tracking error,
-    stored as ``te_last`` and added to the record's running sums.
+    ``table`` is the run's ``aoi.PairTable``; ``xs``, ``ys``, ``vxs``,
+    ``vys`` and ``speeds`` are numpy arrays of every vehicle's ground
+    truth at time t, and ``dist`` the n x n matrix of their distances.
+    Each record whose last reception is not older than ``evict_before``
+    is dead-reckoned to t under constant velocity; the Euclidean gap to
+    the sender's true position is the tracking error, stored as
+    ``te_last`` and added to the record's running sums.
 
-    A sender within ``range_m`` is a collision risk when the TTC
-    distortion, tracking error over relative speed (floored so that
-    near-zero closing speeds stay finite), strictly exceeds the
+    A sender within ``range_m`` of its receiver is a collision risk when
+    the TTC distortion, tracking error over relative speed (floored so
+    that near-zero closing speeds stay finite), strictly exceeds the
     receiver's tolerance: reaction time plus the time to brake from its
     own speed.
 
-    Returns (risk count, sender ids past ``evict_before`` or None); the
-    latter are not sampled, and the caller evicts them.
+    Both norms are ``math.hypot``, mapped over the pairs: numpy's hypot
+    can differ from it in the last bit, and every other operation here is
+    a single IEEE operation per pair, so the samples are the ones a
+    per-record loop computes.
+
+    Returns (risk count, cells past ``evict_before`` or None); the latter
+    are not sampled, and the caller evicts them.
     """
-    floor = params.rel_speed_floor
-    thr = params.t_react + speeds[i] / params.decel
-    vx_i, vy_i = vxs[i], vys[i]
-    hypot = math.hypot
-    risk = 0
+    cells = np.flatnonzero(table.live)
     dead = None
-    for u, rec in records.items():
-        if rec.last_seen < evict_before:
-            if dead is None:
-                dead = [u]
-            else:
-                dead.append(u)
-            continue
-        dtg = t - rec.gen_time
-        te = hypot(xs[u] - (rec.bx + rec.bvx * dtg),
-                   ys[u] - (rec.by + rec.bvy * dtg))
-        rec.te_last = te
-        rec.te_sum += te
-        rec.te_count += 1
-        if distances[u] <= range_m:
-            rel = hypot(vxs[u] - vx_i, vys[u] - vy_i)
-            if te / (rel if rel > floor else floor) > thr:
-                risk += 1
-    return risk, dead
+    stale = table.last_seen[cells] < evict_before
+    if stale.any():
+        dead = cells[stale]
+        cells = cells[~stale]
+    k = len(cells)
+    if not k:
+        return 0, dead
+    rcv, snd = np.divmod(cells, table.n)
+    dtg = t - table.gen_time[cells]
+    dx = xs[snd] - (table.bx[cells] + table.bvx[cells] * dtg)
+    dy = ys[snd] - (table.by[cells] + table.bvy[cells] * dtg)
+    te = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, k)
+    table.te_last[cells] = te
+    table.te_sum[cells] += te
+    table.te_count[cells] += 1
+    near = dist.ravel()[cells] <= range_m
+    rcv, snd = rcv[near], snd[near]
+    rel = np.fromiter(map(math.hypot, (vxs[snd] - vxs[rcv]).tolist(),
+                          (vys[snd] - vys[rcv]).tolist()), float, len(rcv))
+    floor = params.rel_speed_floor
+    thr = params.t_react + speeds / params.decel
+    risky = te[near] / np.where(rel > floor, rel, floor) > thr[rcv]
+    return int(np.count_nonzero(risky)), dead
 
 
 @dataclass

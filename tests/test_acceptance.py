@@ -14,6 +14,7 @@ import statistics
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -78,6 +79,17 @@ def test_exhaustive_search_recovers_both_optima():
 # ---------------------------------------------- gated-age identities
 
 
+LINK = np.array([1])   # receiver 0's record of sender 1
+
+
+def _fresh_link():
+    """A two-vehicle pair table whose one link starts fresh at t=0 with
+    the flag raised."""
+    table = aoi.PairTable(2)
+    aoi.record_from_bsm(table, LINK, (0.0, 0.0, 0.0, 0.0, 0.0, 1, 0.1), 0.0)
+    return table
+
+
 def _random_log(rng, horizon_ms):
     n_rx = rng.randrange(1, 25)
     rx_ms = sorted(rng.sample(range(1, horizon_ms), n_rx))
@@ -95,18 +107,19 @@ def test_zero_threshold_collapses_taoi_to_aoi():
     for _ in range(n_pairs):
         horizon_ms = rng.randrange(1500, 6001)
         rx_ms, gens_ms = _random_log(rng, horizon_ms)
-        rec = aoi.virtual_record(0, 0.0, 0.0, 1, 0.1)
+        rec = _fresh_link()
         # threshold zero means every flag assessment returns risky, so every
         # BSM raises the flag and the gate is open on every stretch of
-        # every link
-        for r, g in zip(rx_ms, gens_ms):
-            bsm = Bsm(0, g * MS, 0.0, 0.0, 0.0, 0.0, riskiness_flag=1)
-            aoi.apply_reception(rec, bsm, r * MS)
-        aoi.advance(rec, horizon_ms * MS)
-        assert abs(rec.taoi_area_run - rec.aoi_area_run) <= 1e-9
+        # every link; the whole log goes through one flush
+        aoi.apply_reception(rec, [
+            aoi.log_entry(Bsm(1, g * MS, 0.0, 0.0, 0.0, 0.0,
+                              riskiness_flag=1), r * MS, [0])
+            for r, g in zip(rx_ms, gens_ms)])
+        aoi.advance(rec, LINK, horizon_ms * MS)
+        assert abs(rec.taoi_run[1] - rec.aoi_run[1]) <= 1e-9
         window = horizon_ms * MS
-        aoi_avgs.append(rec.aoi_area_run / window)
-        taoi_avgs.append(rec.taoi_area_run / window)
+        aoi_avgs.append(rec.aoi_run[1] / window)
+        taoi_avgs.append(rec.taoi_run[1] / window)
     n = 12  # treat the logs as the ordered pairs of a 12-vehicle system
     assert len(aoi_avgs) <= n * (n - 1)
     assert abs(sum(aoi_avgs) - sum(taoi_avgs)) / (n * (n - 1)) <= 1e-9
@@ -132,10 +145,11 @@ def test_pairwise_area_matches_a_millisecond_riemann_sum():
         gen_s = [g * MS for g in gens_ms]
         rx_s = [r * MS for r in rx_ms]
 
-        rec = aoi.virtual_record(0, 0.0, 0.0, 1, 0.1)
+        rec = _fresh_link()
         for g, r in zip(gen_s, rx_s):
-            aoi.apply_reception(rec, Bsm(0, g, 0.0, 0.0, 0.0, 0.0, 1), r)
-        aoi.advance(rec, horizon_ms * MS)
+            aoi.apply_reception(rec, [aoi.log_entry(
+                Bsm(1, g, 0.0, 0.0, 0.0, 0.0, 1), r, [0])])
+        aoi.advance(rec, LINK, horizon_ms * MS)
 
         # receptions sit on the grid, so the age is linear inside every
         # cell and the midpoint rule integrates it without error
@@ -146,7 +160,7 @@ def test_pairwise_area_matches_a_millisecond_riemann_sum():
                 gen = gen_s[nxt]
                 nxt += 1
             riemann += ((cell + 0.5) * MS - gen) * MS
-        assert abs(rec.aoi_area_run - riemann) < 1e-6
+        assert abs(rec.aoi_run[1] - riemann) < 1e-6
 
 
 # ------------------------------------------------- simulation batches

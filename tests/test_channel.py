@@ -75,17 +75,30 @@ class TestPathLoss:
     def test_hundred_meters(self):
         _assert_rx_power(100.0, 20.0 - 107.86)
 
-    @given(st.floats(0.1, 1000.0))
+    @given(st.floats(1.0, 1000.0))
     def test_thirty_db_per_decade(self, d):
         dbm = 20.0 - 47.86 - 30.0 * math.log10(d)
         _assert_rx_power(d, dbm)
         # a 30 dB fading gain exactly makes up one decade more distance
         _assert_rx_power(10.0 * d, dbm, fading=1000.0)
 
-    def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 0.0)], [],
-                             _Gamma(), CFG)
+    def test_co_located_receiver_takes_the_reference_loss(self):
+        # below the 1 m reference distance, down to a receiver on the
+        # sender's spot, the loss is the reference loss
+        for d in (0.0, 1e-9, 0.5):
+            _assert_rx_power(d, 20.0 - 47.86)
+        stub = _Gamma()
+        assert delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 0.0)], [],
+                                stub, CFG) == {1}
+        assert stub.calls == [(3.0, 1.0 / 3.0)]
+
+    def test_co_located_interferer_garbles(self):
+        # an overlapping frame sent from the receiver's own spot reaches
+        # it at the reference loss and garbles the capture, one draw each
+        stub = _Gamma()
+        got = delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 50.0)],
+                               [_tx(2, 0.0, 50.0, 0.0)], stub, CFG)
+        assert got == set() and len(stub.calls) == 2
 
 
 class TestNakagami:
@@ -312,10 +325,12 @@ def _reference_delivery_outcome(tx, receivers, concurrent, rng, cfg):
         return rng.gamma(m, 1.0 / m)
 
     def rx_power(d, fading):
-        if d <= 0 or fading <= 0:
+        if d < 0 or fading <= 0:
             raise ValueError("undefined link budget")
+        # sub-metre links take the 1 m reference loss
         loss = (cfg.reference_loss_db
-                + 10.0 * cfg.path_loss_exponent * math.log10(d))
+                + 10.0 * cfg.path_loss_exponent * math.log10(d)
+                if d > 1.0 else cfg.reference_loss_db)
         return cfg.tx_power_dbm - loss + 10.0 * math.log10(fading)
 
     overlapping = [c for c in concurrent
@@ -350,15 +365,15 @@ def _random_frame(g):
 
     The sender sits at the origin. Receivers lie on a 20 m grid along the
     road axis, so many links are exactly 80, 200 or 300 m long, plus
-    scattered ones off the axis. Some receivers are themselves on the
-    air (half-duplex); some frames overlap the finished one, some touch
-    it, some miss it; and some senders are more than 300 m from every
-    receiver.
+    scattered ones off the axis and one within a metre of the sender.
+    Some receivers are themselves on the air (half-duplex); some frames
+    overlap the finished one, some touch it, some miss it; and some
+    senders are more than 300 m from every receiver, others share a spot
+    with a receiver.
     """
     dur = 1.373e-3
     tx = _tx(0, 0.0, 0.0, 0.0, dur)
-    # no two nodes share a spot: a zero-length link has no path loss
-    fixed = [80.0, 200.0, 300.0, -280.0]
+    fixed = [80.0, 200.0, 300.0, -280.0, 0.6]
     grid = [20.0 * k for k in range(-16, 17) if k and 20.0 * k not in fixed]
     spots = [(0.0, 0.0)] + [(x, 0.0) for x in fixed]
     spots += [(x, 0.0) for x in g.choice(grid, 12, replace=False).tolist()]
@@ -375,7 +390,8 @@ def _random_frame(g):
             concurrent.append(_tx(r.id, start, r.x, r.y, dur))
         else:       # a sender from outside the receiver set
             x = float(g.choice([-1000.0, 1000.0, 20.0 * g.integers(-16, 17)]))
-            concurrent.append(_tx(100 + k, start, x, -2.0, dur))
+            y = float(g.choice([-2.0, 0.0]))
+            concurrent.append(_tx(100 + k, start, x, y, dur))
     concurrent.sort(key=lambda c: (c.start, c.sender))
     return tx, receivers, concurrent
 

@@ -186,30 +186,58 @@ class TestLifecycle:
         assert run_simulation(SimConfig(**cfg)).json_dict() == rep.json_dict()
 
 
+    def test_co_located_vehicles_in_a_trace(self, tmp_path):
+        # two parked vehicles on one spot: every link is zero metres long
+        # and takes the reference loss instead of failing mid-run
+        rows = [(k * 0.1, vid, 100.0, 2.0, 0.0, 0.0, 0)
+                for k in range(11) for vid in range(2)]
+        path = tmp_path / "parked.csv"
+        write_trace(path, rows)
+        rep = run_simulation(SimConfig(vehicle_count=2, duration_s=1.0,
+                                       protocol="taoi", seed=0,
+                                       trace_path=str(path)))
+        c = rep.counts
+        assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
+        assert rep.pdr_bins[0][:2] == (0.0, 25.0)
+        assert rep.overall_pdr > 0.5
+        assert [p[:2] for p in rep.te_pairs] == [(0, 1), (1, 0)]
+
+
 class TestReceptionBookkeeping:
+    """Decoded frames wait in the reception log until the next flush;
+    receiver 0's record of sender 1 is cell 1 of the 3-vehicle table."""
+
     @pytest.fixture
     def sim(self):
         return Simulation(SimConfig(vehicle_count=3, duration_s=2.0, seed=0))
 
+    @staticmethod
+    def _receive(sim, bsm, t_s):
+        sim._rx_log.append(aoi.log_entry(bsm, t_s, {0}))
+
     def test_age_resets_to_in_flight_delay(self, sim):
-        v = sim.vehicles[0]
         bsm = Bsm(1, 0.0985, 30.0, 2.0, 15.0, 0.0, riskiness_flag=1,
                   interval=0.08)
-        rec = sim.on_bsm_reception(v, bsm, 0.1)
-        assert aoi.instantaneous_aoi(rec, 0.1) == pytest.approx(0.0015)
-        assert rec.neighbor_risky == 1
-        assert rec.neighbor_interval == 0.08
+        self._receive(sim, bsm, 0.1)
+        assert len(sim.vehicles[0].records) == 0
+        sim._flush_receptions()
+        assert len(sim.vehicles[0].records) == 1
+        assert aoi.instantaneous_aoi(sim.pairs, [1], 0.1)[0] == \
+            pytest.approx(0.0015)
+        assert sim.pairs.risky[1] == 1
+        assert sim.pairs.interval[1] == 0.08
 
     def test_followup_reception_accumulates_the_closed_tooth(self, sim):
-        v = sim.vehicles[0]
-        sim.on_bsm_reception(v, Bsm(1, 0.0985, 30.0, 2.0, 15.0, 0.0), 0.1)
-        rec = sim.on_bsm_reception(v, Bsm(1, 0.2, 31.5, 2.0, 15.0, 0.0), 0.2)
-        assert rec.aoi_area_run == pytest.approx(0.00515)
+        # both receptions in one flush: applied in two rounds
+        self._receive(sim, Bsm(1, 0.0985, 30.0, 2.0, 15.0, 0.0), 0.1)
+        self._receive(sim, Bsm(1, 0.2, 31.5, 2.0, 15.0, 0.0), 0.2)
+        sim._flush_receptions()
+        assert sim.pairs.aoi_run[1] == pytest.approx(0.00515)
 
     def test_snapshot_from_the_future_rejected(self, sim):
-        v = sim.vehicles[0]
+        self._receive(sim, Bsm(1, 0.2, 30.0, 2.0, 15.0, 0.0), 0.1)
         with pytest.raises(ValueError):
-            sim.on_bsm_reception(v, Bsm(1, 0.2, 30.0, 2.0, 15.0, 0.0), 0.1)
+            sim._flush_receptions()
 
 
 class TestFlagDynamics:

@@ -1,17 +1,19 @@
 """Safety metrics: dead reckoning, tracking error, TTC risk, PDR.
 
 Tracking error and the collision-risk indicator are pinned through
-``sample_te_and_risk``, the per-receiver sweep the engine runs every
-tick, fed with one hand-built neighbor record.
+``sample_te_and_risk``, the sweep over the pair table the engine runs
+every tick, fed with one hand-built neighbor record: receiver 0's record
+of sender 1 in a two-vehicle table (cell 1).
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taoi_sim.aoi import record_from_bsm
+from taoi_sim import aoi
 from taoi_sim.errors import UndefinedValueError
 from taoi_sim.metrics import (
     Bsm,
@@ -27,26 +29,37 @@ PARAMS = SafetyParams()
 RANGE_M = 150.0
 
 
+def _record(bsm):
+    """A two-vehicle table in which receiver 0 has just received ``bsm``
+    from sender 1."""
+    table = aoi.PairTable(2)
+    aoi.record_from_bsm(table, np.array([1]), aoi.snapshot(bsm),
+                        bsm.gen_time)
+    return table
+
+
 def _sweep(rec, t, truth_xy, sender_v=(0.0, 0.0), receiver_v=(0.0, 0.0),
            receiver_speed=0.0, distance=10.0, evict_before=-math.inf):
     """Receiver 0 holding one record of sender 1, whose true position at t
-    is ``truth_xy``. Returns (risk count, evicted senders)."""
-    xs, ys = [0.0, truth_xy[0]], [0.0, truth_xy[1]]
-    vxs, vys = [receiver_v[0], sender_v[0]], [receiver_v[1], sender_v[1]]
-    speeds = [receiver_speed, math.hypot(*sender_v)]
-    return sample_te_and_risk({1: rec}, t, 0, xs, ys, vxs, vys, speeds,
-                              [0.0, distance], RANGE_M, PARAMS, evict_before)
+    is ``truth_xy``. Returns (risk count, evicted cells or None)."""
+    xs, ys = np.array([0.0, truth_xy[0]]), np.array([0.0, truth_xy[1]])
+    vxs = np.array([receiver_v[0], sender_v[0]])
+    vys = np.array([receiver_v[1], sender_v[1]])
+    speeds = np.array([receiver_speed, math.hypot(*sender_v)])
+    dist = np.array([[0.0, distance], [distance, 0.0]])
+    return sample_te_and_risk(rec, t, xs, ys, vxs, vys, speeds, dist,
+                              RANGE_M, PARAMS, evict_before)
 
 
 def _te(bsm, t, truth_xy):
-    rec = record_from_bsm(bsm, now=bsm.gen_time)
+    rec = _record(bsm)
     _sweep(rec, t, truth_xy)
-    return rec.te_last
+    return rec.te_last[1]
 
 
 def _at(x, y):
     """Zero-velocity snapshot of sender 1: the estimate stays at (x, y)."""
-    return record_from_bsm(Bsm(1, 0.0, x, y, 0.0, 0.0), now=0.0)
+    return _record(Bsm(1, 0.0, x, y, 0.0, 0.0))
 
 
 def _risk(te, rel, receiver_speed=0.0, distance=10.0):
@@ -87,24 +100,24 @@ class TestTrackingError:
     def test_euclidean_gap(self):
         rec = _at(0.0, 0.0)
         _sweep(rec, 2.0, (0.0, 4.0))
-        assert rec.te_last == 4.0
+        assert rec.te_last[1] == 4.0
 
     def test_along_track_offset(self):
         rec = _at(0.0, 8.0)
         _sweep(rec, 3.0, (0.0, 9.0))
-        assert rec.te_last == 1.0
+        assert rec.te_last[1] == 1.0
 
     def test_zero_on_perfect_estimate(self):
         rec = _at(3.0, 4.0)
         _sweep(rec, 1.0, (3.0, 4.0))
-        assert rec.te_last == 0.0
+        assert rec.te_last[1] == 0.0
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_never_negative(self, x, y, ex, ey):
         rec = _at(ex, ey)
         _sweep(rec, 1.0, (x, y))
-        assert rec.te_last >= 0.0
+        assert rec.te_last[1] >= 0.0
 
 
 class TestAverageTrackingError:
@@ -116,8 +129,8 @@ class TestAverageTrackingError:
         rec = _at(0.0, 0.0)
         for k, off in enumerate(offsets, start=1):
             _sweep(rec, 0.1 * k, (off, 0.0))
-        assert rec.te_count == len(offsets)
-        return rec.te_sum / rec.te_count
+        assert rec.te_count[1] == len(offsets)
+        return rec.te_sum[1] / rec.te_count[1]
 
     def test_alternating_pattern(self):
         assert self._mean([1.0, 4.0, 1.0, 4.0, 1.0, 4.0]) == 2.5
@@ -130,8 +143,43 @@ class TestAverageTrackingError:
         # back for eviction, so its mean error never gets a value
         rec = _at(0.0, 0.0)
         risk, dead = _sweep(rec, 6.0, (50.0, 0.0), evict_before=1.0)
-        assert (risk, dead) == (0, [1])
-        assert rec.te_count == 0 and rec.te_sum == 0.0
+        assert (risk, dead.tolist()) == (0, [1])
+        assert rec.te_count[1] == 0 and rec.te_sum[1] == 0.0
+
+
+    def test_timeout_boundary(self):
+        # a record heard exactly at the eviction boundary is still sampled;
+        # one heard any earlier is evicted
+        rec = _at(0.0, 0.0)
+        _, dead = _sweep(rec, 6.0, (3.0, 4.0), evict_before=0.0)
+        assert dead is None and rec.te_count[1] == 1
+        _, dead = _sweep(rec, 6.0, (3.0, 4.0),
+                         evict_before=math.nextafter(0.0, 1.0))
+        assert dead.tolist() == [1] and rec.te_count[1] == 1
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_every_pair_matches_the_scalar_loop(self, seed):
+        # the sweep's samples are the per-record loop's, bit for bit:
+        # numpy.hypot would differ from math.hypot on some of these pairs
+        g = np.random.default_rng(seed)
+        n = 30
+        table = aoi.PairTable(n)
+        cells = np.flatnonzero(~np.eye(n, dtype=bool))
+        k = len(cells)
+        snapshot = (g.uniform(0.0, 1.0, k), g.uniform(-500, 500, k),
+                    g.uniform(-500, 500, k), g.uniform(-30, 30, k),
+                    g.uniform(-30, 30, k), 0, 0.1)
+        aoi.record_from_bsm(table, cells, snapshot, 1.0)
+        xs, ys = g.uniform(-500, 500, n), g.uniform(-500, 500, n)
+        zero = np.zeros(n)
+        sample_te_and_risk(table, 1.5, xs, ys, zero, zero, zero,
+                           np.zeros((n, n)), RANGE_M, PARAMS)
+        for c in cells.tolist():
+            r, u = divmod(c, n)
+            dtg = 1.5 - table.gen_time[c]
+            te = math.hypot(xs[u] - (table.bx[c] + table.bvx[c] * dtg),
+                            ys[u] - (table.by[c] + table.bvy[c] * dtg))
+            assert table.te_last[c] == te and table.te_sum[c] == te
 
 
 class TestSelfTrackingError:
