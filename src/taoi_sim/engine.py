@@ -137,6 +137,15 @@ class SimConfig:
             raise ConfigError("slot_capacity must be at least 1")
         if self.bsm_size_bytes < 1:
             raise ConfigError("bsm_size_bytes must be at least 1")
+        # a broadcast interval shorter than one frame's airtime only makes
+        # BSMs that replace each other in the queue, and one that rounds to
+        # 0 ns would never let the clock advance
+        airtime = tx_duration(self.bsm_size_bytes, self.channel.data_rate_mbps,
+                              self.channel)
+        if self.delta_min_s < airtime:
+            raise ConfigError(
+                f"delta_min_s={self.delta_min_s} is shorter than one "
+                f"{self.bsm_size_bytes}-byte frame's airtime ({airtime} s)")
         # the risk metric divides by decel and rel_speed_floor, the fading
         # draw by every m: a zero must fail here, not mid-run as a
         # ZeroDivisionError, and a negative one would run on silently
@@ -341,9 +350,7 @@ class Simulation:
         self._last_tick_ns = 0
         self._refresh_arrays()
         if self.trace is None:
-            self._arcs = [self.cfg.road.project(s.x, s.y, s.lane)
-                          for s in self.states]
-            self._lanes = [s.lane for s in self.states]
+            self._snap_arcs()
 
         self._heap: list = []
         self._seq = 0
@@ -447,9 +454,7 @@ class Simulation:
             self.states = krauss_step(self.states, self.cfg.krauss,
                                       self.cfg.road, self.cfg.mobility_tick_s,
                                       self.mob_rng)
-            self._arcs = [self.cfg.road.project(s.x, s.y, s.lane)
-                          for s in self.states]
-            self._lanes = [s.lane for s in self.states]
+            self._snap_arcs()
             self._check_gaps()
         self._refresh_arrays()
         self._last_tick_ns = t_ns
@@ -460,6 +465,11 @@ class Simulation:
             self.timeline.prune(t_s - 0.05)
         if t_ns + self.tick_ns <= self.T_ns:
             self._push(t_ns + self.tick_ns, EV_MOBILITY)
+
+    def _snap_arcs(self) -> None:
+        snap = self.cfg.road.snap
+        self._arcs = [snap(s.x, s.y, s.heading, s.lane) for s in self.states]
+        self._lanes = [s.lane for s in self.states]
 
     def _check_gaps(self) -> None:
         """Krauss safety audit: no same-lane follower may have closed past

@@ -18,11 +18,15 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigError, TraceError
 
 HALF_PI = math.pi / 2.0
 SIDE_HEADINGS = (0.0, HALF_PI, math.pi, 3.0 * HALF_PI)
+_SIDE_OF_HEADING = {h: k for k, h in enumerate(SIDE_HEADINGS)}
 
 TRACE_FIELDS = ("t", "vehicle_id", "x", "y", "speed", "heading", "lane")
 
@@ -58,27 +62,34 @@ class RoadConfig:
                 f"{self.lanes} lanes of {self.lane_width} m do not fit a "
                 f"{self.length} x {self.width} m circuit")
 
-    def inset(self, lane: int) -> float:
-        self._check_lane(lane)
-        return (lane + 0.5) * self.lane_width
+    @cached_property
+    def _lane_geometry(self) -> tuple:
+        """(inset, long side, short side, perimeter) of every lane ring,
+        computed once per road, on first use: a road with a fractional
+        lane count must still construct so that validation can reject
+        it."""
+        geometry = []
+        for lane in range(self.lanes):
+            d = (lane + 0.5) * self.lane_width
+            long, short = self.length - 2.0 * d, self.width - 2.0 * d
+            geometry.append((d, long, short, 2.0 * (long + short)))
+        return tuple(geometry)
 
-    def sides(self, lane: int) -> tuple[float, float]:
-        d = self.inset(lane)
-        return self.length - 2.0 * d, self.width - 2.0 * d
-
-    def perimeter(self, lane: int) -> float:
-        long, short = self.sides(lane)
-        return 2.0 * (long + short)
-
-    def _check_lane(self, lane: int) -> None:
+    def lane_geometry(self, lane: int) -> tuple[float, float, float, float]:
         if not 0 <= lane < self.lanes:
             raise ValueError(f"lane {lane} outside [0, {self.lanes})")
+        return self._lane_geometry[lane]
+
+    def sides(self, lane: int) -> tuple[float, float]:
+        return self.lane_geometry(lane)[1:3]
+
+    def perimeter(self, lane: int) -> float:
+        return self.lane_geometry(lane)[3]
 
     def lane_pose(self, arc: float, lane: int) -> tuple[float, float, float]:
         """Map an arc coordinate on a lane ring to (x, y, heading)."""
-        d = self.inset(lane)
-        long, short = self.sides(lane)
-        s = arc % self.perimeter(lane)
+        d, long, short, perimeter = self.lane_geometry(lane)
+        s = arc % perimeter
         if s < long:
             return d + s, d, SIDE_HEADINGS[0]
         s -= long
@@ -90,37 +101,41 @@ class RoadConfig:
         s -= long
         return d, self.width - d - s, SIDE_HEADINGS[3]
 
-    def project(self, x: float, y: float, lane: int) -> float:
-        """Arc coordinate of the nearest point on the lane ring. Corner
-        points resolve to the lowest-numbered adjacent side."""
-        d = self.inset(lane)
-        long, short = self.sides(lane)
-        x0, x1 = d, self.length - d
-        y0, y1 = d, self.width - d
-
-        def seg_dist(px, py, ax, ay, bx, by):
-            ox = max(ax - px, 0.0, px - bx) if ax <= bx else max(bx - px, 0.0, px - ax)
-            oy = max(ay - py, 0.0, py - by) if ay <= by else max(by - py, 0.0, py - ay)
-            return math.hypot(ox, oy)
-
-        cands = (
-            (seg_dist(x, y, x0, y0, x1, y0), min(max(x - x0, 0.0), long)),
-            (seg_dist(x, y, x1, y0, x1, y1), long + min(max(y - y0, 0.0), short)),
-            (seg_dist(x, y, x0, y1, x1, y1), long + short + min(max(x1 - x, 0.0), long)),
-            (seg_dist(x, y, x0, y0, x0, y1), 2.0 * long + short + min(max(y1 - y, 0.0), short)),
-        )
-        best = min(range(4), key=lambda i: (cands[i][0], i))
-        return cands[best][1] % self.perimeter(lane)
+    def snap(self, x: float, y: float, heading: float, lane: int) -> float:
+        """Arc coordinate of a pose that ``lane_pose`` produced: the side
+        comes from the heading and the along-side coordinate is clamped to
+        it. A pose exactly on a corner belongs to the lower-numbered side
+        that meets there (side 0 at the start of the ring), so the result
+        equals the nearest point of the ring bit for bit."""
+        d, long, short, perimeter = self.lane_geometry(lane)
+        x1, y1 = self.length - d, self.width - d
+        side = _SIDE_OF_HEADING.get(heading)
+        if side is None:
+            raise ValueError(f"heading {heading} is not a side heading")
+        if side == 1 and y <= d:
+            side = 0
+        elif side == 2 and x >= x1:
+            side = 1
+        elif side == 3:
+            side = 0 if y <= d else 2 if y >= y1 else 3
+        if side == 0:
+            arc = min(max(x - d, 0.0), long)
+        elif side == 1:
+            arc = long + min(max(y - d, 0.0), short)
+        elif side == 2:
+            arc = long + short + min(max(x1 - x, 0.0), long)
+        else:
+            arc = 2.0 * long + short + min(max(y1 - y, 0.0), short)
+        return arc % perimeter
 
     def lane_remap(self, arc: float, lane_from: int, lane_to: int) -> float:
         """Project an arc coordinate onto another lane's ring by holding the
         along-side coordinate fixed (the lateral move is instantaneous)."""
+        df, lf, sf, pf = self.lane_geometry(lane_from)
         if lane_from == lane_to:
-            return arc % self.perimeter(lane_from)
-        df, dt_ = self.inset(lane_from), self.inset(lane_to)
-        lf, sf = self.sides(lane_from)
-        lt, st = self.sides(lane_to)
-        s = arc % self.perimeter(lane_from)
+            return arc % pf
+        dt_, lt, st, pt = self.lane_geometry(lane_to)
+        s = arc % pf
         if s < lf:
             u = min(max((df + s) - dt_, 0.0), lt)
             return u
@@ -136,7 +151,7 @@ class RoadConfig:
         s -= lf
         yabs = (self.width - df) - s
         u = min(max((self.width - dt_) - yabs, 0.0), st)
-        return (2.0 * lt + st + u) % self.perimeter(lane_to)
+        return (2.0 * lt + st + u) % pt
 
 
 @dataclass(frozen=True)
@@ -154,8 +169,13 @@ class KraussParams:
         if not 0.0 <= self.imperfection_sigma <= 1.0:
             raise ConfigError(
                 f"imperfection sigma outside [0, 1]: {self.imperfection_sigma}")
-        if self.min_gap < 0 or self.s_max <= 0 or self.driver_reaction < 0:
-            raise ConfigError("gap, speed cap and reaction time must be sane")
+        if self.min_gap < 0 or self.s_max <= 0:
+            raise ConfigError("gap and speed cap must be sane")
+        # v_safe divides by (v_leader + v_follower) / (2 b) + tau, which a
+        # zero reaction time lets vanish for two stopped vehicles
+        if not self.driver_reaction > 0:
+            raise ConfigError(
+                f"driver_reaction must be positive, got {self.driver_reaction}")
 
 
 def v_safe(speed_follower: float, speed_leader: float, gap: float,
@@ -221,6 +241,9 @@ def _lane_change_target(i, lanes, arcs, speeds, rings, params, road) -> int:
     l, a, v = lanes[i], arcs[i], speeds[i]
     gap, lead = rings[l].leader(a, i)
     best_gain = _achievable(v, gap, lead, speeds, params)
+    if best_gain >= params.s_max:
+        # free road: no lane's achievable speed exceeds s_max
+        return l
     best_lane = l
     for tgt in (l - 1, l + 1):
         if not 0 <= tgt < road.lanes:
@@ -247,19 +270,21 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     vehicle-id order (each sees the moves before it), then a synchronous
     speed update against current-tick leaders, then position advance along
     the (possibly new) lane ring. The rng supplies one imperfection draw
-    per vehicle per tick, in id order, regardless of traffic layout.
+    per vehicle per tick, in id order, regardless of traffic layout, as
+    one ``rng.random(n)`` call.
     """
     if dt <= 0:
         raise ValueError(f"tick must be positive, got {dt}")
     n = len(states)
     lanes = [s.lane for s in states]
     speeds = [s.speed for s in states]
-    arcs = [road.project(s.x, s.y, s.lane) for s in states]
+    snap = road.snap
+    arcs = [snap(s.x, s.y, s.heading, s.lane) for s in states]
 
-    rings = {l: _Ring(road.perimeter(l)) for l in range(road.lanes)}
+    rings = [_Ring(road.perimeter(l)) for l in range(road.lanes)]
     for i in range(n):
         rings[lanes[i]].insert(arcs[i], i)
-    for ring in rings.values():
+    for ring in rings:
         for a1, a2, j1, j2 in zip(ring.arcs, ring.arcs[1:], ring.idx, ring.idx[1:]):
             if a1 == a2:
                 raise ValueError(
@@ -276,21 +301,50 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
             lanes[i] = tgt
             arcs[i] = a_t
 
-    etas = {i: rng.random() for i in order}
-    new_speeds = [0.0] * n
-    for i in range(n):
-        gap, lead = rings[lanes[i]].leader(arcs[i], i)
-        vs = v_safe(speeds[i], speeds[lead], gap, params) if lead is not None else math.inf
-        v_des = min(speeds[i] + params.max_accel * dt, params.s_max, vs)
-        new_speeds[i] = max(
-            0.0, v_des - params.imperfection_sigma * etas[i] * params.max_accel * dt)
+    eta = np.empty(n)
+    eta[order] = rng.random(n)
+
+    # each vehicle's leader on its sorted ring: the first arc strictly
+    # ahead (bisect_right), wrapping round; a co-located vehicle is
+    # reached only when nobody else is on the ring
+    arc_a = np.array(arcs)
+    speed_a = np.array(speeds)
+    perimeter_a = np.empty(n)
+    lead = np.zeros(n, dtype=np.intp)
+    gap = np.zeros(n)
+    led = np.zeros(n, dtype=bool)
+    for ring in rings:
+        m = len(ring.idx)
+        if not m:
+            continue
+        idx = np.array(ring.idx)
+        perimeter_a[idx] = ring.perimeter
+        if m < 2:
+            continue
+        ring_arcs = np.array(ring.arcs)
+        pos = np.searchsorted(ring_arcs, ring_arcs, side="right") % m
+        own = np.arange(m)
+        pos = np.where(pos == own, (own + 1) % m, pos)
+        lead[idx] = idx[pos]
+        gap[idx] = np.remainder(ring_arcs[pos] - ring_arcs, ring.perimeter)
+        led[idx] = True
+
+    # min(v + a dt, s_max, v_safe) less the imperfection, floored at 0, in
+    # the scalar expression order; where() keeps min's and max's choice
+    # between equal values
+    vs = np.where(led, v_safe(speed_a, speed_a[lead], gap, params), np.inf)
+    v_des = speed_a + params.max_accel * dt
+    v_des = np.where(params.s_max < v_des, params.s_max, v_des)
+    v_des = np.where(vs < v_des, vs, v_des)
+    v_new = v_des - params.imperfection_sigma * eta * params.max_accel * dt
+    v_new = np.where(v_new > 0.0, v_new, 0.0)
+    new_arcs = np.remainder(arc_a + v_new * dt, perimeter_a)
 
     out = []
-    for i in range(n):
-        na = (arcs[i] + new_speeds[i] * dt) % road.perimeter(lanes[i])
-        x, y, h = road.lane_pose(na, lanes[i])
-        out.append(VehicleState(states[i].id, x, y, new_speeds[i], h,
-                                lanes[i], states[i].t + dt))
+    for s, lane, arc, speed in zip(states, lanes, new_arcs.tolist(),
+                                   v_new.tolist()):
+        x, y, h = road.lane_pose(arc, lane)
+        out.append(VehicleState(s.id, x, y, speed, h, lane, s.t + dt))
     return out
 
 

@@ -221,10 +221,11 @@ class TestBadInput:
         ({}, ["--seeds", "1,,2"]),
         ({}, ["--densities", "6,1"]),
         ({"trace_path": 5}, None),
+        ({"delta_min_s": 1e-10, "delta_init_s": 1e-10}, None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
-            "non_string_trace_path"])
+            "non_string_trace_path", "interval_below_airtime"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         # small, so that a value the checks let through fails fast

@@ -176,7 +176,7 @@ class TestLifecycle:
         # frames long enough that fresher BSMs queue behind the airing one
         # and replace each other there
         cfg = dict(vehicle_count=12, duration_s=3.0, protocol="taoi", seed=2,
-                   bsm_size_bytes=30000)
+                   bsm_size_bytes=30000, delta_min_s=0.05)
         rep = run_simulation(SimConfig(**cfg))
         c = rep.counts
         assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
@@ -331,6 +331,9 @@ class TestConfigGuards:
         dict(krauss=KraussParams(max_accel=math.nan)),
         dict(trace_path=5),             # open(5) would open a descriptor
         dict(dump_trace_path=["out.csv"]),
+        # intervals below one frame's airtime; 1e-10 s rounds to 0 ns
+        dict(delta_min_s=1e-10, delta_init_s=1e-10),
+        dict(delta_min_s=1e-5),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

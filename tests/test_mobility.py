@@ -1,10 +1,11 @@
 """Ring-road Krauss traffic and trace-table replay."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from taoi_sim.errors import ConfigError, TraceError
@@ -26,6 +27,143 @@ ROAD = RoadConfig()
 def _veh(vid, arc, speed, lane=0, road=ROAD, t=0.0):
     x, y, h = road.lane_pose(arc, lane)
     return VehicleState(vid, x, y, speed, h, lane, t)
+
+
+def _reference_project(road, x, y, lane):
+    """Arc coordinate of the nearest point on the lane ring, corner points
+    resolving to the lowest-numbered adjacent side: the four-segment search
+    that ``RoadConfig.snap`` replaced, kept as its reference."""
+    d = (lane + 0.5) * road.lane_width
+    long, short = road.length - 2.0 * d, road.width - 2.0 * d
+    x0, x1 = d, road.length - d
+    y0, y1 = d, road.width - d
+
+    def seg_dist(px, py, ax, ay, bx, by):
+        ox = max(ax - px, 0.0, px - bx) if ax <= bx else max(bx - px, 0.0, px - ax)
+        oy = max(ay - py, 0.0, py - by) if ay <= by else max(by - py, 0.0, py - ay)
+        return math.hypot(ox, oy)
+
+    cands = (
+        (seg_dist(x, y, x0, y0, x1, y0), min(max(x - x0, 0.0), long)),
+        (seg_dist(x, y, x1, y0, x1, y1), long + min(max(y - y0, 0.0), short)),
+        (seg_dist(x, y, x0, y1, x1, y1), long + short + min(max(x1 - x, 0.0), long)),
+        (seg_dist(x, y, x0, y0, x0, y1), 2.0 * long + short + min(max(y1 - y, 0.0), short)),
+    )
+    best = min(range(4), key=lambda i: (cands[i][0], i))
+    return cands[best][1] % (2.0 * (long + short))
+
+
+class _ReferenceRing:
+    """Sorted same-lane arcs with scalar neighbor queries."""
+
+    def __init__(self, perimeter):
+        self.perimeter = perimeter
+        self.arcs = []
+        self.idx = []
+
+    def insert(self, arc, i):
+        pos = bisect.bisect_left(self.arcs, arc)
+        self.arcs.insert(pos, arc)
+        self.idx.insert(pos, i)
+
+    def remove(self, i):
+        pos = self.idx.index(i)
+        del self.arcs[pos]
+        del self.idx[pos]
+
+    def leader(self, arc, skip):
+        n = len(self.arcs)
+        pos = bisect.bisect_right(self.arcs, arc)
+        for step in range(n):
+            j = (pos + step) % n
+            if self.idx[j] != skip:
+                return (self.arcs[j] - arc) % self.perimeter, self.idx[j]
+        return None, None
+
+    def follower(self, arc, skip):
+        n = len(self.arcs)
+        pos = bisect.bisect_left(self.arcs, arc) - 1
+        for step in range(n):
+            j = (pos - step) % n
+            if self.idx[j] != skip:
+                return (arc - self.arcs[j]) % self.perimeter, self.idx[j]
+        return None, None
+
+
+def _reference_krauss_step(states, params, road, dt, rng):
+    """The scalar ``krauss_step`` that the snapped, array form replaced,
+    kept as the draw-for-draw reference: arcs by nearest-point projection,
+    every lane-change target searched, one scalar imperfection draw per
+    vehicle in id order and a per-vehicle speed update."""
+    if dt <= 0:
+        raise ValueError(f"tick must be positive, got {dt}")
+    n = len(states)
+    lanes = [s.lane for s in states]
+    speeds = [s.speed for s in states]
+    arcs = [_reference_project(road, s.x, s.y, s.lane) for s in states]
+
+    def achievable(speed, gap, leader_idx):
+        if leader_idx is None:
+            return params.s_max
+        return min(params.s_max, v_safe(speed, speeds[leader_idx], gap, params))
+
+    def target(i):
+        l, a, v = lanes[i], arcs[i], speeds[i]
+        gap, lead = rings[l].leader(a, i)
+        best_gain = achievable(v, gap, lead)
+        best_lane = l
+        for tgt in (l - 1, l + 1):
+            if not 0 <= tgt < road.lanes:
+                continue
+            a_t = road.lane_remap(a, l, tgt)
+            gf, leadt = rings[tgt].leader(a_t, i)
+            if leadt is not None and gf < params.min_gap:
+                continue
+            gr, folt = rings[tgt].follower(a_t, i)
+            if folt is not None and gr < params.min_gap:
+                continue
+            ach = achievable(v, gf, leadt)
+            if ach > best_gain:
+                best_gain = ach
+                best_lane = tgt
+        return best_lane
+
+    rings = {l: _ReferenceRing(road.perimeter(l)) for l in range(road.lanes)}
+    for i in range(n):
+        rings[lanes[i]].insert(arcs[i], i)
+    for ring in rings.values():
+        for a1, a2, j1, j2 in zip(ring.arcs, ring.arcs[1:], ring.idx, ring.idx[1:]):
+            if a1 == a2:
+                raise ValueError(
+                    f"vehicles {states[j1].id} and {states[j2].id} occupy the "
+                    f"same position in one lane")
+
+    order = sorted(range(n), key=lambda i: states[i].id)
+    for i in order:
+        tgt = target(i)
+        if tgt != lanes[i]:
+            a_t = road.lane_remap(arcs[i], lanes[i], tgt)
+            rings[lanes[i]].remove(i)
+            rings[tgt].insert(a_t, i)
+            lanes[i] = tgt
+            arcs[i] = a_t
+
+    etas = {i: rng.random() for i in order}
+    new_speeds = [0.0] * n
+    for i in range(n):
+        gap, lead = rings[lanes[i]].leader(arcs[i], i)
+        vs = v_safe(speeds[i], speeds[lead], gap, params) if lead is not None else math.inf
+        v_des = min(speeds[i] + params.max_accel * dt, params.s_max, vs)
+        new_speeds[i] = max(
+            0.0, v_des - params.imperfection_sigma * etas[i] * params.max_accel * dt)
+
+    out = []
+    for i in range(n):
+        na = (arcs[i] + new_speeds[i] * dt) % road.perimeter(lanes[i])
+        x, y, h = road.lane_pose(na, lanes[i])
+        out.append(VehicleState(states[i].id, x, y, new_speeds[i], h,
+                                lanes[i], states[i].t + dt))
+    return out
 
 
 class TestVSafe:
@@ -77,8 +215,8 @@ class TestKraussStep:
         rng = np.random.default_rng(0)
         for _ in range(60):
             states = krauss_step(states, p, road, 0.1, rng)
-            gap = road.project(states[1].x, states[1].y, 0) - \
-                road.project(states[0].x, states[0].y, 0)
+            gap = _reference_project(road, states[1].x, states[1].y, 0) - \
+                _reference_project(road, states[0].x, states[0].y, 0)
             assert gap >= 0.0
         assert states[0].speed < states[1].speed + 1.0
 
@@ -117,7 +255,7 @@ class TestKraussStep:
         rng = np.random.default_rng(12)
         for _ in range(200):
             states = krauss_step(states, p, road, 0.1, rng)
-            arcs = sorted(road.project(s.x, s.y, 0) for s in states)
+            arcs = sorted(_reference_project(road, s.x, s.y, 0) for s in states)
             for a, b in zip(arcs, arcs[1:]):
                 assert b - a > 0.0
 
@@ -150,6 +288,205 @@ class TestLaneChange:
         assert _lane_after_step([v, leader, *blockers]) == 1
 
 
+class TestFreeRoadShortcut:
+    def _remaps(self, monkeypatch, states):
+        calls = []
+        real = RoadConfig.lane_remap
+
+        def spy(road, *args):
+            calls.append(args)
+            return real(road, *args)
+
+        monkeypatch.setattr(RoadConfig, "lane_remap", spy)
+        krauss_step(states, KraussParams(), ROAD, 0.1,
+                    np.random.default_rng(0))
+        return calls
+
+    def test_a_free_road_searches_no_other_lane(self, monkeypatch):
+        # each vehicle's own lane already allows s_max
+        states = [_veh(0, 500.0, 20.0, lane=1), _veh(1, 900.0, 25.0, lane=1)]
+        assert self._remaps(monkeypatch, states) == []
+
+    def test_a_slow_leader_searches_both_neighbor_lanes(self, monkeypatch):
+        states = [_veh(0, 500.0, 20.0, lane=1), _veh(1, 505.0, 5.0, lane=1)]
+        calls = self._remaps(monkeypatch, states)
+        assert (500.0, 1, 0) in calls and (500.0, 1, 2) in calls
+
+
+# roads the reference fleets are drawn on: the default circuit, and short
+# ones whose corners and wrap-around most vehicles meet within a few ticks
+FLEET_ROADS = [
+    RoadConfig(),
+    RoadConfig(lanes=1),
+    RoadConfig(length=60.0, width=30.0, lanes=3),
+    RoadConfig(length=120.3, width=41.7, lanes=2, lane_width=3.7),
+    RoadConfig(length=45.5, width=20.1, lanes=1, lane_width=3.3),
+]
+
+
+def _corners(road, lane):
+    _, long, short, perimeter = road.lane_geometry(lane)
+    return (0.0, long, long + short, 2.0 * long + short, perimeter)
+
+
+@st.composite
+def fleets(draw):
+    """(states, params, road, dt, seed, ticks): 1-40 vehicles in list order
+    unlike id order, half of them within 3 m of a corner."""
+    road = draw(st.sampled_from(FLEET_ROADS))
+    n = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(n)))
+    states = []
+    for vid in ids:
+        lane = draw(st.integers(0, road.lanes - 1))
+        if draw(st.booleans()):
+            arc = draw(st.sampled_from(_corners(road, lane))) + draw(
+                st.floats(-3.0, 3.0))
+        else:
+            arc = draw(st.floats(0.0, 1.0, exclude_max=True)) * \
+                road.perimeter(lane)
+        speed = draw(st.floats(0.0, 25.0))
+        states.append(_veh(vid, arc % road.perimeter(lane), speed, lane, road))
+    params = KraussParams(min_gap=draw(st.sampled_from([0.0, 2.5, 7.0])),
+                          imperfection_sigma=draw(st.sampled_from([0.0, 0.5])))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+    return (states, params, road, dt, draw(st.integers(0, 2 ** 16)),
+            draw(st.integers(10, 40)))
+
+
+def _roll_against_reference(states, params, road, dt, seed, ticks):
+    """Step ``krauss_step`` and the reference side by side from one seed;
+    every tick must give the same states, bit for bit, and leave the two
+    generators in the same state. A tick the reference rejects must be
+    rejected with the same message. Returns (lane changes that started
+    within 5 m of a corner, wrap-arounds)."""
+    ref_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    near_corner = wraps = 0
+    for _ in range(ticks):
+        try:
+            want = _reference_krauss_step(states, params, road, dt, ref_rng)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got_exc:
+                krauss_step(states, params, road, dt, rng)
+            assert str(got_exc.value) == str(exc)
+            break
+        got = krauss_step(states, params, road, dt, rng)
+        assert got == want
+        assert repr(got) == repr(want)   # signed zeros too
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for old, new in zip(states, got):
+            arc = _reference_project(road, old.x, old.y, old.lane)
+            if new.lane != old.lane:
+                near_corner += any(abs(arc - c) < 5.0
+                                   for c in _corners(road, old.lane))
+            elif _reference_project(road, new.x, new.y, new.lane) < arc:
+                wraps += 1
+        states = got
+    return near_corner, wraps
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fleets())
+    def test_random_fleets_step_like_the_reference(self, fleet):
+        near_corner, wraps = _roll_against_reference(*fleet)
+        event(f"lane changes near a corner: {min(near_corner, 1)}")
+        event(f"wrap-arounds: {min(wraps, 1)}")
+
+    def test_corner_lane_changes_and_wrap_around(self):
+        # a fast vehicle meets a crawling one just past each corner of a
+        # short three-lane circuit, another crosses the ring's start
+        road = RoadConfig(length=60.0, width=30.0, lanes=3)
+        states = []
+        for k, corner in enumerate(_corners(road, 1)[1:4]):
+            states.append(_veh(2 * k, corner - 4.0, 15.0, 1, road))
+            states.append(_veh(2 * k + 1, corner + 2.0, 1.0, 1, road))
+        states.append(_veh(6, road.perimeter(0) - 1.0, 10.0, 0, road))
+        states.reverse()
+        near_corner, wraps = _roll_against_reference(
+            states, KraussParams(), road, 0.1, 5, 60)
+        assert near_corner > 0 and wraps > 0
+
+    def test_a_lane_change_onto_an_occupied_corner_arc(self):
+        # lane_remap clamps vehicle 0's arc of 1 m onto lane 1's corner at
+        # arc 0, where vehicle 1 sits; neither neighbor query sees a
+        # vehicle at exactly the target arc, so the move goes ahead and
+        # the two share an arc for the speed update
+        states = [_veh(0, 1.0, 20.0, lane=0), _veh(1, 0.0, 10.0, lane=1),
+                  _veh(2, 6.0, 0.0, lane=0), _veh(3, 500.0, 25.0, lane=1)]
+        _roll_against_reference(states, KraussParams(), ROAD, 0.1, 1, 3)
+        out = krauss_step(states, KraussParams(), ROAD, 0.1,
+                          np.random.default_rng(1))
+        assert out[0].lane == 1
+
+    def test_imperfection_draws_go_in_id_order(self):
+        # free road: each new speed is v + a dt less the vehicle's own draw
+        p = KraussParams()
+        states = [_veh(2, 900.0, 10.0), _veh(0, 100.0, 20.0),
+                  _veh(1, 500.0, 15.0)]
+        got = krauss_step(states, p, ROAD, 0.1, np.random.default_rng(3))
+        eta = np.random.default_rng(3).random(3)
+        for s, new in zip(states, got):
+            v_des = min(s.speed + p.max_accel * 0.1, p.s_max)
+            assert new.speed == v_des - p.imperfection_sigma * eta[s.id] * \
+                p.max_accel * 0.1
+
+
+# on the last three, some exact corners fall to the lower side only by the
+# corner rule: side offset plus clamped coordinate alone differs there
+SNAP_ROADS = [
+    RoadConfig(),
+    RoadConfig(length=77.7, width=100.3, lanes=3, lane_width=3.3),
+    RoadConfig(length=1000.1, width=57.9, lanes=3, lane_width=3.1),
+    RoadConfig(length=100.7, width=41.7, lanes=3, lane_width=3.3),
+]
+
+
+def _ulp_steps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class TestSnap:
+    @pytest.mark.parametrize("road", SNAP_ROADS)
+    def test_corners_within_an_ulp(self, road):
+        for lane in range(road.lanes):
+            for corner in _corners(road, lane):
+                for k in (-1, 0, 1):
+                    arc = _ulp_steps(corner, k)
+                    if arc < 0.0:
+                        continue
+                    x, y, h = road.lane_pose(arc, lane)
+                    assert road.snap(x, y, h, lane) == \
+                        _reference_project(road, x, y, lane)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_snap_equals_projection_of_any_pose(self, data):
+        lanes = data.draw(st.integers(1, 3))
+        lane_width = data.draw(st.sampled_from([4.0, 3.7, 3.3, 0.1]))
+        fit = (2 * lanes - 1) * lane_width * 1.001
+        road = RoadConfig(length=data.draw(st.floats(fit, 2000.0)),
+                          width=data.draw(st.floats(fit, 500.0)),
+                          lanes=lanes, lane_width=lane_width)
+        lane = data.draw(st.integers(0, lanes - 1))
+        perimeter = road.perimeter(lane)
+        arc = data.draw(st.one_of(
+            st.floats(0.0, perimeter),
+            st.builds(_ulp_steps, st.sampled_from(_corners(road, lane)),
+                      st.integers(-3, 3)),
+            st.builds(lambda c, e: c + e, st.sampled_from(_corners(road, lane)),
+                      st.floats(-1e-6, 1e-6))))
+        x, y, h = road.lane_pose(arc, lane)
+        assert road.snap(x, y, h, lane) == _reference_project(road, x, y, lane)
+
+    def test_a_heading_off_the_sides_is_rejected(self):
+        with pytest.raises(ValueError):
+            ROAD.snap(100.0, 2.0, 0.1, 0)
+
+
 class TestInitialStates:
     def test_round_robin_lane_assignment(self):
         states = initial_states(ROAD, KraussParams(), 30,
@@ -165,7 +502,7 @@ class TestInitialStates:
         by_lane = {}
         for s in states:
             by_lane.setdefault(s.lane, []).append(
-                ROAD.project(s.x, s.y, s.lane))
+                _reference_project(ROAD, s.x, s.y, s.lane))
         for arcs in by_lane.values():
             arcs.sort()
             assert all(b - a > 2.0 for a, b in zip(arcs, arcs[1:]))
@@ -193,7 +530,8 @@ class TestRoadGeometry:
         for lane in range(3):
             a = arc % ROAD.perimeter(lane)
             x, y, _ = ROAD.lane_pose(a, lane)
-            assert ROAD.project(x, y, lane) == pytest.approx(a, abs=1e-9)
+            assert _reference_project(ROAD, x, y, lane) == pytest.approx(
+                a, abs=1e-9)
 
     def test_remap_keeps_the_lateral_neighbor_alongside(self):
         x0, _, _ = ROAD.lane_pose(100.0, 0)

@@ -3,9 +3,10 @@
 Every drawn config either fails ``validate()`` with a ``ConfigError`` or
 runs to completion with its report sound: frames conserved, gated age
 within plain age, PDR a ratio, no overlapping vehicles, and per-vehicle
-counts that add up. Configs stay small (at most 8 vehicles and 3 s) and
-keep broadcast intervals at 20 ms or more, so each run takes a fraction
-of a second.
+counts that add up. Configs stay small (at most 8 vehicles and 3 s), so
+each run takes a fraction of a second. Broadcast intervals reach down to
+1 ms, which is valid only for frames that air in less: 0.31 ms for 200
+bytes, 1.37 ms for 1000 and 40 ms for 30 kB.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from taoi_sim.engine import CHANNEL_MODES, PROTOCOLS, SimConfig, Simulation
 from taoi_sim.errors import ConfigError
 
-INTERVALS = [0.02, 0.05, 0.1, 0.3, 1.0]
+INTERVALS = [0.001, 0.0015, 0.02, 0.05, 0.1, 0.3, 1.0]
 # the ways a drawn config is made invalid
 INVALID = [
     dict(vehicle_count=1),
@@ -23,6 +24,7 @@ INVALID = [
     dict(t_mi_s=0.25),
     dict(delta_min_s=0.3, delta_init_s=0.1),
     dict(slot_capacity=0),
+    dict(delta_min_s=1e-4),     # below the shortest frame's airtime
 ]
 
 
@@ -30,7 +32,9 @@ INVALID = [
 def small_configs(draw):
     """Keyword arguments of a small SimConfig. About one draw in four is
     invalid in one way: one vehicle, a zero timeout, a window that is no
-    multiple of the tick, unordered intervals or a slot without room."""
+    multiple of the tick, unordered intervals, a slot without room or an
+    interval shorter than any frame's airtime. Draws whose shortest
+    interval undercuts their frame's airtime are invalid too."""
     kw = dict(
         vehicle_count=draw(st.integers(2, 8)),
         duration_s=draw(st.floats(0.0, 3.0)),
@@ -53,7 +57,7 @@ def small_configs(draw):
     return kw
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(small_configs())
 def test_random_small_configs_fail_up_front_or_run_soundly(kw):
     cfg = SimConfig(**kw)
@@ -64,6 +68,8 @@ def test_random_small_configs_fail_up_front_or_run_soundly(kw):
         event("rejected")
         return
     event(f"ran {cfg.channel_mode}")
+    if cfg.delta_min_s < 0.002:
+        event("ran with a 1-1.5 ms interval")
     rep = Simulation(cfg).run()
     c = rep.counts
     assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
