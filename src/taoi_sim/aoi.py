@@ -56,7 +56,7 @@ class PairTable:
         self.seq = np.zeros(cells, np.int64)
         self.next_seq = 0
         for name in (*SNAPSHOT, "last_seen", "cursor", "aoi_mi", "taoi_mi",
-                     "aoi_run", "taoi_run", "te_last", "te_sum",
+                     "aoi_run", "taoi_run", "te_sum",
                      "ret_aoi", "ret_taoi", "ret_te_sum"):
             setattr(self, name, np.zeros(cells))
         self.risky = np.zeros(cells, np.int8)
@@ -136,7 +136,7 @@ def record_from_bsm(table: PairTable, cells, fields, now) -> None:
     table.next_seq += k
     table.cursor[cells] = now
     for acc in (table.aoi_mi, table.taoi_mi, table.aoi_run, table.taoi_run,
-                table.te_last, table.te_sum, table.te_count):
+                table.te_sum, table.te_count):
         acc[cells] = 0
 
 

@@ -23,12 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
     tx_power_dbm: float = 20.0
-    freq_ghz: float = 5.9
-    bandwidth_mhz: float = 10.0
     data_rate_mbps: float = 6.0
     path_loss_exponent: float = 3.0
     reference_loss_db: float = 47.86       # loss at 1 m
@@ -46,11 +46,11 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.path_loss_exponent <= 0:
-            raise ValueError("path loss exponent must be positive")
+            raise ConfigError("path loss exponent must be positive")
         if self.cw < 1:
-            raise ValueError("contention window must be at least 1")
+            raise ConfigError("contention window must be at least 1")
         if self.data_rate_mbps <= 0:
-            raise ValueError("data rate must be positive")
+            raise ConfigError("data rate must be positive")
 
 
 @dataclass(frozen=True)

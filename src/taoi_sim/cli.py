@@ -117,9 +117,7 @@ def parse_config(path) -> SimConfig:
                 kwargs[name] = cls(**nested[name])
         cfg = SimConfig(**kwargs)
         cfg.validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     logger.info("effective config: %s",
                 json.dumps(_config_echo(cfg), sort_keys=True))
@@ -215,10 +213,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_worker(cfg: SimConfig) -> RunReport:
-    return run_simulation(cfg)
-
-
 def _aggregate_rows(reports):
     """Mean metrics per protocol x density, plus pooled per-bin PDR."""
     groups: dict = {}
@@ -262,7 +256,7 @@ def _cmd_sweep(args) -> int:
     logger.info("sweep: %d runs, %d job(s)", len(configs), args.jobs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run_worker, configs))
+            reports = list(pool.map(run_simulation, configs))
     else:
         reports = [run_simulation(cfg) for cfg in configs]
     out = Path(args.out)
@@ -284,25 +278,36 @@ TABLE_COLUMNS = ("slot", "tx", "aoi_uv", "y_u", "yhat_uv", "te_uv",
                  "aoi_vu", "y_v", "yhat_vu", "te_vu")
 
 
-def _table_lines(tables, schedule) -> list:
-    """Flatten a two-vehicle replay into the reference table layout."""
+def _replay_cells(tables) -> dict:
+    """Flatten a two-vehicle replay into the reference table's per-slot
+    columns (``TABLE_COLUMNS`` after slot and tx), averages and system
+    AoI, keyed as the frozen expectations are."""
     uv = reference_rows(tables, 0, 1)
     vu = reference_rows(tables, 1, 0)
+    avg_uv = tables.pair_averages[(0, 1)]
+    avg_vu = tables.pair_averages[(1, 0)]
+    return {
+        "aoi_uv": uv["aoi"], "y_u": uv["y"], "yhat_uv": uv["yhat"],
+        "te_uv": uv["te"],
+        "aoi_vu": vu["aoi"], "y_v": vu["y"], "yhat_vu": vu["yhat"],
+        "te_vu": vu["te"],
+        "avg_aoi_uv": avg_uv["aoi"], "avg_aoi_vu": avg_vu["aoi"],
+        "avg_te_uv": avg_uv["te"], "avg_te_vu": avg_vu["te"],
+        "system_aoi": tables.system_aoi,
+    }
+
+
+def _table_lines(cells, schedule) -> list:
+    """The reference table layout of a replay's flattened cells."""
     lines = [",".join(TABLE_COLUMNS)]
     for k in range(len(schedule)):
         tx = "+".join(f"v{i}" for i in schedule[k]) or "-"
-        cells = [str(k + 1), tx,
-                 str(uv["aoi"][k]), str(uv["y"][k]), str(uv["yhat"][k]),
-                 str(uv["te"][k]),
-                 str(vu["aoi"][k]), str(vu["y"][k]), str(vu["yhat"][k]),
-                 str(vu["te"][k])]
-        lines.append(",".join(cells))
-    auv = tables.pair_averages[(0, 1)]
-    avu = tables.pair_averages[(1, 0)]
-    lines.append(",".join(["avg", "", str(auv["aoi"]), "", "",
-                           str(auv["te"]), str(avu["aoi"]), "", "",
-                           str(avu["te"])]))
-    lines.append(f"system_aoi,{tables.system_aoi}")
+        lines.append(",".join([str(k + 1), tx, *(
+            str(cells[column][k]) for column in TABLE_COLUMNS[2:])]))
+    lines.append(",".join(["avg", "", str(cells["avg_aoi_uv"]), "", "",
+                           str(cells["avg_te_uv"]), str(cells["avg_aoi_vu"]),
+                           "", "", str(cells["avg_te_vu"])]))
+    lines.append(f"system_aoi,{cells['system_aoi']}")
     return lines
 
 
@@ -313,26 +318,15 @@ def _cmd_oracle(args) -> int:
         "+".join(f"v{i}" for i in slot) or "-" for slot in solution.assignment)
     print(f"objective {solution.objective}: optimum {solution.value} "
           f"at schedule [{sched}]")
-    for line in _table_lines(solution.tables, solution.assignment):
+    for line in _table_lines(_replay_cells(solution.tables),
+                             solution.assignment):
         print(line)
     return 0
 
 
-def _expected_cells(tables, schedule, expected) -> list:
-    """Diff one replay against its frozen expectation, cell by cell."""
-    uv = reference_rows(tables, 0, 1)
-    vu = reference_rows(tables, 1, 0)
-    actual = {
-        "aoi_uv": uv["aoi"], "y_u": uv["y"], "yhat_uv": uv["yhat"],
-        "te_uv": uv["te"],
-        "aoi_vu": vu["aoi"], "y_v": vu["y"], "yhat_vu": vu["yhat"],
-        "te_vu": vu["te"],
-        "avg_aoi_uv": tables.pair_averages[(0, 1)]["aoi"],
-        "avg_aoi_vu": tables.pair_averages[(1, 0)]["aoi"],
-        "avg_te_uv": tables.pair_averages[(0, 1)]["te"],
-        "avg_te_vu": tables.pair_averages[(1, 0)]["te"],
-        "system_aoi": tables.system_aoi,
-    }
+def _expected_cells(actual, expected) -> list:
+    """Diff one replay's flattened cells against its frozen expectation,
+    cell by cell."""
     diffs = []
     for key, want in expected.items():
         got = actual[key]
@@ -352,11 +346,11 @@ def _cmd_reproduce_tables(_args) -> int:
     cases = (("alternating", ALTERNATING_SCHEDULE, TABLE_ALTERNATING),
              ("single_shot", SINGLE_SHOT_SCHEDULE, TABLE_SINGLE_SHOT))
     for name, schedule, expected in cases:
-        tables = replay_schedule(toy_problem(), schedule)
+        cells = _replay_cells(replay_schedule(toy_problem(), schedule))
         print(f"# schedule: {name}")
-        for line in _table_lines(tables, schedule):
+        for line in _table_lines(cells, schedule):
             print(line)
-        diffs = _expected_cells(tables, schedule, expected)
+        diffs = _expected_cells(cells, expected)
         if diffs:
             failures += 1
             for d in diffs:

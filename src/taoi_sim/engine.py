@@ -34,7 +34,8 @@ from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
                        initial_states, krauss_step, load_trace, write_trace)
 from .rate_control import (ControllerState, aoi_rate_update,
-                           assess_self_risk, fixed_rate, taoi_rate_update)
+                           assess_self_risk, fixed_rate, is_congested,
+                           taoi_rate_update)
 
 logger = logging.getLogger("taoi_sim.engine")
 
@@ -58,6 +59,8 @@ STREAM_MOBILITY = 1
 STREAM_FADING = 2
 STREAM_BACKOFF = 3
 
+INTERVAL_BIN_MS = 10.0   # width of the interval histogram's bins
+
 
 @dataclass
 class SimConfig:
@@ -75,7 +78,6 @@ class SimConfig:
     delta_init_s: float = 0.1
     delta_min_s: float = 0.02
     delta_max_s: float = 1.0
-    eps_cmp_s: float = 1e-9
     spread_lambda: float = 0.25
     # idealized slotted channel
     slot_s: float = 0.1
@@ -85,7 +87,6 @@ class SimConfig:
     trace_path: str | None = None
     dump_trace_path: str | None = None
     # reporting
-    interval_bin_ms: float = 10.0
     collect_pair_tables: bool = False
     road: RoadConfig = field(default_factory=RoadConfig)
     krauss: KraussParams = field(default_factory=KraussParams)
@@ -137,6 +138,13 @@ class SimConfig:
             raise ConfigError("slot_capacity must be at least 1")
         if self.bsm_size_bytes < 1:
             raise ConfigError("bsm_size_bytes must be at least 1")
+        # a negative arbitration gap grants the medium before the request
+        # and never lets the clock advance; a negative preamble makes the
+        # airtime negative
+        for name in ("aifs_us", "preamble_us"):
+            val = getattr(self.channel, name)
+            if val < 0:
+                raise ConfigError(f"{name} must be >= 0, got {val}")
         # a broadcast interval shorter than one frame's airtime only makes
         # BSMs that replace each other in the queue, and one that rounds to
         # 0 ns would never let the clock advance
@@ -247,18 +255,20 @@ class RunReport:
 
 
 class _Vehicle:
-    """Per-vehicle runtime state owned by the event loop. The MAC is idle
+    """Per-vehicle runtime state owned by the event loop. ``queued`` is
+    the one request not yet on the air: the unsent BSM of the CSMA MAC,
+    or the slot a request boarded in the idealized mode. The MAC is idle
     exactly when ``queued`` and ``airing`` are both None."""
 
     __slots__ = ("idx", "ctrl", "records", "queued", "airing", "mi_prev",
                  "generated", "dropped", "sent", "risky_mis", "congested_mis",
-                 "mi_count", "delta_sum", "pending_slots")
+                 "delta_sum")
 
     def __init__(self, idx: int, ctrl: ControllerState, records: aoi.PairRow):
         self.idx = idx
         self.ctrl = ctrl
         self.records = records   # this receiver's row of the pair table
-        self.queued = None       # the one BSM not yet on the air
+        self.queued = None       # the one BSM (or slot) not yet on the air
         self.airing = None       # TransmissionEvent on the air
         self.mi_prev = None      # own state at the previous MI boundary
         self.generated = 0
@@ -266,9 +276,7 @@ class _Vehicle:
         self.sent = 0
         self.risky_mis = 0
         self.congested_mis = 0
-        self.mi_count = 0
         self.delta_sum = 0.0
-        self.pending_slots = 0   # idealized mode: slot requests outstanding
 
 
 def _stream(seed: int, stream_id: int):
@@ -313,8 +321,8 @@ class Simulation:
             _Vehicle(i, ControllerState(
                 delta=cfg.delta_init_s, delta_min=cfg.delta_min_s,
                 delta_max=cfg.delta_max_s, beta=cfg.beta,
-                te_threshold=cfg.safety.te_threshold, eps_cmp=cfg.eps_cmp_s,
-                spread_lambda=cfg.spread_lambda, prev_delta=cfg.delta_init_s),
+                te_threshold=cfg.safety.te_threshold,
+                spread_lambda=cfg.spread_lambda),
                 aoi.PairRow(self.pairs, i))
             for i in range(self.n)]
         for i, v in enumerate(self.vehicles):
@@ -329,11 +337,11 @@ class Simulation:
         self.negative_gap_events = 0
         self.timeseries: list = []
         self.interval_hist: dict[int, int] = {}
+        self.mi_count = 0   # measurement boundaries, the same for everyone
         self.trace_rows: list = []
         self.pair_tables = None
 
-        # idealized slotted bookkeeping
-        self.slot_load: dict[int, int] = {}
+        # idealized slotted bookkeeping: slot number -> boarded vehicles
         self.slot_queue: dict[int, list] = {}
         if self.idealized:
             self._init_virtual_records()
@@ -417,10 +425,8 @@ class Simulation:
         self._push(self.T_ns, EV_END)
         if self.idealized:
             self._push(self.slot_ns, EV_SLOT)
-            if cfg.forced_schedule is None:
-                for i in range(self.n):
-                    self._push(min(self.gen_phase_ns[i], self.T_ns), EV_GEN, i)
-        else:
+        # a forced schedule (idealized mode only) generates in its slots
+        if cfg.forced_schedule is None:
             for i in range(self.n):
                 self._push(min(self.gen_phase_ns[i], self.T_ns), EV_GEN, i)
 
@@ -501,7 +507,7 @@ class Simulation:
         for in-range pairs, and reception-timeout eviction."""
         cfg = self.cfg
         self._flush_receptions()
-        risk, dead = sample_te_and_risk(
+        risk, dead, _ = sample_te_and_risk(
             self.pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
             self._speeds, self._dist, cfg.channel.range_m, cfg.safety,
             t_s - cfg.neighbor_timeout_s)
@@ -545,17 +551,14 @@ class Simulation:
         if self.idealized:
             # payload is snapshotted at slot time, so only the request boards
             self._enqueue_slot_request(v, t_ns)
-            nxt = t_ns + round(v.ctrl.delta * NS)
-            if nxt <= self.T_ns:
-                self._push(nxt, EV_GEN, idx)
-            return
-        # a frame not yet on the air is replaced by the fresher payload,
-        # keeping any medium grant already won; an idle MAC starts access
-        if v.queued is not None:
-            v.dropped += 1
-        elif v.airing is None:
-            self._begin_access(v, t_ns)
-        v.queued = self._snapshot_bsm(idx, t_ns)
+        else:
+            # a frame not yet on the air is replaced by the fresher payload,
+            # keeping any medium grant already won; an idle MAC starts access
+            if v.queued is not None:
+                v.dropped += 1
+            elif v.airing is None:
+                self._begin_access(v, t_ns)
+            v.queued = self._snapshot_bsm(idx, t_ns)
         nxt = t_ns + round(v.ctrl.delta * NS)
         if nxt <= self.T_ns:
             self._push(nxt, EV_GEN, idx)
@@ -611,20 +614,19 @@ class Simulation:
     def _enqueue_slot_request(self, v: _Vehicle, t_ns: int) -> None:
         """Assign the generation to the first strictly later slot with
         spare capacity (first committed wins)."""
-        if v.pending_slots > 0:
+        if v.queued is not None:
             # an un-aired request is already boarded; the fresher payload
             # would be identical at slot time, so the duplicate is dropped
             v.dropped += 1
             return
         k = t_ns // self.slot_ns + 1
-        while self.slot_load.get(k, 0) >= self.cfg.slot_capacity:
+        while len(self.slot_queue.get(k, ())) >= self.cfg.slot_capacity:
             k += 1
         if k * self.slot_ns > self.T_ns:
             v.dropped += 1  # no slot left inside the horizon
             return
-        self.slot_load[k] = self.slot_load.get(k, 0) + 1
         self.slot_queue.setdefault(k, []).append(v.idx)
-        v.pending_slots += 1
+        v.queued = k
 
     def _on_slot(self, t_ns: int) -> None:
         t_s = t_ns / NS
@@ -635,11 +637,12 @@ class Simulation:
         cells = np.flatnonzero(pairs.live)   # every ordered pair
         # phase 1: tracking error against pre-delivery snapshots; the
         # slotted abstraction scores no collision risk and evicts nothing
-        sample_te_and_risk(pairs, t_s, self._xs, self._ys, self._vxs,
-                           self._vys, self._speeds, self._dist,
-                           self.cfg.channel.range_m, self.cfg.safety)
+        _, _, samples = sample_te_and_risk(
+            pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
+            self._speeds, self._dist, self.cfg.channel.range_m,
+            self.cfg.safety)
         if tables is not None:
-            for c, te in zip(cells.tolist(), pairs.te_last[cells].tolist()):
+            for c, te in zip(cells.tolist(), samples.tolist()):
                 tables[(c % n, c // n)]["te"].append(te)
         # phase 2: zero-delay delivery
         if self.cfg.forced_schedule is not None:
@@ -653,8 +656,7 @@ class Simulation:
             v = self.vehicles[idx]
             bsm = self._snapshot_bsm(idx, t_ns)
             v.sent += 1
-            if self.cfg.forced_schedule is None:
-                v.pending_slots -= 1
+            v.queued = None
             # snapshot swap only: the step accounting in phase 3 owns
             # every slot's area contribution
             column = np.arange(idx, n * n, n)
@@ -697,6 +699,7 @@ class Simulation:
         gated = pairs.taoi_mi[heard].tolist()
         intervals = pairs.interval[heard].tolist()
         in_range = (self._dist.ravel()[heard] <= cfg.channel.range_m).tolist()
+        self.mi_count += 1
         for v in self.vehicles:
             lo, hi = bounds[v.idx], bounds[v.idx + 1]
             self._control_step(v, t_s, first_boundary, areas[lo:hi],
@@ -722,26 +725,24 @@ class Simulation:
             aoi_v = aoi.vehicle_aoi(areas, t_mi)
             delta_avg = sum(intervals) / len(intervals)
             taoi_v, n_risky = aoi.vehicle_taoi(gated, in_range, t_mi)
-            if aoi_v > 2.0 * delta_avg:
-                v.congested_mis += 1
+            congested = is_congested(aoi_v, delta_avg)
+            v.congested_mis += congested
         else:
             aoi_v = delta_avg = taoi_v = None
             n_risky = 0
+            congested = False
 
         if first_boundary:
             delta = v.ctrl.delta
         elif cfg.protocol == "fixed10hz":
             delta, _ = fixed_rate(v.ctrl)
         elif cfg.protocol == "aoi":
-            delta, _ = aoi_rate_update(v.ctrl, aoi_v, v.ctrl.prev_aoi,
-                                       delta_avg)
+            delta, _ = aoi_rate_update(v.ctrl, aoi_v, delta_avg, congested)
         else:
-            delta, _ = taoi_rate_update(v.ctrl, taoi_v, aoi_v, delta_avg,
-                                        n_risky)
+            delta, _ = taoi_rate_update(v.ctrl, taoi_v, n_risky, congested)
 
-        v.mi_count += 1
         v.delta_sum += delta
-        bin_lo = int(delta * 1000.0 // cfg.interval_bin_ms)
+        bin_lo = int(delta * 1000.0 // INTERVAL_BIN_MS)
         self.interval_hist[bin_lo] = self.interval_hist.get(bin_lo, 0) + 1
         self.timeseries.append((t_s, v.idx, delta * 1000.0, flag, aoi_v,
                                 taoi_v))
@@ -781,24 +782,23 @@ class Simulation:
         generated = sum(v.generated for v in self.vehicles)
         dropped = sum(v.dropped for v in self.vehicles)
         sent = sum(v.sent for v in self.vehicles)
-        in_flight = sum(
-            (v.queued is not None) + (v.airing is not None) + v.pending_slots
-            for v in self.vehicles)
+        in_flight = sum((v.queued is not None) + (v.airing is not None)
+                        for v in self.vehicles)
         if generated != dropped + sent + in_flight:
             raise AssertionError(
                 f"frame conservation violated: {generated} generated vs "
                 f"{dropped} dropped + {sent} sent + {in_flight} in flight")
-        mi_total = sum(v.mi_count for v in self.vehicles)
+        mi_count = self.mi_count
         mean_interval_ms = (
-            sum(v.delta_sum for v in self.vehicles) / mi_total * 1000.0
-            if mi_total else cfg.delta_init_s * 1000.0)
+            sum(v.delta_sum for v in self.vehicles) / (n * mi_count) * 1000.0
+            if mi_count else cfg.delta_init_s * 1000.0)
         per_vehicle = [
             {"vehicle_id": v.idx,
-             "mean_interval_ms": (v.delta_sum / v.mi_count * 1000.0
-                                  if v.mi_count else cfg.delta_init_s * 1000.0),
+             "mean_interval_ms": (v.delta_sum / mi_count * 1000.0
+                                  if mi_count else cfg.delta_init_s * 1000.0),
              "risky_mis": v.risky_mis,
              "congested_mis": v.congested_mis,
-             "mi_count": v.mi_count,
+             "mi_count": mi_count,
              "generated": v.generated}
             for v in self.vehicles]
         if cfg.dump_trace_path is not None and self.trace_rows:
@@ -814,7 +814,7 @@ class Simulation:
             overall_pdr=overall_pdr,
             pdr_bins=[(lo, hi, s, o) for lo, hi, s, o in self.pdr.bin_rows()],
             interval_histogram=sorted(
-                (b * cfg.interval_bin_ms, c)
+                (b * INTERVAL_BIN_MS, c)
                 for b, c in self.interval_hist.items()),
             mean_interval_ms=mean_interval_ms,
             per_vehicle=per_vehicle,

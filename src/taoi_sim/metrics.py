@@ -69,8 +69,8 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
     truth at time t, and ``dist`` the n x n matrix of their distances.
     Each record whose last reception is not older than ``evict_before``
     is dead-reckoned to t under constant velocity; the Euclidean gap to
-    the sender's true position is the tracking error, stored as
-    ``te_last`` and added to the record's running sums.
+    the sender's true position is the tracking error, added to the
+    record's running sums.
 
     A sender within ``range_m`` of its receiver is a collision risk when
     the TTC distortion, tracking error over relative speed (floored so
@@ -83,8 +83,10 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
     a single IEEE operation per pair, so the samples are the ones a
     per-record loop computes.
 
-    Returns (risk count, cells past ``evict_before`` or None); the latter
-    are not sampled, and the caller evicts them.
+    Returns (risk count, cells past ``evict_before`` or None, samples):
+    the stale cells are not sampled, and the caller evicts them; the
+    samples are the tracking errors of the other live cells, in cell
+    order.
     """
     cells = np.flatnonzero(table.live)
     dead = None
@@ -94,13 +96,12 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
         cells = cells[~stale]
     k = len(cells)
     if not k:
-        return 0, dead
+        return 0, dead, np.empty(0)
     rcv, snd = np.divmod(cells, table.n)
     dtg = t - table.gen_time[cells]
     dx = xs[snd] - (table.bx[cells] + table.bvx[cells] * dtg)
     dy = ys[snd] - (table.by[cells] + table.bvy[cells] * dtg)
     te = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, k)
-    table.te_last[cells] = te
     table.te_sum[cells] += te
     table.te_count[cells] += 1
     near = dist.ravel()[cells] <= range_m
@@ -110,7 +111,7 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
     floor = params.rel_speed_floor
     thr = params.t_react + speeds / params.decel
     risky = te[near] / np.where(rel > floor, rel, floor) > thr[rcv]
-    return int(np.count_nonzero(risky)), dead
+    return int(np.count_nonzero(risky)), dead, te
 
 
 @dataclass

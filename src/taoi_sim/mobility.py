@@ -80,9 +80,6 @@ class RoadConfig:
             raise ValueError(f"lane {lane} outside [0, {self.lanes})")
         return self._lane_geometry[lane]
 
-    def sides(self, lane: int) -> tuple[float, float]:
-        return self.lane_geometry(lane)[1:3]
-
     def perimeter(self, lane: int) -> float:
         return self.lane_geometry(lane)[3]
 
@@ -376,9 +373,8 @@ def initial_states(road: RoadConfig, params: KraussParams, n: int, rng
 class TrajectoryTable:
     """Uniformly ticked per-vehicle trajectory samples."""
 
-    def __init__(self, per_vehicle: dict, tick):
+    def __init__(self, per_vehicle: dict):
         self._data = per_vehicle  # vid -> (ts, xs, ys, speeds, headings, lanes)
-        self.tick = tick
 
     def vehicles(self) -> list:
         return sorted(self._data)
@@ -431,7 +427,7 @@ def _build_table(groups: dict) -> TrajectoryTable:
     for vid, rows in groups.items():
         cols = list(zip(*rows))
         data[vid] = tuple(list(c) for c in cols)
-    return TrajectoryTable(data, tick)
+    return TrajectoryTable(data)
 
 
 def load_trace(path) -> TrajectoryTable:

@@ -14,8 +14,10 @@ measurement interval. Three policies:
   backs off, an unraised own flag freezes, an empty risky-neighbor set
   relaxes. Only when none of those apply does the metric comparison run.
 
-All comparisons use a small epsilon so float noise does not masquerade as
-a trend.
+Both adaptive policies take the congestion test as a flag that the caller
+decides once with ``is_congested``: vehicle AoI above twice the mean
+broadcast interval of the neighbors heard. Trend comparisons use a
+tolerance of ``EPS_CMP`` so float noise does not masquerade as a trend.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Optional
+
+EPS_CMP = 1e-9   # s, metric comparison tolerance
 
 
 class Action(enum.Enum):
@@ -60,10 +64,8 @@ class ControllerState:
     delta_max: float = 1.0        # s
     beta: float = 1.1             # multiplicative step, > 1
     te_threshold: float = 0.5     # m, self-TE riskiness threshold
-    eps_cmp: float = 1e-9         # s, metric comparison tolerance
     spread_lambda: float = 0.25   # AoI-policy pull toward the neighborhood mean
     omega: Action = Action.INCR
-    prev_delta: float = 0.1
     prev_taoi: Optional[float] = None
     prev_aoi: float = 0.0
     riskiness_flag: int = 1      # raised until the first self-assessment:
@@ -79,6 +81,12 @@ class ControllerState:
 
 def clamp_interval(delta: float, state: ControllerState) -> float:
     return min(max(delta, state.delta_min), state.delta_max)
+
+
+def is_congested(aoi_v: float, delta_avg: float) -> bool:
+    """The links age faster than the neighbors send: vehicle AoI above
+    twice their mean broadcast interval. The boundary is not congested."""
+    return aoi_v > 2.0 * delta_avg
 
 
 def assess_self_risk(self_te: float, state: ControllerState) -> int:
@@ -99,7 +107,6 @@ def _apply(state: ControllerState, action: Action) -> float:
         nd = prev / state.beta
     else:
         nd = prev
-    state.prev_delta = prev
     state.delta = clamp_interval(nd, state)
     if action is not Action.SAME:
         # omega carries the last directional probe only; SAME has no
@@ -111,26 +118,25 @@ def _apply(state: ControllerState, action: Action) -> float:
 def _trend(state: ControllerState, current: float, previous) -> Action:
     if previous is None:
         return Action.SAME               # first episode, nothing to compare
-    if current < previous - state.eps_cmp:
+    if current < previous - EPS_CMP:
         return state.omega               # improvement: repeat the last action
-    if current > previous + state.eps_cmp:
+    if current > previous + EPS_CMP:
         return state.omega.complement    # degradation: flip it
     return Action.SAME
 
 
 def fixed_rate(state: ControllerState) -> tuple[float, Action]:
     """10 Hz reference: interval pinned to 100 ms regardless of metrics."""
-    state.prev_delta = state.delta
     state.delta = 0.1
     return state.delta, Action.SAME
 
 
-def taoi_rate_update(state: ControllerState, taoi_v, aoi_v, delta_avg,
-                     risky_neighbor_count: int) -> tuple[float, Action]:
+def taoi_rate_update(state: ControllerState, taoi_v,
+                     risky_neighbor_count: int, congested: bool
+                     ) -> tuple[float, Action]:
     """One tracked-age control step. Branches in precedence order:
 
-    1. congestion (vehicle AoI above twice the neighborhood mean interval)
-       backs the rate off, terminally;
+    1. congestion backs the rate off, terminally;
     2. an unraised own flag keeps the interval (the vehicle is easy to
        track, its age does not bother anyone's risk picture);
     3. no risky neighbors: relax toward faster broadcasting;
@@ -140,7 +146,7 @@ def taoi_rate_update(state: ControllerState, taoi_v, aoi_v, delta_avg,
     read in that case. The previous-metric memory updates whenever a
     value is supplied.
     """
-    if aoi_v is not None and delta_avg is not None and aoi_v > 2.0 * delta_avg:
+    if congested:
         action = Action.INCR
     elif state.riskiness_flag == 0:
         action = Action.SAME
@@ -154,21 +160,21 @@ def taoi_rate_update(state: ControllerState, taoi_v, aoi_v, delta_avg,
     return delta, action
 
 
-def aoi_rate_update(state: ControllerState, aoi_v, prev_aoi, delta_avg
-                    ) -> tuple[float, Action]:
+def aoi_rate_update(state: ControllerState, aoi_v, delta_avg,
+                    congested: bool) -> tuple[float, Action]:
     """One AoI-driven control step (the flag-blind baseline).
 
     With no neighbors there is nothing to measure: the interval and all
     memory stay untouched. Congestion backs off first; otherwise the AoI
-    trend decides. After the action the interval is pulled spread_lambda
+    trend against ``state.prev_aoi`` decides. After the action the interval is pulled spread_lambda
     of the way toward the neighborhood mean interval, then clamped.
     """
     if aoi_v is None:
         return state.delta, Action.SAME
-    if delta_avg is not None and aoi_v > 2.0 * delta_avg:
+    if congested:
         action = Action.INCR
     else:
-        action = _trend(state, aoi_v, prev_aoi)
+        action = _trend(state, aoi_v, state.prev_aoi)
     delta = _apply(state, action)
     if delta_avg is not None:
         delta = clamp_interval(

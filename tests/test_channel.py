@@ -18,6 +18,7 @@ from taoi_sim.channel import (
     delivery_outcome,
     tx_duration,
 )
+from taoi_sim.errors import ConfigError
 from taoi_sim.metrics import Bsm
 from taoi_sim.mobility import VehicleState
 
@@ -166,15 +167,15 @@ class TestTxDuration:
 
 class TestConfigValidation:
     def test_bad_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChannelConfig(path_loss_exponent=0.0)
 
     def test_bad_contention_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChannelConfig(cw=0)
 
     def test_bad_data_rate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChannelConfig(data_rate_mbps=-1.0)
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -44,6 +45,14 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, vehicle_cout=10))
         assert "vehicle_cout" in str(err.value)
         assert "vehicle_count" in str(err.value)
+
+    @pytest.mark.parametrize("kw", [{"cw": 0}, {"road_lanes": 0},
+                                    {"vehicle_count": 1}],
+                             ids=["section_check", "road_check", "validate"])
+    def test_a_rejected_value_names_the_file(self, tmp_path, kw):
+        path = write_config(tmp_path, **kw)
+        with pytest.raises(ConfigError, match=f"^config {re.escape(path)}: "):
+            parse_config(path)
 
     def test_single_vehicle_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -222,10 +231,13 @@ class TestBadInput:
         ({}, ["--densities", "6,1"]),
         ({"trace_path": 5}, None),
         ({"delta_min_s": 1e-10, "delta_init_s": 1e-10}, None),
+        ({"aifs_us": -1.0}, None),
+        ({"preamble_us": -2000.0}, None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
-            "non_string_trace_path", "interval_below_airtime"])
+            "non_string_trace_path", "interval_below_airtime",
+            "negative_aifs", "negative_preamble"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         # small, so that a value the checks let through fails fast

@@ -41,7 +41,8 @@ def _record(bsm):
 def _sweep(rec, t, truth_xy, sender_v=(0.0, 0.0), receiver_v=(0.0, 0.0),
            receiver_speed=0.0, distance=10.0, evict_before=-math.inf):
     """Receiver 0 holding one record of sender 1, whose true position at t
-    is ``truth_xy``. Returns (risk count, evicted cells or None)."""
+    is ``truth_xy``. Returns (risk count, evicted cells or None, tracking
+    error samples)."""
     xs, ys = np.array([0.0, truth_xy[0]]), np.array([0.0, truth_xy[1]])
     vxs = np.array([receiver_v[0], sender_v[0]])
     vys = np.array([receiver_v[1], sender_v[1]])
@@ -52,9 +53,8 @@ def _sweep(rec, t, truth_xy, sender_v=(0.0, 0.0), receiver_v=(0.0, 0.0),
 
 
 def _te(bsm, t, truth_xy):
-    rec = _record(bsm)
-    _sweep(rec, t, truth_xy)
-    return rec.te_last[1]
+    _, _, samples = _sweep(_record(bsm), t, truth_xy)
+    return samples[0]
 
 
 def _at(x, y):
@@ -65,7 +65,7 @@ def _at(x, y):
 def _risk(te, rel, receiver_speed=0.0, distance=10.0):
     """Risk flag for a pair with exactly the given tracking error and
     relative speed; the receiver drives along +y at ``receiver_speed``."""
-    risk, _ = _sweep(_at(0.0, 0.0), 1.0, (te, 0.0),
+    risk, _, _ = _sweep(_at(0.0, 0.0), 1.0, (te, 0.0),
                      sender_v=(rel, receiver_speed),
                      receiver_v=(0.0, receiver_speed),
                      receiver_speed=receiver_speed, distance=distance)
@@ -98,26 +98,22 @@ class TestEstimatePosition:
 
 class TestTrackingError:
     def test_euclidean_gap(self):
-        rec = _at(0.0, 0.0)
-        _sweep(rec, 2.0, (0.0, 4.0))
-        assert rec.te_last[1] == 4.0
+        _, _, samples = _sweep(_at(0.0, 0.0), 2.0, (0.0, 4.0))
+        assert samples.tolist() == [4.0]
 
     def test_along_track_offset(self):
-        rec = _at(0.0, 8.0)
-        _sweep(rec, 3.0, (0.0, 9.0))
-        assert rec.te_last[1] == 1.0
+        _, _, samples = _sweep(_at(0.0, 8.0), 3.0, (0.0, 9.0))
+        assert samples.tolist() == [1.0]
 
     def test_zero_on_perfect_estimate(self):
-        rec = _at(3.0, 4.0)
-        _sweep(rec, 1.0, (3.0, 4.0))
-        assert rec.te_last[1] == 0.0
+        _, _, samples = _sweep(_at(3.0, 4.0), 1.0, (3.0, 4.0))
+        assert samples.tolist() == [0.0]
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_never_negative(self, x, y, ex, ey):
-        rec = _at(ex, ey)
-        _sweep(rec, 1.0, (x, y))
-        assert rec.te_last[1] >= 0.0
+        _, _, samples = _sweep(_at(ex, ey), 1.0, (x, y))
+        assert samples[0] >= 0.0
 
 
 class TestAverageTrackingError:
@@ -142,8 +138,8 @@ class TestAverageTrackingError:
         # a record past its reception timeout takes no sample and is handed
         # back for eviction, so its mean error never gets a value
         rec = _at(0.0, 0.0)
-        risk, dead = _sweep(rec, 6.0, (50.0, 0.0), evict_before=1.0)
-        assert (risk, dead.tolist()) == (0, [1])
+        risk, dead, samples = _sweep(rec, 6.0, (50.0, 0.0), evict_before=1.0)
+        assert (risk, dead.tolist(), samples.tolist()) == (0, [1], [])
         assert rec.te_count[1] == 0 and rec.te_sum[1] == 0.0
 
 
@@ -151,9 +147,9 @@ class TestAverageTrackingError:
         # a record heard exactly at the eviction boundary is still sampled;
         # one heard any earlier is evicted
         rec = _at(0.0, 0.0)
-        _, dead = _sweep(rec, 6.0, (3.0, 4.0), evict_before=0.0)
+        _, dead, _ = _sweep(rec, 6.0, (3.0, 4.0), evict_before=0.0)
         assert dead is None and rec.te_count[1] == 1
-        _, dead = _sweep(rec, 6.0, (3.0, 4.0),
+        _, dead, _ = _sweep(rec, 6.0, (3.0, 4.0),
                          evict_before=math.nextafter(0.0, 1.0))
         assert dead.tolist() == [1] and rec.te_count[1] == 1
 
@@ -172,14 +168,15 @@ class TestAverageTrackingError:
         aoi.record_from_bsm(table, cells, snapshot, 1.0)
         xs, ys = g.uniform(-500, 500, n), g.uniform(-500, 500, n)
         zero = np.zeros(n)
-        sample_te_and_risk(table, 1.5, xs, ys, zero, zero, zero,
-                           np.zeros((n, n)), RANGE_M, PARAMS)
-        for c in cells.tolist():
+        _, _, samples = sample_te_and_risk(table, 1.5, xs, ys, zero, zero,
+                                           zero, np.zeros((n, n)), RANGE_M,
+                                           PARAMS)
+        for c, got in zip(cells.tolist(), samples.tolist()):
             r, u = divmod(c, n)
             dtg = 1.5 - table.gen_time[c]
             te = math.hypot(xs[u] - (table.bx[c] + table.bvx[c] * dtg),
                             ys[u] - (table.by[c] + table.bvy[c] * dtg))
-            assert table.te_last[c] == te and table.te_sum[c] == te
+            assert got == te and table.te_sum[c] == te
 
 
 class TestSelfTrackingError:

@@ -241,7 +241,7 @@ class TestKraussStep:
         assert roll(9) == roll(9)
 
     def test_heading_rotates_at_the_corner(self):
-        long_side = ROAD.sides(0)[0]
+        long_side = ROAD.lane_geometry(0)[1]
         p = KraussParams(max_accel=2.0, imperfection_sigma=0.0)
         v = _veh(0, long_side - 0.5, 10.0)
         assert v.heading == 0.0
@@ -519,7 +519,7 @@ class TestInitialStates:
 
 class TestRoadGeometry:
     def test_lane_zero_dimensions(self):
-        assert ROAD.sides(0) == (996.0, 96.0)
+        assert ROAD.lane_geometry(0)[1:3] == (996.0, 96.0)
         assert ROAD.perimeter(0) == 2184.0
 
     def test_inner_lanes_are_shorter(self):

@@ -19,6 +19,7 @@ from taoi_sim.rate_control import (
     assess_self_risk,
     clamp_interval,
     fixed_rate,
+    is_congested,
     taoi_rate_update,
 )
 
@@ -87,28 +88,46 @@ class TestFixedRate:
         assert 1.0 / delta == pytest.approx(10.0)
 
 
+class TestCongestionRule:
+    def test_aoi_above_twice_the_mean_interval_is_congested(self):
+        assert is_congested(0.5, 0.1)
+
+    def test_aoi_below_twice_the_mean_interval_is_not(self):
+        assert not is_congested(0.15, 0.1)
+
+    def test_exactly_twice_is_not_congested(self):
+        assert not is_congested(0.2, 0.1)
+
+    @given(st.floats(0.02, 1.0))
+    def test_the_boundary_is_twice_the_mean_interval(self, delta_avg):
+        edge = 2.0 * delta_avg
+        assert not is_congested(edge, delta_avg)
+        assert is_congested(math.nextafter(edge, math.inf), delta_avg)
+        assert not is_congested(math.nextafter(edge, 0.0), delta_avg)
+
+
 class TestTaoiBranches:
     def test_congestion_is_terminal_and_overrides_the_flag_hold(self):
         s = fresh()
         s.riskiness_flag = 0
-        delta, action = taoi_rate_update(s, None, aoi_v=0.5, delta_avg=0.1,
-                                         risky_neighbor_count=0)
+        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+                                         congested=True)
         assert action is Action.INCR
         assert delta == pytest.approx(0.11)
 
     def test_unflagged_uncongested_holds(self):
         s = fresh()
         s.riskiness_flag = 0
-        delta, action = taoi_rate_update(s, None, aoi_v=0.15, delta_avg=0.1,
-                                         risky_neighbor_count=3)
+        delta, action = taoi_rate_update(s, None, risky_neighbor_count=3,
+                                         congested=False)
         assert action is Action.SAME
         assert delta == 0.1
 
     def test_flagged_without_risky_neighbors_relaxes(self):
         s = fresh()
         s.riskiness_flag = 1
-        delta, action = taoi_rate_update(s, None, aoi_v=0.1, delta_avg=0.1,
-                                         risky_neighbor_count=0)
+        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+                                         congested=False)
         assert action is Action.DECR
         assert delta == pytest.approx(0.1 / 1.1)
         assert delta * 1000 == pytest.approx(90.91, abs=5e-3)
@@ -118,8 +137,8 @@ class TestTaoiBranches:
         s.riskiness_flag = 1
         s.omega = Action.DECR
         s.prev_taoi = 0.30
-        delta, action = taoi_rate_update(s, 0.20, aoi_v=0.1, delta_avg=0.1,
-                                         risky_neighbor_count=2)
+        delta, action = taoi_rate_update(s, 0.20, risky_neighbor_count=2,
+                                         congested=False)
         assert action is Action.DECR
         assert delta == pytest.approx(0.1 / 1.1)
 
@@ -128,8 +147,8 @@ class TestTaoiBranches:
         s.riskiness_flag = 1
         s.omega = Action.DECR
         s.prev_taoi = 0.30
-        delta, action = taoi_rate_update(s, 0.40, aoi_v=0.1, delta_avg=0.1,
-                                         risky_neighbor_count=2)
+        delta, action = taoi_rate_update(s, 0.40, risky_neighbor_count=2,
+                                         congested=False)
         assert action is Action.INCR
         assert delta == pytest.approx(0.11)
 
@@ -137,21 +156,21 @@ class TestTaoiBranches:
         s = fresh()
         s.riskiness_flag = 1
         s.prev_taoi = 0.30
-        _, action = taoi_rate_update(s, 0.30 + 5e-10, aoi_v=0.1,
-                                     delta_avg=0.1, risky_neighbor_count=2)
+        _, action = taoi_rate_update(s, 0.30 + 5e-10, risky_neighbor_count=2,
+                                     congested=False)
         assert action is Action.SAME
 
     def test_first_risky_episode_has_no_trend_yet(self):
         s = fresh()
         s.riskiness_flag = 1
-        delta, action = taoi_rate_update(s, 0.2, aoi_v=0.1, delta_avg=0.1,
-                                         risky_neighbor_count=1)
+        delta, action = taoi_rate_update(s, 0.2, risky_neighbor_count=1,
+                                         congested=False)
         assert action is Action.SAME
         assert delta == 0.1
         assert s.prev_taoi == 0.2
         # second episode has a reference point: improvement repeats omega
-        _, action = taoi_rate_update(s, 0.1, aoi_v=0.1, delta_avg=0.1,
-                                     risky_neighbor_count=1)
+        _, action = taoi_rate_update(s, 0.1, risky_neighbor_count=1,
+                                     congested=False)
         assert action is s.omega
 
     def test_hold_never_overwrites_the_action_memory(self):
@@ -159,26 +178,23 @@ class TestTaoiBranches:
         s.riskiness_flag = 1
         s.omega = Action.DECR
         s.prev_taoi = 0.30
-        taoi_rate_update(s, 0.30, aoi_v=0.1, delta_avg=0.1,
-                         risky_neighbor_count=2)
+        taoi_rate_update(s, 0.30, risky_neighbor_count=2, congested=False)
         assert s.omega is Action.DECR
 
     def test_missing_measurements_hold(self):
         s = fresh()
         s.riskiness_flag = 0
-        delta, action = taoi_rate_update(s, None, aoi_v=None, delta_avg=None,
-                                         risky_neighbor_count=0)
+        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+                                         congested=False)
         assert (delta, action) == (0.1, Action.SAME)
 
     def test_memory_updates_only_when_measured(self):
         s = fresh()
         s.riskiness_flag = 1
         s.prev_taoi = 0.4
-        taoi_rate_update(s, None, aoi_v=0.1, delta_avg=0.1,
-                         risky_neighbor_count=0)
+        taoi_rate_update(s, None, risky_neighbor_count=0, congested=False)
         assert s.prev_taoi == 0.4
-        taoi_rate_update(s, 0.25, aoi_v=0.1, delta_avg=0.1,
-                         risky_neighbor_count=1)
+        taoi_rate_update(s, 0.25, risky_neighbor_count=1, congested=False)
         assert s.prev_taoi == 0.25
 
 
@@ -186,8 +202,8 @@ class TestClamping:
     def test_floor(self):
         s = fresh(delta=0.02)
         s.riskiness_flag = 1
-        delta, action = taoi_rate_update(s, None, aoi_v=0.01, delta_avg=0.02,
-                                         risky_neighbor_count=0)
+        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+                                         congested=False)
         assert action is Action.DECR
         assert delta == 0.02
 
@@ -197,14 +213,12 @@ class TestClamping:
         assert need == 25
         steps = 0
         while s.delta < s.delta_max and steps < 40:
-            taoi_rate_update(s, None, aoi_v=10.0, delta_avg=s.delta,
-                             risky_neighbor_count=0)
+            taoi_rate_update(s, None, risky_neighbor_count=0, congested=True)
             steps += 1
         assert steps <= need
         assert s.delta == s.delta_max
         # further congestion pins at the cap
-        taoi_rate_update(s, None, aoi_v=10.0, delta_avg=s.delta,
-                         risky_neighbor_count=0)
+        taoi_rate_update(s, None, risky_neighbor_count=0, congested=True)
         assert s.delta == s.delta_max
 
     def test_clamp_interval_bounds(self):
@@ -215,16 +229,12 @@ class TestClamping:
 
 
 class TestFreezeInvariant:
-    @given(st.floats(0.02, 1.0), st.floats(0.0, 0.4), st.integers(0, 5),
-           st.booleans())
-    def test_unflagged_uncongested_never_moves(self, delta, aoi_v, risky_n,
-                                               with_avg):
+    @given(st.floats(0.02, 1.0), st.none() | st.floats(0.0, 0.4),
+           st.integers(0, 5))
+    def test_unflagged_uncongested_never_moves(self, delta, taoi_v, risky_n):
         s = fresh(delta=delta)
         s.riskiness_flag = 0
-        delta_avg = aoi_v / 2.0 + 0.05 if with_avg else None
-        # aoi_v <= 2 * delta_avg by construction whenever both exist
-        got, action = taoi_rate_update(s, 0.2, aoi_v if with_avg else None,
-                                       delta_avg, risky_n)
+        got, action = taoi_rate_update(s, taoi_v, risky_n, congested=False)
         assert action is Action.SAME
         assert got == delta
 
@@ -233,13 +243,16 @@ class TestAoiBaseline:
     def test_improvement_repeats_the_remembered_action(self):
         s = fresh()
         s.omega = Action.DECR
-        delta, action = aoi_rate_update(s, 0.2, prev_aoi=0.3, delta_avg=None)
+        s.prev_aoi = 0.3
+        delta, action = aoi_rate_update(s, 0.2, delta_avg=None,
+                                        congested=False)
         assert action is Action.DECR
         assert delta == pytest.approx(0.1 / 1.1)
 
     def test_congestion_beats_the_trend(self):
         s = fresh()
-        delta, action = aoi_rate_update(s, 0.5, prev_aoi=0.6, delta_avg=0.1)
+        s.prev_aoi = 0.6
+        delta, action = aoi_rate_update(s, 0.5, delta_avg=0.1, congested=True)
         assert action is Action.INCR
         # multiplicative step then the pull toward the neighborhood mean
         assert delta == pytest.approx(0.11 + 0.25 * (0.1 - 0.11))
@@ -247,7 +260,8 @@ class TestAoiBaseline:
     def test_spread_nudge_worked_example(self):
         s = fresh(delta=0.08)
         s.prev_aoi = 0.1
-        delta, action = aoi_rate_update(s, 0.1, prev_aoi=0.1, delta_avg=0.12)
+        delta, action = aoi_rate_update(s, 0.1, delta_avg=0.12,
+                                        congested=False)
         assert action is Action.SAME
         assert delta == pytest.approx(0.09)
 
@@ -255,8 +269,8 @@ class TestAoiBaseline:
         s = fresh()
         s.prev_aoi = 0.37
         s.omega = Action.DECR
-        delta, action = aoi_rate_update(s, None, prev_aoi=s.prev_aoi,
-                                        delta_avg=None)
+        delta, action = aoi_rate_update(s, None, delta_avg=None,
+                                        congested=False)
         assert (delta, action) == (0.1, Action.SAME)
         assert s.prev_aoi == 0.37
         assert s.omega is Action.DECR
@@ -264,40 +278,39 @@ class TestAoiBaseline:
     def test_first_measurement_reads_as_degradation(self):
         # fresh memory is a zero baseline, so any positive age trends worse
         s = fresh()
-        delta, action = aoi_rate_update(s, 0.05, prev_aoi=s.prev_aoi,
-                                        delta_avg=0.1)
+        delta, action = aoi_rate_update(s, 0.05, delta_avg=0.1,
+                                        congested=False)
         assert action is Action.DECR
         assert s.prev_aoi == 0.05
 
     def test_nudge_respects_the_bounds(self):
         s = fresh(delta=0.98)
         s.prev_aoi = 0.1
-        delta, _ = aoi_rate_update(s, 0.1, prev_aoi=0.1, delta_avg=1.0)
+        delta, _ = aoi_rate_update(s, 0.1, delta_avg=1.0, congested=False)
         assert delta <= s.delta_max
 
 
 class TestDeterminism:
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.02, 1.0),
-           st.integers(0, 4), st.integers(0, 1))
-    def test_same_state_same_inputs_same_outputs(self, taoi_v, aoi_v,
-                                                 delta_avg, risky_n, flag):
+    @given(st.floats(0.0, 1.0), st.booleans(), st.integers(0, 4),
+           st.integers(0, 1))
+    def test_same_state_same_inputs_same_outputs(self, taoi_v, congested,
+                                                 risky_n, flag):
         a = fresh()
         a.riskiness_flag = flag
         b = dataclasses.replace(a)
-        ra = taoi_rate_update(a, taoi_v, aoi_v, delta_avg, risky_n)
-        rb = taoi_rate_update(b, taoi_v, aoi_v, delta_avg, risky_n)
+        ra = taoi_rate_update(a, taoi_v, risky_n, congested)
+        rb = taoi_rate_update(b, taoi_v, risky_n, congested)
         assert ra == rb
-        assert (a.delta, a.omega, a.prev_taoi, a.prev_delta) == \
-               (b.delta, b.omega, b.prev_taoi, b.prev_delta)
+        assert (a.delta, a.omega, a.prev_taoi) == \
+               (b.delta, b.omega, b.prev_taoi)
 
-    @given(st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0),
-                              st.floats(0.02, 1.0), st.integers(0, 4),
-                              st.integers(0, 1)),
+    @given(st.lists(st.tuples(st.floats(0.0, 2.0), st.booleans(),
+                              st.integers(0, 4), st.integers(0, 1)),
                     min_size=1, max_size=30))
     def test_interval_never_leaves_its_bounds(self, steps):
         s = fresh()
-        for taoi_v, aoi_v, delta_avg, risky_n, flag in steps:
+        for taoi_v, congested, risky_n, flag in steps:
             s.riskiness_flag = flag
-            delta, _ = taoi_rate_update(s, taoi_v, aoi_v, delta_avg, risky_n)
+            delta, _ = taoi_rate_update(s, taoi_v, risky_n, congested)
             assert s.delta_min <= delta <= s.delta_max
             assert delta == s.delta
