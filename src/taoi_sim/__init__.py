@@ -11,7 +11,8 @@ cross-checking the event loop.
 
 from .aoi import PairTable, instantaneous_aoi, vehicle_aoi, vehicle_taoi
 from .channel import (ChannelConfig, TransmissionEvent, csma_access,
-                      delivery_outcome, tx_duration)
+                      delivery_outcome, link_budgets, overlapping,
+                      tx_duration)
 from .engine import RunReport, SimConfig, Simulation, run_simulation
 from .errors import ConfigError, SimError, TraceError, UndefinedValueError
 from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
@@ -33,7 +34,8 @@ __all__ = [
     "TransmissionEvent", "UndefinedValueError", "VehicleState",
     "aoi_rate_update", "assess_self_risk", "csma_access", "delivery_outcome",
     "enumerate_optimal", "fixed_rate", "instantaneous_aoi", "krauss_step",
-    "load_trace", "pdr_record", "replay_schedule", "run_simulation",
-    "sample_te_and_risk", "self_tracking_error", "taoi_rate_update",
-    "toy_problem", "tx_duration", "vehicle_aoi", "vehicle_taoi",
+    "link_budgets", "load_trace", "overlapping", "pdr_record",
+    "replay_schedule", "run_simulation", "sample_te_and_risk",
+    "self_tracking_error", "taoi_rate_update", "toy_problem", "tx_duration",
+    "vehicle_aoi", "vehicle_taoi",
 ]

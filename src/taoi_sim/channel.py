@@ -8,12 +8,20 @@ sensing range, so hidden terminals are not modeled). Fading is drawn
 fresh per evaluated link and never cached; the Gamma draw has unit mean
 so the path-loss mean is preserved.
 
+Frames are decided in batches, not as they end. A finished frame is only
+recorded with the frames that overlap it at that moment; wherever the
+simulator next reads pair state, and before any vehicle moves, the whole
+batch is decided at once. ``link_budgets`` computes every link's
+distance, Nakagami shape and mean received power in one pass, then
+``delivery_outcome`` decides one frame at a time, in end order.
+
 The fading stream's draw order is frozen, because every decision after a
 changed draw changes with it: a finished frame draws once per evaluated
 receiver for its own signal, in receiver order, and a receiver whose own
 signal decodes then draws once per in-range overlapping frame, in
 ``concurrent`` order, until the first one garbles it (see
-``delivery_outcome``).
+``delivery_outcome``). Batching keeps that order: frames are decided in
+the order they ended, each frame's draws before the next frame's.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -174,62 +184,135 @@ def csma_access(sender: int, intended_start: float, timeline: ChannelTimeline,
         t = hit[1]
 
 
-def delivery_outcome(tx: TransmissionEvent, receivers, concurrent, rng,
+def overlapping(tx: TransmissionEvent, frames) -> list:
+    """The frames among ``frames``, other than tx, whose airtime overlaps
+    tx's, in the given order."""
+    start, end = tx.start, tx.end
+    return [c for c in frames
+            if c is not tx and c.start < end and c.end > start]
+
+
+class Links:
+    """One finished frame's evaluated links, ready for ``delivery_outcome``.
+
+    ``len()`` is the number of receivers offered to the frame. The arrays
+    hold, in offered order, only the receivers that are evaluated (not the
+    sender, not deaf, within the cutoff): their ids and positions, the
+    Nakagami shape and scale of their own-signal draw, and the power they
+    receive before fading, in dBm.
+    """
+
+    __slots__ = ("offered", "ids", "x", "y", "shape", "scale", "mean_dbm")
+
+    def __init__(self, offered, ids, x, y, shape, scale, mean_dbm):
+        self.offered = offered
+        self.ids, self.x, self.y = ids, x, y
+        self.shape, self.scale, self.mean_dbm = shape, scale, mean_dbm
+
+    def __len__(self) -> int:
+        return self.offered
+
+
+def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
+    """Every offered link of a batch of finished frames, as one ``Links``
+    per frame.
+
+    ``frames`` are (tx, overlapping frames) pairs; link i offers receiver
+    ``rx[i]``, at (``xs[rx[i]]``, ``ys[rx[i]]``), to frame ``frame_of[i]``.
+    ``frame_of`` must be non-decreasing and each frame's receivers listed
+    in the order it draws for them. A receiver is deaf to a frame it sent
+    or that overlaps one it sent.
+
+    A link of length d takes the shape of the first ``nakagami_bins``
+    bound above d (``nakagami_m_far`` beyond the last) and receives
+    ``tx_power - (reference_loss + (10 * exponent) * log10(max(d, 1)))``
+    dBm before fading. Distances are ``math.hypot`` and logarithms
+    ``math.log10``, mapped over the links, so each value is the one a
+    per-link loop computes.
+    """
+    k = len(frames)
+    bx = np.array([tx.bsm.x for tx, _ in frames])
+    by = np.array([tx.bsm.y for tx, _ in frames])
+    d = np.fromiter(map(math.hypot, (xs[rx] - bx[frame_of]).tolist(),
+                        (ys[rx] - by[frame_of]).tolist()), float, len(rx))
+    # deaf[f, j]: receiver j sends frame f or a frame overlapping it; a
+    # sender outside the receiver ids is nobody's receiver
+    ids = len(xs)
+    deaf = np.zeros((k, ids), dtype=bool)
+    busy = [(f, c.sender) for f, (tx, over) in enumerate(frames)
+            for c in (tx, *over) if c.sender < ids]
+    if busy:
+        rows, cols = zip(*busy)
+        deaf[rows, cols] = True
+    ev = np.flatnonzero((d <= cfg.max_reception_range_m)
+                        & ~deaf[frame_of, rx])
+    d, rx_ev = d[ev], rx[ev]
+    ms = [m for _, m in cfg.nakagami_bins] + [cfg.nakagami_m_far]
+    b = np.searchsorted([bound for bound, _ in cfg.nakagami_bins], d,
+                        side="right")
+    shape = np.array(ms)[b]
+    scale = np.array([1.0 / m for m in ms])[b]
+    lg = np.fromiter(map(math.log10, np.maximum(d, 1.0).tolist()), float,
+                     len(d))
+    mean_dbm = cfg.tx_power_dbm - (
+        cfg.reference_loss_db + (10.0 * cfg.path_loss_exponent) * lg)
+    x, y = xs[rx_ev], ys[rx_ev]
+    frames_at = np.arange(k + 1)
+    offered = np.diff(np.searchsorted(frame_of, frames_at)).tolist()
+    cut = np.searchsorted(frame_of[ev], frames_at).tolist()
+    return [Links(offered[f], rx_ev[lo:hi], x[lo:hi], y[lo:hi],
+                  shape[lo:hi], scale[lo:hi], mean_dbm[lo:hi])
+            for f, lo, hi in zip(range(k), cut, cut[1:])]
+
+
+def delivery_outcome(tx: TransmissionEvent, links: Links, concurrent, rng,
                      cfg: ChannelConfig) -> set:
     """Decide which receivers decode a finished frame.
 
-    A link of length d meters takes the Nakagami shape m of the first
-    ``nakagami_bins`` bound above d (``nakagami_m_far`` beyond the last
-    bound; the bounds ascend), one unit-mean fading sample
-    ``f = rng.gamma(m, 1.0 / m)``, and arrives with
-    ``tx_power - (reference_loss + (10 * exponent) * log10(d)) +
-    10 * log10(f)`` dBm. Links shorter than the 1 m reference distance,
-    down to co-located nodes, take the reference loss. A receiver
-    succeeds when its own signal clears the sensitivity threshold and no
-    time-overlapping concurrent frame reaches it at carrier-sense level
+    ``links`` are the frame's evaluated links from ``link_budgets`` and
+    ``concurrent`` the frames that overlap it (see ``overlapping``), the
+    same ones the links were built with. Each evaluated receiver takes one
+    unit-mean fading sample ``f = rng.gamma(m, 1.0 / m)`` and receives
+    ``mean_dbm + 10 * log10(f)`` dBm. A receiver succeeds when that clears
+    the sensitivity threshold and no overlapping frame reaches it at
+    carrier-sense level, with the same link budget and a draw of its own
     (any such frame garbles the capture; there is no SINR capture model).
-    A receiver that is itself transmitting an overlapping frame is
-    half-duplex deaf and fails outright. Links longer than
-    ``max_reception_range_m`` are not evaluated.
+    Links longer than ``max_reception_range_m`` are not evaluated.
 
     Determinism: the fading stream is consumed in a frozen order. Every
-    evaluated receiver (not the sender, not deaf, within the cutoff) takes
-    one own-signal draw, in receiver order. A receiver whose own signal
-    clears sensitivity then takes one draw per overlapping frame within
-    the cutoff of it, in ``concurrent`` order, and stops at the first that
-    garbles. Nothing else draws. Callers pass both sequences pre-sorted;
-    any other order changes every later decision of a run.
+    evaluated receiver takes one own-signal draw, in link order. A
+    receiver whose own signal clears sensitivity then takes one draw per
+    overlapping frame within the cutoff of it, in ``concurrent`` order,
+    and stops at the first that garbles. Nothing else draws. A frame
+    that overlaps nothing takes its own-signal draws as one vector call,
+    which consumes the stream exactly as the scalar calls would. Decoded
+    ids enter the returned set in link order.
     """
-    start, end = tx.start, tx.end
-    interferers = []
-    deaf = {tx.sender}   # the sender does not hear its own frame
-    for c in concurrent:
-        if c is not tx and c.start < end and c.end > start:
-            interferers.append((c.bsm.x, c.bsm.y))
-            deaf.add(c.sender)
-    # the whole link budget is inlined below: the loop runs once per
-    # receiver-link of every frame, and each term keeps its float order
-    gamma, hypot, log10 = rng.gamma, math.hypot, math.log10
+    sensitivity = cfg.rx_sensitivity_dbm
+    log10 = math.log10
+    if not concurrent:
+        fade = rng.gamma(links.shape, links.scale)
+        gain = np.fromiter(map(log10, fade.tolist()), float, len(fade))
+        decoded = links.mean_dbm + 10.0 * gain >= sensitivity
+        return set(links.ids[decoded].tolist())
+    # the interferer budgets are inlined below: the loop runs once per
+    # decoded receiver and overlapping frame, and each term keeps its
+    # float order
+    gamma, hypot = rng.gamma, math.hypot
     bin_of = bisect.bisect_right
     bounds = [bound for bound, _ in cfg.nakagami_bins]
     shapes = [(m, 1.0 / m) for _, m in cfg.nakagami_bins]
     shapes.append((cfg.nakagami_m_far, 1.0 / cfg.nakagami_m_far))
     tx_dbm, ref = cfg.tx_power_dbm, cfg.reference_loss_db
     slope = 10.0 * cfg.path_loss_exponent
-    cutoff = cfg.max_reception_range_m
-    sensitivity, sense = cfg.rx_sensitivity_dbm, cfg.carrier_sense_dbm
-    x0, y0 = tx.bsm.x, tx.bsm.y
+    cutoff, sense = cfg.max_reception_range_m, cfg.carrier_sense_dbm
+    interferers = [(c.bsm.x, c.bsm.y) for c in concurrent]
     got = set()
-    for r in receivers:
-        if r.id in deaf:
-            continue
-        x, y = r.x, r.y
-        d = hypot(x - x0, y - y0)
-        if d > cutoff:
-            continue
-        m, scale = shapes[bin_of(bounds, d)]
-        loss = ref + slope * log10(d) if d > 1.0 else ref
-        if tx_dbm - loss + 10.0 * log10(gamma(m, scale)) < sensitivity:
+    for r, x, y, m, scale, mean_dbm in zip(
+            links.ids.tolist(), links.x.tolist(), links.y.tolist(),
+            links.shape.tolist(), links.scale.tolist(),
+            links.mean_dbm.tolist()):
+        if mean_dbm + 10.0 * log10(gamma(m, scale)) < sensitivity:
             continue
         for cx, cy in interferers:
             d = hypot(x - cx, y - cy)
@@ -240,5 +323,5 @@ def delivery_outcome(tx: TransmissionEvent, receivers, concurrent, rng,
             if tx_dbm - loss + 10.0 * log10(gamma(m, scale)) >= sense:
                 break
         else:
-            got.add(r.id)
+            got.add(r)
     return got

@@ -22,12 +22,14 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
+from itertools import chain
 
 import numpy as np
 
 from . import aoi
 from .channel import (ChannelConfig, ChannelTimeline, TransmissionEvent,
-                      csma_access, delivery_outcome, tx_duration)
+                      csma_access, delivery_outcome, link_budgets,
+                      overlapping, tx_duration)
 from .errors import ConfigError, TraceError, UndefinedValueError
 from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
                       sample_te_and_risk, self_tracking_error)
@@ -145,6 +147,13 @@ class SimConfig:
             val = getattr(self.channel, name)
             if val < 0:
                 raise ConfigError(f"{name} must be >= 0, got {val}")
+        # a backoff slot that is not positive counts down without time
+        # passing, or divides by zero; a range that is not positive
+        # evaluates no receiver, so every PDR is undefined
+        for name in ("slot_time_us", "range_m", "max_reception_range_m"):
+            val = getattr(self.channel, name)
+            if not val > 0:
+                raise ConfigError(f"{name} must be positive, got {val}")
         # a broadcast interval shorter than one frame's airtime only makes
         # BSMs that replace each other in the queue, and one that rounds to
         # 0 ns would never let the clock advance
@@ -316,6 +325,7 @@ class Simulation:
             for _ in range(self.n)]
 
         self.pairs = aoi.PairTable(self.n)
+        self._ended: list = []    # finished frames not yet decided
         self._rx_log: list = []   # decoded frames not yet in the pair table
         self.vehicles = [
             _Vehicle(i, ControllerState(
@@ -453,6 +463,9 @@ class Simulation:
 
     def _on_tick(self, t_ns: int) -> None:
         t_s = t_ns / NS
+        # frames that ended since the last flush are decided before
+        # anyone moves, where their receivers stood
+        self._flush_receptions()
         self._prev_arcs, self._prev_lanes = self._arcs, self._lanes
         if self.trace is not None:
             self.states = [self.trace.state_at(i, t_s) for i in range(self.n)]
@@ -583,31 +596,54 @@ class Simulation:
         tx = v.airing
         v.airing = None
         v.sent += 1
-        ch = self.cfg.channel
-        drow, states = self._dist[idx], self.states
-        near = np.flatnonzero(drow <= ch.max_reception_range_m)
-        near = near[near != idx]
-        got = delivery_outcome(tx, [states[j] for j in near.tolist()],
-                               self.active_txs, self.fading_rng, ch)
-        if got:
-            self._rx_log.append(aoi.log_entry(tx.bsm, t_s, got))
-        # range_m <= cutoff, so the PDR audience is a subset of ``near``
-        in_range = {j: d for j, d in zip(near.tolist(), drow[near].tolist())
-                    if d <= ch.range_m}
-        if in_range:
-            pdr_record(states[idx], [states[j] for j in in_range],
-                       got & in_range.keys(), self.pdr, distances=in_range)
+        # receivers do not move before the next flush, so the frame is
+        # decided there exactly as it would be now
+        self._ended.append((tx, t_s, overlapping(tx, self.active_txs)))
         self.active_txs = [c for c in self.active_txs if c.end > t_s]
         if v.queued is not None:
             self._begin_access(v, t_ns)
 
     def _flush_receptions(self) -> None:
-        """Fold every decoded frame logged since the last flush into the
-        pair table. Runs wherever pair state is read: the mobility tick,
+        """Decide every frame that ended since the last flush, then fold
+        every decoded frame into the pair table. Runs wherever pair state
+        is read, before any vehicle moves: the top of the mobility tick,
         the measurement boundary and the wrap-up."""
+        if self._ended:
+            self._decide(self._ended)
+            self._ended = []
         if self._rx_log:
             aoi.apply_reception(self.pairs, self._rx_log)
             self._rx_log = []
+
+    def _decide(self, ended: list) -> None:
+        """Delivery and PDR counting for a batch of finished frames, in end
+        order. A frame is offered to every other vehicle within the cutoff
+        of its sender, in id order; those within ``range_m`` are its PDR
+        opportunities, binned by the same distance."""
+        ch, n, k = self.cfg.channel, self.n, len(ended)
+        frames = [(tx, over) for tx, _, over in ended]
+        senders = np.array([tx.sender for tx, _ in frames], dtype=np.intp)
+        rows = self._dist[senders]
+        near = rows <= ch.max_reception_range_m
+        near[np.arange(k), senders] = False
+        frame_of, rx = np.nonzero(near)
+        links = link_budgets(frames, frame_of, rx, self._xs, self._ys, ch)
+        rng, log = self.fading_rng, self._rx_log
+        decoded = []
+        for (tx, t_s, over), lk in zip(ended, links):
+            got = delivery_outcome(tx, lk, over, rng, ch)
+            if got:
+                log.append(aoi.log_entry(tx.bsm, t_s, got))
+            decoded.append(got)
+        # range_m <= cutoff, so the PDR audience is a subset of the links
+        counts = [len(got) for got in decoded]
+        hit = np.zeros((k, n), dtype=bool)
+        hit[np.repeat(np.arange(k), counts), np.fromiter(
+            chain.from_iterable(decoded), np.intp, sum(counts))] = True
+        dist = rows[near]
+        audience = dist <= ch.range_m
+        pdr_record(self.pdr, dist[audience],
+                   np.flatnonzero(hit[near][audience]))
 
     # -------------------------------------------------- idealized channel
 

@@ -142,30 +142,28 @@ class PdrCounters:
         return rows
 
 
-def pdr_record(sender, in_range_receivers, successes, counters: PdrCounters,
-               distances=None) -> PdrCounters:
-    """Fold one transmission into the PDR counters.
+def pdr_record(counters: PdrCounters, distances, successes) -> PdrCounters:
+    """Fold a batch of transmissions into the PDR counters.
 
-    ``in_range_receivers`` are receiver states within application range;
-    ``successes`` is the set of receiver ids that decoded the frame and must
-    be a subset of the in-range ids. ``distances`` optionally maps receiver
-    id to transmitter distance (meters); when absent distances are computed
-    from the coordinates.
+    ``distances`` holds the transmitter-receiver distance (meters) of
+    every in-range receiver of every transmission in the batch, one
+    delivery opportunity each; ``successes`` holds the ascending positions
+    in ``distances`` of the receivers that decoded their frame, a subset
+    of the in-range set. A distance d counts in bin ``d // bin_width``.
     """
-    ids = {r.id for r in in_range_receivers}
-    if not ids.issuperset(successes):
-        raise ValueError(f"successes outside the in-range set: "
-                         f"{sorted(set(successes) - ids)}")
-    width, opportunities = counters.bin_width, counters.opportunities
-    hits = counters.successes
-    sx, sy = sender.x, sender.y
-    for r in in_range_receivers:
-        d = (distances[r.id] if distances is not None
-             else math.hypot(r.x - sx, r.y - sy))
-        if d < 0:
-            raise ValueError(f"negative distance: {d}")
-        idx = int(d // width)
-        opportunities[idx] = opportunities.get(idx, 0) + 1
-        if r.id in successes:
-            hits[idx] = hits.get(idx, 0) + 1
+    distances = np.asarray(distances, dtype=float)
+    successes = np.asarray(successes, dtype=np.intp)
+    k = len(distances)
+    if len(successes) and not (
+            0 <= successes[0] and successes[-1] < k
+            and np.all(successes[1:] > successes[:-1])):
+        raise ValueError(f"successes outside the in-range set of {k} "
+                         f"receivers (or not ascending): {successes}")
+    if k and distances.min() < 0:
+        raise ValueError(f"negative distance: {distances.min()}")
+    bins = np.floor_divide(distances, counters.bin_width).astype(np.intp)
+    for table, counts in ((counters.opportunities, np.bincount(bins)),
+                          (counters.successes, np.bincount(bins[successes]))):
+        for idx in np.flatnonzero(counts).tolist():
+            table[idx] = table.get(idx, 0) + int(counts[idx])
     return counters

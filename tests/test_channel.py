@@ -16,6 +16,8 @@ from taoi_sim.channel import (
     TransmissionEvent,
     csma_access,
     delivery_outcome,
+    link_budgets,
+    overlapping,
     tx_duration,
 )
 from taoi_sim.errors import ConfigError
@@ -41,25 +43,54 @@ def _rx(vid, x, y=0.0):
 class _Gamma:
     """Fading stub: hands out a fixed sample, or the draws of a real
     generator, and records every (shape, scale) asked for and every
-    sample handed out."""
+    sample handed out. A vector call counts as its scalar calls in
+    order."""
 
     def __init__(self, value=1.0, rng=None):
         self.value, self.rng = value, rng
         self.calls, self.draws = [], []
 
     def gamma(self, shape, scale):
+        if np.ndim(shape):
+            return np.array([self.gamma(m, s) for m, s in
+                             zip(shape.tolist(), scale.tolist())], dtype=float)
         self.calls.append((shape, scale))
         f = self.value if self.rng is None else self.rng.gamma(shape, scale)
         self.draws.append(f)
         return f
 
 
+def _links(batch, cfg):
+    """A batch of (tx, receivers, concurrent) frames as the engine hands
+    it to ``delivery_outcome``: each frame with the frames that overlap
+    it and its links, built by one ``link_budgets`` call. The frames'
+    receivers are one population: an id stands at one spot."""
+    size = 1 + max((r.id for _, rs, _ in batch for r in rs), default=0)
+    xs, ys = np.full(size, np.nan), np.full(size, np.nan)
+    frame_of, rx = [], []
+    for k, (_, receivers, _) in enumerate(batch):
+        for r in receivers:
+            xs[r.id], ys[r.id] = r.x, r.y
+            frame_of.append(k)
+            rx.append(r.id)
+    frames = [(tx, overlapping(tx, concurrent)) for tx, _, concurrent in batch]
+    links = link_budgets(frames, np.array(frame_of, dtype=np.intp),
+                         np.array(rx, dtype=np.intp), xs, ys, cfg)
+    return [(tx, lk, over) for (tx, over), lk in zip(frames, links)]
+
+
+def _deliver(tx, receivers, concurrent, rng, cfg):
+    """The receivers that decode one finished frame."""
+    [(tx, links, over)] = _links([(tx, receivers, concurrent)], cfg)
+    return delivery_outcome(tx, links, over, rng, cfg)
+
+
 def _decodes(d, fading=1.0, **overrides):
     """Whether one receiver d meters from an uncontested sender decodes
     when its own-signal fading sample is ``fading``."""
     cfg = dataclasses.replace(WIDE, **overrides)
-    return delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, d)], [],
-                            _Gamma(fading), cfg) == {1}
+    return _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(1, d)], [],
+                    _Gamma(fading), cfg) == {1}
 
 
 def _assert_rx_power(d, dbm, fading=1.0, **overrides):
@@ -89,16 +120,16 @@ class TestPathLoss:
         for d in (0.0, 1e-9, 0.5):
             _assert_rx_power(d, 20.0 - 47.86)
         stub = _Gamma()
-        assert delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 0.0)], [],
-                                stub, CFG) == {1}
+        assert _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 0.0)], [],
+                        stub, CFG) == {1}
         assert stub.calls == [(3.0, 1.0 / 3.0)]
 
     def test_co_located_interferer_garbles(self):
         # an overlapping frame sent from the receiver's own spot reaches
         # it at the reference loss and garbles the capture, one draw each
         stub = _Gamma()
-        got = delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 50.0)],
-                               [_tx(2, 0.0, 50.0, 0.0)], stub, CFG)
+        got = _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 50.0)],
+                       [_tx(2, 0.0, 50.0, 0.0)], stub, CFG)
         assert got == set() and len(stub.calls) == 2
 
 
@@ -107,16 +138,16 @@ class TestNakagami:
                                      (199.0, 1.5), (200.0, 1.0), (500.0, 1.0)])
     def test_shape_bins(self, d, m):
         stub = _Gamma()
-        delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, d)], [], stub, WIDE)
+        _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(1, d)], [], stub, WIDE)
         assert stub.calls == [(m, 1.0 / m)]
 
     @staticmethod
     def _draws(seed, d, count=60000):
         """The own-signal samples of ``count`` receivers at d meters."""
         stub = _Gamma(rng=np.random.default_rng(seed))
-        delivery_outcome(_tx(0, 0.0, 0.0, 0.0),
-                         [_rx(i, d) for i in range(1, count + 1)], [], stub,
-                         CFG)
+        _deliver(_tx(0, 0.0, 0.0, 0.0),
+                 [_rx(i, d) for i in range(1, count + 1)], [], stub,
+                 CFG)
         assert len(stub.draws) == count
         return np.array(stub.draws)
 
@@ -256,20 +287,20 @@ class TestCsma:
 class TestDelivery:
     def test_close_uncontested_link_decodes(self):
         rng = np.random.default_rng(1)
-        got = delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 5.0)], [], rng,
-                               CFG)
+        got = _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 5.0)], [], rng,
+                       CFG)
         assert got == {1}
 
     def test_sender_never_receives_its_own_frame(self):
         rng = np.random.default_rng(1)
-        got = delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(0, 0.0), _rx(1, 5.0)],
-                               [], rng, CFG)
+        got = _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(0, 0.0), _rx(1, 5.0)],
+                       [], rng, CFG)
         assert got == {1}
 
     def test_beyond_hard_range_cutoff(self):
         rng = np.random.default_rng(1)
-        got = delivery_outcome(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 301.0)], [], rng,
-                               CFG)
+        got = _deliver(_tx(0, 0.0, 0.0, 0.0), [_rx(1, 301.0)], [], rng,
+                       CFG)
         assert got == set()
 
     def test_overlapping_frames_garble_each_other(self):
@@ -277,20 +308,20 @@ class TestDelivery:
         b = _tx(1, 0.0005, 10.0, 0.0)
         middle = [_rx(2, 5.0)]
         rng = np.random.default_rng(1)
-        assert delivery_outcome(a, middle, [b], rng, CFG) == set()
-        assert delivery_outcome(b, middle, [a], rng, CFG) == set()
+        assert _deliver(a, middle, [b], rng, CFG) == set()
+        assert _deliver(b, middle, [a], rng, CFG) == set()
 
     def test_back_to_back_frames_do_not_interfere(self):
         a = _tx(0, 0.0, 0.0, 0.0, dur=1e-3)
         b = _tx(1, 0.001, 10.0, 0.0)  # starts exactly at a's end
         rng = np.random.default_rng(1)
-        assert delivery_outcome(a, [_rx(2, 5.0)], [b], rng, CFG) == {2}
+        assert _deliver(a, [_rx(2, 5.0)], [b], rng, CFG) == {2}
 
     def test_half_duplex_receiver_is_deaf(self):
         a = _tx(0, 0.0, 0.0, 0.0)
         b = _tx(1, 0.0005, 250.0, 0.0)  # far: cannot garble, but 1 is busy
         rng = np.random.default_rng(1)
-        got = delivery_outcome(a, [_rx(1, 250.0)], [b], rng, CFG)
+        got = _deliver(a, [_rx(1, 250.0)], [b], rng, CFG)
         assert got == set()
 
     def test_decode_probability_falls_with_distance(self):
@@ -298,7 +329,7 @@ class TestDelivery:
             rng = np.random.default_rng(seed)
             tx = _tx(0, 0.0, 0.0, 0.0)
             hits = sum(1 for _ in range(400)
-                       if delivery_outcome(tx, [_rx(1, d)], [], rng, CFG))
+                       if _deliver(tx, [_rx(1, d)], [], rng, CFG))
             return hits / 400.0
         near, mid, far = rate(60.0, 3), rate(280.0, 3), rate(296.0, 3)
         assert near > mid > far
@@ -361,66 +392,161 @@ def _reference_delivery_outcome(tx, receivers, concurrent, rng, cfg):
     return got
 
 
-def _random_frame(g):
-    """A finished frame with its receivers and the frames on the air.
+def _random_batch(g, size=6):
+    """Finished frames in end order, each with the receivers offered to
+    it and the frames on the air, all from one receiver population.
 
-    The sender sits at the origin. Receivers lie on a 20 m grid along the
-    road axis, so many links are exactly 80, 200 or 300 m long, plus
-    scattered ones off the axis and one within a metre of the sender.
-    Some receivers are themselves on the air (half-duplex); some frames
+    Receivers lie on a 20 m grid along the road axis, so many links are
+    exactly 80, 200 or 300 m long, plus scattered ones off the axis and
+    one within a metre of the origin. The first frame is sent from the
+    origin, the others from a random receiver's spot; each is offered a
+    random subset of the population, its sender included, as it must
+    never hear itself. About half the frames overlap nothing, so their
+    own-signal draws are one vector call. Around the others some
+    receivers are themselves on the air (half-duplex); some frames
     overlap the finished one, some touch it, some miss it; and some
     senders are more than 300 m from every receiver, others share a spot
     with a receiver.
     """
     dur = 1.373e-3
-    tx = _tx(0, 0.0, 0.0, 0.0, dur)
     fixed = [80.0, 200.0, 300.0, -280.0, 0.6]
     grid = [20.0 * k for k in range(-16, 17) if k and 20.0 * k not in fixed]
     spots = [(0.0, 0.0)] + [(x, 0.0) for x in fixed]
     spots += [(x, 0.0) for x in g.choice(grid, 12, replace=False).tolist()]
     spots += list(zip(g.uniform(-320, 320, 12).tolist(),
                       g.uniform(5, 30, 12).tolist()))
-    # the sender is listed too, as it must never hear itself
-    receivers = [_rx(i, x, y) for i, (x, y) in enumerate(spots)]
-    starts = [-dur, dur, 0.5 * dur, -0.5 * dur]
-    starts += g.uniform(-2 * dur, 2 * dur, 4).tolist()
-    concurrent = [tx]
-    for k, start in enumerate(starts):
-        if k % 2:   # a receiver on the air: deaf if its frame overlaps
-            r = receivers[int(g.integers(1, len(receivers)))]
-            concurrent.append(_tx(r.id, start, r.x, r.y, dur))
-        else:       # a sender from outside the receiver set
-            x = float(g.choice([-1000.0, 1000.0, 20.0 * g.integers(-16, 17)]))
-            y = float(g.choice([-2.0, 0.0]))
-            concurrent.append(_tx(100 + k, start, x, y, dur))
-    concurrent.sort(key=lambda c: (c.start, c.sender))
-    return tx, receivers, concurrent
+    population = [_rx(i, x, y) for i, (x, y) in enumerate(spots)]
+    batch = []
+    for k in range(size):
+        s = population[int(g.integers(len(population))) if k else 0]
+        tx = _tx(s.id, 0.0, s.x, s.y, dur)
+        receivers = [r for r in population if g.random() < 0.8]
+        if g.random() < 0.5:   # nothing on the air, or two touching frames
+            starts = [] if g.random() < 0.5 else [-dur, dur]
+        else:
+            starts = [-dur, dur, 0.5 * dur, -0.5 * dur]
+            starts += g.uniform(-2 * dur, 2 * dur, 4).tolist()
+        concurrent = [tx]
+        for j, start in enumerate(starts):
+            if j % 2:   # a receiver on the air: deaf if its frame overlaps
+                r = population[int(g.integers(1, len(population)))]
+                concurrent.append(_tx(r.id, start, r.x, r.y, dur))
+            else:       # a sender from outside the receiver set
+                x = float(g.choice([-1000.0, 1000.0,
+                                    20.0 * g.integers(-16, 17)]))
+                y = float(g.choice([-2.0, 0.0]))
+                concurrent.append(_tx(100 + j, start, x, y, dur))
+        concurrent.sort(key=lambda c: (c.start, c.sender))
+        batch.append((tx, receivers, concurrent))
+    return batch
+
+
+# grid coordinates make exact bin-edge and cutoff distances common
+_coord = st.one_of(st.integers(-20, 20).map(lambda k: 20.0 * k),
+                   st.floats(-400.0, 400.0))
+
+
+@st.composite
+def _batches(draw):
+    """Like ``_random_batch``, from arbitrary spots: frames sent from a
+    receiver's spot or from outside the population, offered any subset
+    of it, with up to four frames on the air that start on a
+    half-airtime grid, so touching and overlapping are both common."""
+    dur = 1.373e-3
+    spots = draw(st.lists(st.tuples(_coord, _coord), min_size=1,
+                          max_size=10))
+    population = [_rx(i, x, y) for i, (x, y) in enumerate(spots)]
+    outside = len(population)
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        sender = draw(st.integers(0, outside))
+        x, y = (spots[sender] if sender < outside
+                else draw(st.tuples(_coord, _coord)))
+        tx = _tx(sender, 0.0, x, y, dur)
+        receivers = [r for r in population if draw(st.booleans())]
+        concurrent = []
+        for who, half, (cx, cy) in draw(st.lists(st.tuples(
+                st.integers(0, outside + 1), st.integers(-4, 4),
+                st.tuples(_coord, _coord)), max_size=4)):
+            start = half * dur / 2
+            if who < outside:
+                r = population[who]
+                concurrent.append(_tx(r.id, start, r.x, r.y, dur))
+            else:
+                concurrent.append(_tx(100 + who, start, cx, cy, dur))
+        batch.append((tx, receivers, concurrent))
+    return batch
+
+
+def _assert_batch_matches_the_reference(batch, seed, cfg):
+    """Decide the batch as the engine does and each frame, in order,
+    with the reference on a twin generator: the same decoded sets, in
+    the same iteration order, and the same generator state after every
+    frame. Returns the frames' (overlapped, decoded set) pairs."""
+    ref_rng = np.random.default_rng(seed)
+    new_rng = np.random.default_rng(seed)
+    outcomes = []
+    for (tx, receivers, concurrent), (_, links, over) in zip(
+            batch, _links(batch, cfg)):
+        want = _reference_delivery_outcome(tx, receivers, concurrent,
+                                           ref_rng, cfg)
+        got = delivery_outcome(tx, links, over, new_rng, cfg)
+        assert got == want and list(got) == list(want)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        outcomes.append((bool(over), got))
+    return outcomes
+
+
+# a -85 dBm carrier-sense level lets far interferers pass, so a
+# receiver's interferer loop often runs past its first draw
+COARSE = dataclasses.replace(CFG, carrier_sense_dbm=-85.0)
 
 
 class TestDrawForDraw:
-    # a -85 dBm carrier-sense level lets far interferers pass, so a
-    # receiver's interferer loop often runs past its first draw
-    @pytest.mark.parametrize("cfg", [CFG, dataclasses.replace(
-        CFG, carrier_sense_dbm=-85.0)], ids=["default", "coarse_sensing"])
+    @pytest.mark.parametrize("cfg", [CFG, COARSE],
+                             ids=["default", "coarse_sensing"])
     def test_same_decodes_and_generator_state_as_the_reference(self, cfg):
         g = np.random.default_rng(2024)
+        frames = {False: 0, True: 0}   # overlap-free and overlapped
         decoded = lost = 0
-        for seed in range(300):
-            tx, receivers, concurrent = _random_frame(g)
-            ref_rng = np.random.default_rng(seed)
-            new_rng = np.random.default_rng(seed)
-            want = _reference_delivery_outcome(tx, receivers, concurrent,
-                                               ref_rng, cfg)
-            got = delivery_outcome(tx, receivers, concurrent, new_rng, cfg)
-            assert got == want
-            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
-            # the same frame alone, to show that the concurrent frames
-            # cost some receivers their decode
-            alone = delivery_outcome(tx, receivers, [tx],
-                                     np.random.default_rng(seed), cfg)
-            decoded += len(got)
-            lost += len(alone - got)
+        for seed in range(60):
+            batch = _random_batch(g)
+            outcomes = _assert_batch_matches_the_reference(batch, seed, cfg)
+            for (tx, receivers, _), (over, got) in zip(batch, outcomes):
+                frames[over] += 1
+                decoded += len(got)
+                if over:
+                    # the same frame alone, to show that the concurrent
+                    # frames cost some receivers their decode
+                    alone = _reference_delivery_outcome(
+                        tx, receivers, [], np.random.default_rng(seed), cfg)
+                    lost += len(alone - got)
+        assert frames[False] > 0 and frames[True] > 0
         assert decoded > 0 and lost > 0
+
+    @given(_batches(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([CFG, COARSE, WIDE]))
+    def test_random_batches_match_the_reference(self, batch, seed, cfg):
+        _assert_batch_matches_the_reference(batch, seed, cfg)
+
+    @pytest.mark.parametrize("far_frame", [False, True],
+                             ids=["overlap_free", "overlapped"])
+    def test_decoded_ids_enter_the_set_in_receiver_order(self, far_frame):
+        # 1, 9 and 17 share a hash slot of a small set, so the set's
+        # iteration order is its insertion order, which numbers records
+        tx = _tx(0, 0.0, 0.0, 0.0)
+        concurrent = [_tx(50, 0.0, 2000.0, 0.0)] if far_frame else []
+        got = _deliver(tx, [_rx(i, 5.0) for i in (1, 9, 17)], concurrent,
+                       np.random.default_rng(3), CFG)
+        assert list(got) == [1, 9, 17]
+
+    def test_a_frame_without_links_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        far = _tx(0, 0.0, 0.0, 0.0)
+        assert _deliver(far, [_rx(0, 0.0), _rx(1, 400.0)], [], rng, CFG) \
+            == set()
+        assert rng.bit_generator.state == state
 
 
 class _LinearTimeline:

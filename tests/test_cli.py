@@ -233,11 +233,14 @@ class TestBadInput:
         ({"delta_min_s": 1e-10, "delta_init_s": 1e-10}, None),
         ({"aifs_us": -1.0}, None),
         ({"preamble_us": -2000.0}, None),
+        ({"slot_time_us": -13}, None),
+        ({"max_reception_range_m": -1, "range_m": -5}, None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
             "non_string_trace_path", "interval_below_airtime",
-            "negative_aifs", "negative_preamble"])
+            "negative_aifs", "negative_preamble", "negative_slot",
+            "negative_ranges"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         # small, so that a value the checks let through fails fast

@@ -241,6 +241,42 @@ class TestMediumRecord:
         assert missed == []
 
 
+class TestBatchedDelivery:
+    def test_frames_are_decided_where_their_receivers_stood(self,
+                                                            monkeypatch):
+        # a frame is decided at the next flush, after its end: it must see
+        # every receiver where it stood when the frame ended
+        sim = Simulation(SimConfig(vehicle_count=30, duration_s=2.0,
+                                   protocol="fixed10hz", seed=2))
+        at_end, decided = {}, []
+        on_tx_end = sim._on_tx_end
+
+        def record_end(t_ns, idx):
+            at_end[id(sim.vehicles[idx].airing)] = (
+                sim._xs.copy(), sim._ys.copy(), sim._dist[idx].copy())
+            on_tx_end(t_ns, idx)
+
+        deliver = engine.delivery_outcome
+
+        def spy(tx, links, concurrent, rng, cfg):
+            xs, ys, drow = at_end[id(tx)]
+            near = [j for j, d in enumerate(drow.tolist())
+                    if j != tx.sender and d <= cfg.max_reception_range_m]
+            ids = links.ids.tolist()
+            assert len(links) == len(near) and set(ids) <= set(near)
+            assert links.x.tolist() == xs[ids].tolist()
+            assert links.y.tolist() == ys[ids].tolist()
+            decided.append(len(concurrent))
+            return deliver(tx, links, concurrent, rng, cfg)
+
+        monkeypatch.setattr(sim, "_on_tx_end", record_end)
+        monkeypatch.setattr(engine, "delivery_outcome", spy)
+        report = sim.run()
+        assert len(decided) == report.counts["sent"] > 100
+        # both paths ran: frames that overlap nothing and frames that do
+        assert 0 < decided.count(0) < len(decided)
+
+
 class TestReceptionBookkeeping:
     """Decoded frames wait in the reception log until the next flush;
     receiver 0's record of sender 1 is cell 1 of the 3-vehicle table."""
@@ -398,6 +434,13 @@ class TestConfigGuards:
         # the run; a negative preamble makes the airtime negative
         dict(channel=ChannelConfig(aifs_us=-1.0)),
         dict(channel=ChannelConfig(preamble_us=-2000.0)),
+        # a negative slot ran on silently (PDR 0.477 at n=150); ranges
+        # that are not positive left every PDR undefined
+        dict(channel=ChannelConfig(slot_time_us=-13.0)),
+        dict(channel=ChannelConfig(slot_time_us=0.0)),
+        dict(channel=ChannelConfig(max_reception_range_m=-1.0,
+                                   range_m=-5.0)),
+        dict(channel=ChannelConfig(range_m=0.0)),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

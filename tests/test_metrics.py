@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taoi_sim import aoi
+from taoi_sim import aoi, engine
 from taoi_sim.errors import UndefinedValueError
 from taoi_sim.metrics import (
     Bsm,
@@ -253,54 +253,104 @@ class TestRiskIndicator:
         assert _risk(5.0, 2.0, distance=RANGE_M + 0.1) == 0
 
 
-class TestPdr:
-    @staticmethod
-    def _veh(vid, x):
-        return VehicleState(vid, x, 0.0, 10.0, 0.0, 0)
+def _per_frame_pdr(frames, range_m, width=25.0):
+    """PDR counting one frame at a time, the reference for the batched
+    form: every other vehicle within ``range_m`` of the sender is an
+    opportunity, binned by ``d // width``, and a success if it decoded."""
+    opportunities, successes = {}, {}
+    for sender, drow, got in frames:
+        for j, d in enumerate(drow):
+            if j == sender or d > range_m:
+                continue
+            idx = int(d // width)
+            opportunities[idx] = opportunities.get(idx, 0) + 1
+            if j in got:
+                successes[idx] = successes.get(idx, 0) + 1
+    return opportunities, successes
 
+
+class TestPdr:
     def test_overall_ratio(self):
         counters = PdrCounters()
-        tx = self._veh(0, 0.0)
-        rx = [self._veh(i, 30.0 * i) for i in (1, 2, 3)]
-        pdr_record(tx, rx, {1, 2}, counters)
+        pdr_record(counters, [30.0, 60.0, 90.0], [0, 1])
         assert counters.overall_pdr() == pytest.approx(2.0 / 3.0)
 
     def test_bin_rows_sorted_with_edges(self):
         counters = PdrCounters()
-        tx = self._veh(0, 0.0)
-        near = [self._veh(i, 10.0) for i in (1, 2, 3, 4)]
-        far = [self._veh(i, 30.0) for i in (5, 6, 7, 8)]
-        pdr_record(tx, near, {1, 2, 3, 4}, counters)
-        pdr_record(tx, far, {5}, counters)
+        # two frames' receivers in one batch: four at 10 m that all
+        # decode, four at 30 m of which one decodes
+        pdr_record(counters, [10.0] * 4 + [30.0] * 4, [0, 1, 2, 3, 6])
         assert counters.bin_rows() == [(0.0, 25.0, 4, 4), (25.0, 50.0, 1, 4)]
 
     def test_bin_boundary_rolls_over(self):
         counters = PdrCounters()
-        tx = self._veh(0, 0.0)
-        pdr_record(tx, [self._veh(1, 24.999)], {1}, counters)
-        pdr_record(tx, [self._veh(2, 25.0)], set(), counters)
+        pdr_record(counters, [24.999, 25.0], [0])
         rows = counters.bin_rows()
         assert rows[0][:2] == (0.0, 25.0) and rows[0][2:] == (1, 1)
         assert rows[1][:2] == (25.0, 50.0) and rows[1][2:] == (0, 1)
 
     def test_empty_reception_set_still_counts_the_transmission(self):
+        # zero opportunities: nothing is counted and the PDR is undefined
         counters = PdrCounters()
-        pdr_record(self._veh(0, 0.0), [], set(), counters)
-        assert counters.opportunities == {}
+        pdr_record(counters, [], [])
+        assert counters.opportunities == {} and counters.successes == {}
         with pytest.raises(UndefinedValueError):
             counters.overall_pdr()
 
     def test_successes_outside_audience_rejected(self):
         counters = PdrCounters()
         with pytest.raises(ValueError):
-            pdr_record(self._veh(0, 0.0), [self._veh(1, 5.0)], {9}, counters)
+            pdr_record(counters, [5.0, 7.0], [2])
+        assert counters.opportunities == {}
+
+    @pytest.mark.parametrize("successes", [[-1], [0, 0], [1, 0]],
+                             ids=["negative", "repeated", "descending"])
+    def test_successes_must_be_ascending_positions(self, successes):
+        with pytest.raises(ValueError):
+            pdr_record(PdrCounters(), [5.0, 7.0], successes)
 
     def test_negative_distance_rejected(self):
         counters = PdrCounters()
         with pytest.raises(ValueError):
-            pdr_record(self._veh(0, 0.0), [self._veh(1, 5.0)], set(), counters,
-                       distances={1: -0.5})
+            pdr_record(counters, [5.0, -0.5], [])
 
+    @given(st.lists(st.tuples(st.floats(0.0, 300.0), st.booleans()),
+                    max_size=40), st.integers(0, 40))
+    def test_one_call_per_batch_counts_as_one_call_per_frame(self, links,
+                                                           cut):
+        batched, split = PdrCounters(), PdrCounters()
+        distances = [d for d, _ in links]
+        hits = [i for i, (_, ok) in enumerate(links) if ok]
+        pdr_record(batched, distances, hits)
+        cut = min(cut, len(links))
+        pdr_record(split, distances[:cut], [i for i in hits if i < cut])
+        pdr_record(split, distances[cut:],
+                   [i - cut for i in hits if i >= cut])
+        assert batched.opportunities == split.opportunities
+        assert batched.successes == split.successes
+
+    def test_batched_counters_equal_per_frame_counting(self, monkeypatch):
+        # every frame of a recorded run, with its sender's row of the
+        # distance matrix at the moment it is decided and its decodes
+        sim = engine.Simulation(engine.SimConfig(
+            vehicle_count=40, duration_s=3.0, protocol="fixed10hz", seed=4))
+        frames = []
+        deliver = engine.delivery_outcome
+
+        def spy(tx, links, concurrent, rng, cfg):
+            got = deliver(tx, links, concurrent, rng, cfg)
+            frames.append((tx.sender, sim._dist[tx.sender].tolist(), got))
+            return got
+
+        monkeypatch.setattr(engine, "delivery_outcome", spy)
+        report = sim.run()
+        range_m = sim.cfg.channel.range_m
+        opportunities, successes = _per_frame_pdr(frames, range_m)
+        assert len(frames) == report.counts["sent"] > 1000
+        assert sim.pdr.opportunities == opportunities
+        assert sim.pdr.successes == successes
+        # receivers beyond range_m decode too, and must not count
+        assert any(drow[j] > range_m for _, drow, got in frames for j in got)
 
 def test_bsm_velocity_components():
     bsm = Bsm(0, 0.0, 0.0, 0.0, 5.0, 0.0)
