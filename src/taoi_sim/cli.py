@@ -29,7 +29,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .engine import (PROTOCOLS, RunReport, SimConfig, _config_echo,
+from .engine import (PROTOCOLS, ROW_SETS, RunReport, SimConfig,
                      run_simulation)
 from .errors import ConfigError, SimError
 from .metrics import SafetyParams
@@ -97,21 +97,17 @@ def parse_config(path) -> SimConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: root must be a JSON object")
 
-    top: dict = {}
+    kwargs: dict = {}
     nested: dict = {name: {} for name in _SECTIONS}
-    for key, value in data.items():
-        target = FLAT_KEYS.get(key)
-        if target is None:
-            near = difflib.get_close_matches(key, FLAT_KEYS, n=1)
-            hint = f" (did you mean {near[0]!r}?)" if near else ""
-            raise ConfigError(f"unknown config key {key!r}{hint}")
-        section, field_name = target
-        if section:
-            nested[section][field_name] = _coerce(key, value)
-        else:
-            top[field_name] = _coerce(key, value)
     try:
-        kwargs = dict(top)
+        for key, value in data.items():
+            if key not in FLAT_KEYS:
+                near = difflib.get_close_matches(key, FLAT_KEYS, n=1)
+                hint = f" (did you mean {near[0]!r}?)" if near else ""
+                raise ConfigError(f"unknown config key {key!r}{hint}")
+            section, attr = FLAT_KEYS[key]
+            # the structured keys' coercion fails on malformed JSON values
+            (nested[section] if section else kwargs)[attr] = _coerce(key, value)
         for name, cls in _SECTIONS.items():
             if nested[name]:
                 kwargs[name] = cls(**nested[name])
@@ -120,7 +116,7 @@ def parse_config(path) -> SimConfig:
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     logger.info("effective config: %s",
-                json.dumps(_config_echo(cfg), sort_keys=True))
+                json.dumps(dataclasses.asdict(cfg), sort_keys=True))
     return cfg
 
 
@@ -131,13 +127,8 @@ SUMMARY_FIELDS = ("protocol", "n_vehicles", "seed", "system_aoi_s",
                   "overall_pdr")
 
 
-def _summary_row(rep: RunReport) -> list:
-    return [rep.protocol, rep.n_vehicles, rep.seed, rep.system_aoi_s,
-            rep.system_taoi_s, rep.collision_risk_count, rep.mean_interval_ms,
-            "" if rep.overall_pdr is None else rep.overall_pdr]
-
-
 def _write_csv(path: Path, header, rows) -> Path:
+    # csv.writer writes None as an empty cell
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -146,21 +137,12 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 
 def _emit_one(rep: RunReport, out: Path) -> list:
-    written = []
-    written.append(_write_csv(
-        out / "timeseries.csv",
-        ("t", "vehicle_id", "delta_ms", "flag", "aoi_v", "taoi_v"),
-        (( t, vid, delta, flag,
-           "" if a is None else a, "" if ta is None else ta)
-         for t, vid, delta, flag, a, ta in rep.timeseries)))
+    written = [_write_csv(out / csv_name, header, getattr(rep, name))
+               for name, (csv_name, header) in ROW_SETS.items()]
     written.append(_write_csv(
         out / "pdr_bins.csv",
         ("bin_lo_m", "bin_hi_m", "pdr"),
         ((lo, hi, succ / opp) for lo, hi, succ, opp in rep.pdr_bins)))
-    written.append(_write_csv(
-        out / "te_pairs.csv",
-        ("receiver_id", "sender_id", "mean_te_m", "samples"),
-        rep.te_pairs))
     path = out / "report.json"
     path.write_text(json.dumps(rep.json_dict(), sort_keys=True, indent=2)
                     + "\n")
@@ -190,8 +172,9 @@ def emit_reports(reports, out_dir=".") -> list:
         d = out / run_dir_name(rep) if len(reports) > 1 else out
         d.mkdir(parents=True, exist_ok=True)
         written.extend(_emit_one(rep, d))
-    written.append(_write_csv(out / "summary.csv", SUMMARY_FIELDS,
-                              [_summary_row(r) for r in reports]))
+    written.append(_write_csv(
+        out / "summary.csv", SUMMARY_FIELDS,
+        ([getattr(r, name) for name in SUMMARY_FIELDS] for r in reports)))
     return written
 
 

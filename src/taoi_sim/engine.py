@@ -23,6 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -88,8 +89,6 @@ class SimConfig:
     # mobility source: built-in Krauss unless a trace is given
     trace_path: str | None = None
     dump_trace_path: str | None = None
-    # reporting
-    collect_pair_tables: bool = False
     road: RoadConfig = field(default_factory=RoadConfig)
     krauss: KraussParams = field(default_factory=KraussParams)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
@@ -119,6 +118,12 @@ class SimConfig:
             if val is not None and not isinstance(val, str):
                 raise ConfigError(
                     f"{name} must be a path string or null, got {val!r}")
+        # the trace is dumped after the run: a missing directory must fail
+        # before it
+        if (self.dump_trace_path is not None
+                and not Path(self.dump_trace_path).parent.is_dir()):
+            raise ConfigError(f"dump_trace_path {self.dump_trace_path!r} "
+                              f"is not in an existing directory")
         for name in ("t_mi_s", "slot_s"):
             val = getattr(self, name)
             if val <= 0:
@@ -198,9 +203,14 @@ class SimConfig:
                 if len(entry) > self.slot_capacity:
                     raise ConfigError(f"forced_schedule slot {k + 1} exceeds capacity")
                 for v in entry:
-                    if not 0 <= v < self.vehicle_count:
+                    # ids index the vehicles: True would be vehicle 1
+                    if (isinstance(v, bool) or not isinstance(v, numbers.Integral)
+                            or not 0 <= v < self.vehicle_count):
                         raise ConfigError(
-                            f"forced_schedule slot {k + 1}: unknown vehicle {v}")
+                            f"forced_schedule slot {k + 1}: unknown vehicle {v!r}")
+                if len(set(entry)) < len(entry):
+                    raise ConfigError(
+                        f"forced_schedule slot {k + 1} lists a vehicle twice")
 
 
 def _check_numbers(section) -> None:
@@ -214,6 +224,17 @@ def _check_numbers(section) -> None:
         if f.type in ("int", int) and (
                 isinstance(val, bool) or not isinstance(val, numbers.Integral)):
             raise ConfigError(f"{f.name} must be an integer, got {val!r}")
+
+
+# the row sets too bulky for report.json: each goes to a CSV of its own,
+# with this file name and header, and the report names the file as
+# <row set>_path
+ROW_SETS = {
+    "timeseries": ("timeseries.csv", ("t", "vehicle_id", "delta_ms", "flag",
+                                      "aoi_v", "taoi_v")),
+    "te_pairs": ("te_pairs.csv", ("receiver_id", "sender_id", "mean_te_m",
+                                  "samples")),
+}
 
 
 @dataclass
@@ -232,34 +253,17 @@ class RunReport:
     per_vehicle: list         # dict per vehicle, sorted by id
     counts: dict              # frame conservation: generated/dropped/sent/in_flight
     negative_gap_events: int
-    timeseries: list          # (t, vehicle_id, delta_ms, flag, aoi_v, taoi_v)
-    te_pairs: list            # (receiver_id, sender_id, mean_te_m, samples)
-    pair_tables: dict | None  # per-slot toy tables (idealized, small N only)
-    config: dict
+    timeseries: list          # row set, see ROW_SETS
+    te_pairs: list            # row set, see ROW_SETS
+    config: dict              # dataclasses.asdict of the run's SimConfig
 
-    def json_dict(self, timeseries_path: str = "timeseries.csv",
-                  te_pairs_path: str = "te_pairs.csv") -> dict:
-        """Deterministic JSON view; bulky row data is referenced by relative
-        path instead of being inlined."""
-        d = {
-            "protocol": self.protocol,
-            "n_vehicles": self.n_vehicles,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "system_aoi_s": self.system_aoi_s,
-            "system_taoi_s": self.system_taoi_s,
-            "collision_risk_count": self.collision_risk_count,
-            "overall_pdr": self.overall_pdr,
-            "pdr_bins": [list(b) for b in self.pdr_bins],
-            "interval_histogram": [list(b) for b in self.interval_histogram],
-            "mean_interval_ms": self.mean_interval_ms,
-            "per_vehicle": self.per_vehicle,
-            "counts": self.counts,
-            "negative_gap_events": self.negative_gap_events,
-            "timeseries_path": timeseries_path,
-            "te_pairs_path": te_pairs_path,
-            "config": self.config,
-        }
+    def json_dict(self) -> dict:
+        """The content of report.json: every field except the row sets,
+        which are referenced by the relative path of their CSV."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ROW_SETS}
+        for name, (csv_name, _) in ROW_SETS.items():
+            d[name + "_path"] = csv_name
         return d
 
 
@@ -349,16 +353,11 @@ class Simulation:
         self.interval_hist: dict[int, int] = {}
         self.mi_count = 0   # measurement boundaries, the same for everyone
         self.trace_rows: list = []
-        self.pair_tables = None
 
         # idealized slotted bookkeeping: slot number -> boarded vehicles
         self.slot_queue: dict[int, list] = {}
         if self.idealized:
             self._init_virtual_records()
-            if cfg.collect_pair_tables:
-                self.pair_tables = {
-                    (s, r): {"aoi": [], "te": []}
-                    for s in range(self.n) for r in range(self.n) if s != r}
 
         # cached per-tick ground-truth arrays (filled by _refresh_arrays)
         self._xs = self._ys = self._vxs = self._vys = self._speeds = None
@@ -667,19 +666,14 @@ class Simulation:
     def _on_slot(self, t_ns: int) -> None:
         t_s = t_ns / NS
         k = t_ns // self.slot_ns
-        slot_s = self.cfg.slot_s
-        tables = self.pair_tables
         pairs, n = self.pairs, self.n
         cells = np.flatnonzero(pairs.live)   # every ordered pair
         # phase 1: tracking error against pre-delivery snapshots; the
         # slotted abstraction scores no collision risk and evicts nothing
-        _, _, samples = sample_te_and_risk(
+        sample_te_and_risk(
             pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
             self._speeds, self._dist, self.cfg.channel.range_m,
             self.cfg.safety)
-        if tables is not None:
-            for c, te in zip(cells.tolist(), samples.tolist()):
-                tables[(c % n, c // n)]["te"].append(te)
         # phase 2: zero-delay delivery
         if self.cfg.forced_schedule is not None:
             sched = self.cfg.forced_schedule
@@ -699,10 +693,7 @@ class Simulation:
             aoi.swap_snapshot(pairs, column[column != idx * n + idx],
                               aoi.snapshot(bsm), t_s)
         # phase 3: post-delivery right-endpoint age samples
-        ages = aoi.slot_sample(pairs, cells, t_s, slot_s)
-        if tables is not None:
-            for c, a in zip(cells.tolist(), ages.tolist()):
-                tables[(c % n, c // n)]["aoi"].append(a)
+        aoi.slot_sample(pairs, cells, t_s, self.cfg.slot_s)
         if t_ns + self.slot_ns <= self.T_ns:
             self._push(t_ns + self.slot_ns, EV_SLOT)
 
@@ -848,7 +839,7 @@ class Simulation:
             system_taoi_s=sys_taoi,
             collision_risk_count=self.risk_count,
             overall_pdr=overall_pdr,
-            pdr_bins=[(lo, hi, s, o) for lo, hi, s, o in self.pdr.bin_rows()],
+            pdr_bins=self.pdr.bin_rows(),
             interval_histogram=sorted(
                 (b * INTERVAL_BIN_MS, c)
                 for b, c in self.interval_hist.items()),
@@ -859,23 +850,12 @@ class Simulation:
             negative_gap_events=self.negative_gap_events,
             timeseries=self.timeseries,
             te_pairs=te_pairs,
-            pair_tables=self.pair_tables,
-            config=_config_echo(cfg),
+            config=asdict(cfg),
         )
         logger.info(
             "run done: protocol=%s n=%d seed=%d aoi=%.4f taoi=%.4f risk=%d",
             cfg.protocol, self.n, cfg.seed, sys_aoi, sys_taoi, self.risk_count)
         return report
-
-
-def _config_echo(cfg: SimConfig) -> dict:
-    d = asdict(cfg)
-    if d.get("forced_schedule") is not None:
-        d["forced_schedule"] = [list(e) for e in d["forced_schedule"]]
-    ch = d.get("channel", {})
-    if "nakagami_bins" in ch:
-        ch["nakagami_bins"] = [list(b) for b in ch["nakagami_bins"]]
-    return d
 
 
 def run_simulation(config: SimConfig) -> RunReport:

@@ -432,10 +432,15 @@ def _build_table(groups: dict) -> TrajectoryTable:
 
 def load_trace(path) -> TrajectoryTable:
     """Parse a trajectory CSV. Schema (exact header):
-    t,vehicle_id,x,y,speed,heading,lane. Rejects malformed rows, negative
-    speeds or lanes, duplicate timestamps and nonuniform ticks."""
+    t,vehicle_id,x,y,speed,heading,lane. Rejects a file it cannot open,
+    malformed rows, negative speeds or lanes, duplicate timestamps and
+    nonuniform ticks, all with TraceError."""
     groups: dict = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise TraceError(f"cannot read trace {path}: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != TRACE_FIELDS:

@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, artifact layout, subcommands."""
 
 import csv
+import hashlib
 import json
 import math
 import re
@@ -47,8 +48,13 @@ class TestParseConfig:
         assert "vehicle_count" in str(err.value)
 
     @pytest.mark.parametrize("kw", [{"cw": 0}, {"road_lanes": 0},
-                                    {"vehicle_count": 1}],
-                             ids=["section_check", "road_check", "validate"])
+                                    {"vehicle_count": 1},
+                                    {"forced_schedule": [0, 1]},
+                                    {"nakagami_bins": [1, 2]},
+                                    {"nakagami_bins": "ab"}],
+                             ids=["section_check", "road_check", "validate",
+                                  "flat_forced_schedule", "flat_nakagami_bins",
+                                  "string_nakagami_bins"])
     def test_a_rejected_value_names_the_file(self, tmp_path, kw):
         path = write_config(tmp_path, **kw)
         with pytest.raises(ConfigError, match=f"^config {re.escape(path)}: "):
@@ -149,6 +155,59 @@ class TestEmitReports:
         assert parsed["protocol"] == "taoi"
 
 
+class TestGoldenArtifacts:
+    """The sha256 of every artifact ``emit_reports`` writes for a few small
+    runs, one per protocol and one self-clocked idealized run. No run has
+    a trace path, which the config echo would carry into the digest.
+
+    Only a declared contract change may update a digest here, in the
+    change that declares it: a new draw order such as ROADMAP item 2's
+    keyed fading, another float reduction order, or a config key added to
+    or removed from the echo. Never update one just to get a pass."""
+
+    RUNS = {
+        "fixed10hz": (dict(protocol="fixed10hz"), {
+            "pdr_bins.csv": "699fcbb0ebc180b66a1c929b87727abc2e02ddbd95e6fe60cee63589e8164106",
+            "report.json": "66407ded2f4bd4dbe69f3433914f2207371bc4a8c93b7993252c29e9a5de097d",
+            "summary.csv": "1a18d12bfd9c54fdcc3b9f2b333922e7e3d65964c8d4c21024d925a1c75c4f32",
+            "te_pairs.csv": "36c14fc400cc415afe66dab7ca8750b21946bcf46335c4e3fd1a0566b93521b0",
+            "timeseries.csv": "13a83e22bdc09791491286888d167a24fd2e769897ca8585867934528adcd771",
+        }),
+        "aoi": (dict(protocol="aoi"), {
+            "pdr_bins.csv": "1145c0607412bff5cd046b60c23b3decde52211bc2a6640f2c962389117535f4",
+            "report.json": "7ec7e536fbdc5aca67e1c10c8adc2520f34db62a33ffaa0cb0ce5d8bc9a77340",
+            "summary.csv": "7ce01a60a9ffeef722bb625fe4ab46076907ed35f47fbc954cfbd9fcede0ba9a",
+            "te_pairs.csv": "7a92e30aa6fc4694c546e69023337bd52cd0dbcf303cf4a8b5c0dbc823f30499",
+            "timeseries.csv": "2bc54f6ead5286aff0cefcd652be3701c15dd369614c3262db0f835f08d67f7e",
+        }),
+        "taoi": (dict(protocol="taoi"), {
+            "pdr_bins.csv": "699fcbb0ebc180b66a1c929b87727abc2e02ddbd95e6fe60cee63589e8164106",
+            "report.json": "329489347f8da7392543241686b06c5de491725e32f50d04ba12d71190440496",
+            "summary.csv": "b8df306c795ba6c60cc7b02e7f77fe18e1a45278d5a2e253240777a39d7e491e",
+            "te_pairs.csv": "36c14fc400cc415afe66dab7ca8750b21946bcf46335c4e3fd1a0566b93521b0",
+            "timeseries.csv": "776a38ec72320ab778cb5e3883ef23f698bf00066a372059633051db585e5a33",
+        }),
+        "idealized": (dict(vehicle_count=4, protocol="taoi",
+                           channel_mode="idealized_slotted"), {
+            "pdr_bins.csv": "3ea8acfdf2055f39c3655d16a7779a4a0cf375945b59da652209ff28f7ba68dd",
+            "report.json": "e38466d727e2632878fa4c9e86edfd90a92db7c1b051facf78fa6ecadc158d20",
+            "summary.csv": "0866a6699730cdc46c282f6b2a9487c5901f14495cfca4a6e23f17afa70542b2",
+            "te_pairs.csv": "552e0b13f69156b07b18c93f3e721469fbe90bc369f05ebaf77d640c851dea1d",
+            "timeseries.csv": "6a13e8d001f64ef553b9d3ec282bd36852cf5c17e1d70ea8ac9182c50ea455a9",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_artifact_digests(self, tmp_path, name):
+        kw, digests = self.RUNS[name]
+        cfg = SimConfig(**{**dict(vehicle_count=12, duration_s=3.0, seed=1),
+                           **kw})
+        emit_reports([run_simulation(cfg)], out_dir=str(tmp_path))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+        assert got == digests
+
+
 class TestRunCommand:
     def test_run_writes_artifacts_and_prints_a_summary(self, tmp_path,
                                                        capsys):
@@ -235,14 +294,29 @@ class TestBadInput:
         ({"preamble_us": -2000.0}, None),
         ({"slot_time_us": -13}, None),
         ({"max_reception_range_m": -1, "range_m": -5}, None),
+        ({"forced_schedule": [0, 1]}, None),
+        ({"nakagami_bins": [1, 2]}, None),
+        ({"nakagami_bins": "ab"}, None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
             "non_string_trace_path", "interval_below_airtime",
             "negative_aifs", "negative_preamble", "negative_slot",
-            "negative_ranges"])
+            "negative_ranges", "flat_forced_schedule", "flat_nakagami_bins",
+            "string_nakagami_bins"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
+        self._assert_rejected_up_front(tmp_path, capsys, config, sweep_args)
+
+    @pytest.mark.parametrize("key", ["trace_path", "dump_trace_path"])
+    def test_trace_path_in_a_missing_directory(self, tmp_path, capsys, key):
+        # both fail before the run starts, although the dump is written
+        # only after it
+        self._assert_rejected_up_front(
+            tmp_path, capsys, {key: str(tmp_path / "missing" / "t.csv")})
+
+    @staticmethod
+    def _assert_rejected_up_front(tmp_path, capsys, config, sweep_args=None):
         # small, so that a value the checks let through fails fast
         path = write_config(tmp_path, **{**SMALL, **config})
         out = tmp_path / "out"

@@ -13,6 +13,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from taoi_sim import aoi, engine
@@ -81,18 +82,45 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("schedule", [ALTERNATING_SCHEDULE,
                                           SINGLE_SHOT_SCHEDULE],
                              ids=["alternating", "single_shot"])
-    def test_slot_tables_match_exact_replay(self, toy_trace, schedule):
-        cfg = SimConfig(vehicle_count=2, duration_s=6.0, protocol="fixed10hz",
+    def test_slot_tables_match_exact_replay(self, toy_trace, schedule,
+                                            monkeypatch):
+        # the per-slot values, read through spies on the two samplers each
+        # slot runs: phase 1's tracking errors and phase 3's ages. Cell
+        # r * n + s is receiver r's record of sender s, the oracle's pair
+        # (s, r)
+        n = 2
+        tables = {(s, r): {"aoi": [], "te": []}
+                  for s in range(n) for r in range(n) if s != r}
+
+        def record(key, cells, values):
+            for c, value in zip(cells.tolist(), values.tolist()):
+                tables[(c % n, c // n)][key].append(value)
+
+        sweep, slot_sample = engine.sample_te_and_risk, aoi.slot_sample
+
+        def spy_sweep(table, *args, **kwargs):
+            cells = np.flatnonzero(table.live)
+            result = sweep(table, *args, **kwargs)
+            record("te", cells, result[2])
+            return result
+
+        def spy_slot_sample(table, cells, t, slot):
+            ages = slot_sample(table, cells, t, slot)
+            record("aoi", cells, ages)
+            return ages
+
+        monkeypatch.setattr(engine, "sample_te_and_risk", spy_sweep)
+        monkeypatch.setattr(aoi, "slot_sample", spy_slot_sample)
+        cfg = SimConfig(vehicle_count=n, duration_s=6.0, protocol="fixed10hz",
                         channel_mode="idealized_slotted", slot_s=1.0,
                         mobility_tick_s=0.5, forced_schedule=schedule,
-                        trace_path=toy_trace, collect_pair_tables=True,
-                        seed=0)
+                        trace_path=toy_trace, seed=0)
         rep = run_simulation(cfg)
         oracle = replay_schedule(toy_problem(), schedule)
         for pair in ((0, 1), (1, 0)):
             for key in ("aoi", "te"):
                 exact = [float(v) for v in oracle.pairs[pair][key]]
-                assert rep.pair_tables[pair][key] == exact
+                assert tables[pair][key] == exact
         # double division vs Fraction->float both round to the same double
         assert rep.system_aoi_s == float(oracle.system_aoi)
 
@@ -441,6 +469,14 @@ class TestConfigGuards:
         dict(channel=ChannelConfig(max_reception_range_m=-1.0,
                                    range_m=-5.0)),
         dict(channel=ChannelConfig(range_m=0.0)),
+        # vehicle ids must be distinct integers within a slot: 0.5 is no
+        # list index, True would run as vehicle 1, and a duplicate would
+        # count one frame twice
+        dict(channel_mode="idealized_slotted", forced_schedule=((0.5,),)),
+        dict(channel_mode="idealized_slotted",
+             forced_schedule=((True,), (1.0,))),
+        dict(channel_mode="idealized_slotted", slot_capacity=2,
+             forced_schedule=((1, 1),)),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

@@ -604,6 +604,10 @@ class TestTraceIo:
         with pytest.raises(TraceError):
             load_trace(p)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(TraceError, match="cannot read trace"):
+            load_trace(tmp_path / "missing.csv")
+
     def test_wrong_header_rejected(self, tmp_path):
         p = _write(tmp_path / "bad.csv", "0.0,0,0.0,2.0,10.0,0.0,0\n",
                    header="time,id,x,y,v,h,l\n")
