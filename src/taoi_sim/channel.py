@@ -21,7 +21,11 @@ receiver for its own signal, in receiver order, and a receiver whose own
 signal decodes then draws once per in-range overlapping frame, in
 ``concurrent`` order, until the first one garbles it (see
 ``delivery_outcome``). Batching keeps that order: frames are decided in
-the order they ended, each frame's draws before the next frame's.
+the order they ended, each frame's draws before the next frame's. A run
+of consecutive frames that overlap nothing draws only own-signal
+samples, so the whole run takes them in one vector call when its first
+frame is decided; that consumes the stream exactly as the frames' own
+calls in a row would.
 """
 
 from __future__ import annotations
@@ -192,25 +196,45 @@ def overlapping(tx: TransmissionEvent, frames) -> list:
             if c is not tx and c.start < end and c.end > start]
 
 
+def _column(i: int) -> property:
+    return property(lambda self: self.columns[i][self.lo:self.hi])
+
+
 class Links:
     """One finished frame's evaluated links, ready for ``delivery_outcome``.
 
-    ``len()`` is the number of receivers offered to the frame. The arrays
-    hold, in offered order, only the receivers that are evaluated (not the
-    sender, not deaf, within the cutoff): their ids and positions, the
-    Nakagami shape and scale of their own-signal draw, and the power they
-    receive before fading, in dBm.
+    ``len()`` is the number of receivers offered to the frame. The links
+    are rows ``lo:hi`` of the batch's ``columns``, which hold, in offered
+    order, only the receivers that are evaluated (not the sender, not
+    deaf, within the cutoff): their ids and positions, the Nakagami shape
+    and scale of their own-signal draw, and the power they receive before
+    fading, in dBm. A frame that overlaps nothing is frame ``pos`` of its
+    ``run``; ``run`` is None for a frame that overlaps another.
     """
 
-    __slots__ = ("offered", "ids", "x", "y", "shape", "scale", "mean_dbm")
+    __slots__ = ("offered", "columns", "lo", "hi", "run", "pos")
 
-    def __init__(self, offered, ids, x, y, shape, scale, mean_dbm):
-        self.offered = offered
-        self.ids, self.x, self.y = ids, x, y
-        self.shape, self.scale, self.mean_dbm = shape, scale, mean_dbm
+    ids, x, y, shape, scale, mean_dbm = map(_column, range(6))
+
+    def __init__(self, offered, columns, lo, hi, run=None, pos=0):
+        self.offered, self.columns, self.lo, self.hi = offered, columns, lo, hi
+        self.run, self.pos = run, pos
 
     def __len__(self) -> int:
         return self.offered
+
+
+class _Run:
+    """A maximal run of consecutive overlap-free frames of one batch.
+    Frame j's links are rows ``cuts[j]:cuts[j + 1]`` of the batch's
+    columns; ``decoded`` holds every frame's decoded set once the first
+    frame is decided."""
+
+    __slots__ = ("cuts", "decoded")
+
+    def __init__(self, lo: int):
+        self.cuts = [lo]
+        self.decoded = None
 
 
 def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
@@ -221,7 +245,8 @@ def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
     ``rx[i]``, at (``xs[rx[i]]``, ``ys[rx[i]]``), to frame ``frame_of[i]``.
     ``frame_of`` must be non-decreasing and each frame's receivers listed
     in the order it draws for them. A receiver is deaf to a frame it sent
-    or that overlaps one it sent.
+    or that overlaps one it sent. Each maximal run of consecutive frames
+    that overlap nothing shares one ``_Run``; a lone one is a run of one.
 
     A link of length d takes the shape of the first ``nakagami_bins``
     bound above d (``nakagami_m_far`` beyond the last) and receives
@@ -256,13 +281,37 @@ def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
                      len(d))
     mean_dbm = cfg.tx_power_dbm - (
         cfg.reference_loss_db + (10.0 * cfg.path_loss_exponent) * lg)
-    x, y = xs[rx_ev], ys[rx_ev]
+    columns = (rx_ev, xs[rx_ev], ys[rx_ev], shape, scale, mean_dbm)
     frames_at = np.arange(k + 1)
     offered = np.diff(np.searchsorted(frame_of, frames_at)).tolist()
     cut = np.searchsorted(frame_of[ev], frames_at).tolist()
-    return [Links(offered[f], rx_ev[lo:hi], x[lo:hi], y[lo:hi],
-                  shape[lo:hi], scale[lo:hi], mean_dbm[lo:hi])
-            for f, lo, hi in zip(range(k), cut, cut[1:])]
+    links, run = [], None
+    for f, (_, over) in enumerate(frames):
+        lo, hi = cut[f], cut[f + 1]
+        if over:
+            run = None
+            links.append(Links(offered[f], columns, lo, hi))
+            continue
+        if run is None:
+            run = _Run(lo)
+        links.append(Links(offered[f], columns, lo, hi, run,
+                           len(run.cuts) - 1))
+        run.cuts.append(hi)
+    return links
+
+
+def _decide_run(columns, cuts, rng, sensitivity: float) -> list:
+    """The decoded set of every frame of a run: one fading call, one
+    ``math.log10`` map and one threshold over all of the run's links,
+    split by frame."""
+    ids, _, _, shape, scale, mean_dbm = columns
+    lo, hi = cuts[0], cuts[-1]
+    fade = rng.gamma(shape[lo:hi], scale[lo:hi])
+    gain = np.fromiter(map(math.log10, fade.tolist()), float, hi - lo)
+    ok = np.flatnonzero(mean_dbm[lo:hi] + 10.0 * gain >= sensitivity)
+    got = ids[lo:hi][ok].tolist()
+    split = np.searchsorted(ok, np.subtract(cuts, lo)).tolist()
+    return [set(got[a:b]) for a, b in zip(split, split[1:])]
 
 
 def delivery_outcome(tx: TransmissionEvent, links: Links, concurrent, rng,
@@ -283,22 +332,30 @@ def delivery_outcome(tx: TransmissionEvent, links: Links, concurrent, rng,
     evaluated receiver takes one own-signal draw, in link order. A
     receiver whose own signal clears sensitivity then takes one draw per
     overlapping frame within the cutoff of it, in ``concurrent`` order,
-    and stops at the first that garbles. Nothing else draws. A frame
-    that overlaps nothing takes its own-signal draws as one vector call,
-    which consumes the stream exactly as the scalar calls would. Decoded
-    ids enter the returned set in link order.
+    and stops at the first that garbles. Nothing else draws. A run of
+    consecutive frames that overlap nothing (see ``link_budgets``) takes
+    all of its own-signal draws as one vector call when its first frame
+    is decided, and each later frame of the run returns its share. Such
+    frames draw nothing else, so the vector call consumes the stream
+    exactly as each frame's scalar calls in turn would, provided the
+    run's frames are decided in order with no other draw between them,
+    as deciding a batch in end order does. Decoded ids enter the
+    returned set in link order.
     """
-    sensitivity = cfg.rx_sensitivity_dbm
-    log10 = math.log10
-    if not concurrent:
-        fade = rng.gamma(links.shape, links.scale)
-        gain = np.fromiter(map(log10, fade.tolist()), float, len(fade))
-        decoded = links.mean_dbm + 10.0 * gain >= sensitivity
-        return set(links.ids[decoded].tolist())
+    run = links.run
+    if run is not None:
+        if links.pos == 0:
+            run.decoded = _decide_run(links.columns, run.cuts, rng,
+                                      cfg.rx_sensitivity_dbm)
+        elif run.decoded is None:
+            raise ValueError("a run's frames are decided in order, "
+                             "its first frame first")
+        return run.decoded[links.pos]
     # the interferer budgets are inlined below: the loop runs once per
     # decoded receiver and overlapping frame, and each term keeps its
     # float order
-    gamma, hypot = rng.gamma, math.hypot
+    sensitivity = cfg.rx_sensitivity_dbm
+    gamma, hypot, log10 = rng.gamma, math.hypot, math.log10
     bin_of = bisect.bisect_right
     bounds = [bound for bound, _ in cfg.nakagami_bins]
     shapes = [(m, 1.0 / m) for _, m in cfg.nakagami_bins]

@@ -232,7 +232,7 @@ def _cmd_sweep(args) -> int:
     # before the first run starts
     configs = [dataclasses.replace(base, protocol=protocol,
                                    vehicle_count=count, seed=seed)
-               for protocol in args.protocols.split(",")
+               for protocol in args.protocols
                for count in args.densities for seed in args.seeds]
     for cfg in configs:
         cfg.validate()
@@ -346,12 +346,27 @@ def _cmd_reproduce_tables(_args) -> int:
 # --------------------------------------------------------------- dispatch
 
 def _int_list(text: str) -> list:
-    """argparse type of a comma list of integers."""
+    """argparse type of a comma list of distinct integers."""
     try:
-        return [int(x) for x in text.split(",")]
+        items = [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma list of integers, got {text!r}") from None
+    return _distinct(items, text)
+
+
+def _name_list(text: str) -> list:
+    """argparse type of a comma list of distinct names."""
+    return _distinct(text.split(","), text)
+
+
+def _distinct(items: list, text: str) -> list:
+    # a repeat would run one sweep combination twice into one directory
+    # and count it twice in the aggregates
+    if len(set(items)) < len(items):
+        raise argparse.ArgumentTypeError(
+            f"expected no value twice, got {text!r}")
+    return items
 
 
 def _slot_count(text: str) -> int:
@@ -380,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="protocol x density x seed matrix")
     p.add_argument("--config", required=True, help="base flat JSON config")
-    p.add_argument("--protocols", default=",".join(PROTOCOLS),
+    p.add_argument("--protocols", type=_name_list,
+                   default=",".join(PROTOCOLS),
                    help="comma list, e.g. fixed10hz,taoi")
     p.add_argument("--densities", type=_int_list, default="150",
                    help="comma list of vehicle counts")

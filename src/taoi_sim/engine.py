@@ -199,7 +199,12 @@ class SimConfig:
         if self.forced_schedule is not None:
             if self.channel_mode != "idealized_slotted":
                 raise ConfigError("forced_schedule requires idealized_slotted mode")
+            if not isinstance(self.forced_schedule, (list, tuple)):
+                raise ConfigError("forced_schedule must be a list of slots")
             for k, entry in enumerate(self.forced_schedule):
+                if not isinstance(entry, (list, tuple)):
+                    raise ConfigError(f"forced_schedule slot {k + 1} must be "
+                                      f"a list of vehicle ids, got {entry!r}")
                 if len(entry) > self.slot_capacity:
                     raise ConfigError(f"forced_schedule slot {k + 1} exceeds capacity")
                 for v in entry:
@@ -292,6 +297,21 @@ class _Vehicle:
         self.delta_sum = 0.0
 
 
+class _Payload:
+    """A Krauss run's BSM from its generation, at ``t_ns``, to the next
+    flush, which fills in its pose (``Simulation._pose_payloads``): nobody
+    moves before it. It reads like a ``Bsm``."""
+
+    __slots__ = ("sender", "t_ns", "gen_time", "x", "y", "speed", "heading",
+                 "riskiness_flag", "interval")
+    velocity = Bsm.velocity
+
+    def __init__(self, sender: int, t_ns: int, riskiness_flag: int,
+                 interval: float):
+        self.sender, self.t_ns, self.gen_time = sender, t_ns, t_ns / NS
+        self.riskiness_flag, self.interval = riskiness_flag, interval
+
+
 def _stream(seed: int, stream_id: int):
     return np.random.default_rng(np.random.SeedSequence([seed, stream_id]))
 
@@ -331,6 +351,7 @@ class Simulation:
         self.pairs = aoi.PairTable(self.n)
         self._ended: list = []    # finished frames not yet decided
         self._rx_log: list = []   # decoded frames not yet in the pair table
+        self._unposed: set = set()  # payloads awaiting their pose
         self.vehicles = [
             _Vehicle(i, ControllerState(
                 delta=cfg.delta_init_s, delta_min=cfg.delta_min_s,
@@ -361,6 +382,7 @@ class Simulation:
 
         # cached per-tick ground-truth arrays (filled by _refresh_arrays)
         self._xs = self._ys = self._vxs = self._vys = self._speeds = None
+        self._headings = None
         self._dist = None
         self._arcs = self._prev_arcs = None
         self._lanes = self._prev_lanes = None
@@ -418,6 +440,7 @@ class Simulation:
         self._xs = xs
         self._ys = ys
         self._speeds = speeds
+        self._headings = headings
         self._vxs = speeds * np.cos(headings)
         self._vys = speeds * np.sin(headings)
 
@@ -539,7 +562,9 @@ class Simulation:
     # ------------------------------------------------------ realistic MAC
 
     def _snapshot_bsm(self, idx: int, t_ns: int) -> Bsm:
-        """Exact ground truth at the (sub-tick) generation instant."""
+        """Exact ground truth at the (sub-tick) generation instant. A
+        Krauss run's MAC payloads take the same pose in bulk, from
+        ``_pose_payloads``."""
         t_s = t_ns / NS
         if self.trace is not None:
             s = self.trace.state_at(idx, t_s)
@@ -568,9 +593,15 @@ class Simulation:
             # keeping any medium grant already won; an idle MAC starts access
             if v.queued is not None:
                 v.dropped += 1
+                self._unposed.discard(v.queued)
             elif v.airing is None:
                 self._begin_access(v, t_ns)
-            v.queued = self._snapshot_bsm(idx, t_ns)
+            if self.trace is not None:
+                v.queued = self._snapshot_bsm(idx, t_ns)
+            else:
+                v.queued = payload = _Payload(idx, t_ns, v.ctrl.riskiness_flag,
+                                              v.ctrl.delta)
+                self._unposed.add(payload)
         nxt = t_ns + round(v.ctrl.delta * NS)
         if nxt <= self.T_ns:
             self._push(nxt, EV_GEN, idx)
@@ -607,12 +638,38 @@ class Simulation:
         every decoded frame into the pair table. Runs wherever pair state
         is read, before any vehicle moves: the top of the mobility tick,
         the measurement boundary and the wrap-up."""
+        if self._unposed:
+            self._pose_payloads()
         if self._ended:
             self._decide(self._ended)
             self._ended = []
         if self._rx_log:
             aoi.apply_reception(self.pairs, self._rx_log)
             self._rx_log = []
+
+    def _pose_payloads(self) -> None:
+        """Fill in the pose of every Krauss BSM generated since the last
+        flush and not replaced in the queue, as ``_snapshot_bsm`` computes
+        it at the generation instant, since nobody has moved since: one
+        vector pass of the same IEEE operations, with a BSM generated at
+        the tick itself taking its state's own pose."""
+        pending = list(self._unposed)
+        self._unposed = set()
+        idx = np.array([p.sender for p in pending], dtype=np.intp)
+        dt = (np.array([p.t_ns for p in pending]) - self._last_tick_ns) / NS
+        road = self.cfg.road
+        lanes = np.array(self._lanes)[idx]
+        speed = self._speeds[idx]
+        perimeter = road.lane_columns[3][lanes]
+        arc = (np.array(self._arcs)[idx] + speed * dt) % perimeter
+        x, y, heading = road.lane_poses(arc, lanes)
+        still = dt == 0.0
+        x = np.where(still, self._xs[idx], x)
+        y = np.where(still, self._ys[idx], y)
+        heading = np.where(still, self._headings[idx], heading)
+        for p, px, py, pv, ph in zip(pending, x.tolist(), y.tolist(),
+                                     speed.tolist(), heading.tolist()):
+            p.x, p.y, p.speed, p.heading = px, py, pv, ph
 
     def _decide(self, ended: list) -> None:
         """Delivery and PDR counting for a batch of finished frames, in end

@@ -75,6 +75,12 @@ class RoadConfig:
             geometry.append((d, long, short, 2.0 * (long + short)))
         return tuple(geometry)
 
+    @cached_property
+    def lane_columns(self) -> tuple:
+        """(inset, long side, short side, perimeter), each as an array
+        indexed by lane."""
+        return tuple(np.array(c) for c in zip(*self._lane_geometry))
+
     def lane_geometry(self, lane: int) -> tuple[float, float, float, float]:
         if not 0 <= lane < self.lanes:
             raise ValueError(f"lane {lane} outside [0, {self.lanes})")
@@ -97,6 +103,22 @@ class RoadConfig:
             return self.length - d - s, self.width - d, SIDE_HEADINGS[2]
         s -= long
         return d, self.width - d - s, SIDE_HEADINGS[3]
+
+    def lane_poses(self, arcs, lanes) -> tuple:
+        """``lane_pose`` over arrays of arcs and lanes: (x, y, heading)
+        arrays, each element from the same IEEE operations in the same
+        order as the scalar call (``%``, then the chained side
+        subtractions), so bit for bit the same."""
+        d, long, short, perimeter = (c[lanes] for c in self.lane_columns)
+        s0 = arcs % perimeter
+        s1 = s0 - long
+        s2 = s1 - short
+        s3 = s2 - long
+        side = np.where(s0 < long, 0, np.where(
+            s1 < short, 1, np.where(s2 < long, 2, 3)))
+        x = np.choose(side, (d + s0, self.length - d, self.length - d - s2, d))
+        y = np.choose(side, (d, d + s1, self.width - d, self.width - d - s3))
+        return x, y, np.array(SIDE_HEADINGS)[side]
 
     def snap(self, x: float, y: float, heading: float, lane: int) -> float:
         """Arc coordinate of a pose that ``lane_pose`` produced: the side

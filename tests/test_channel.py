@@ -401,8 +401,11 @@ def _random_batch(g, size=6):
     one within a metre of the origin. The first frame is sent from the
     origin, the others from a random receiver's spot; each is offered a
     random subset of the population, its sender included, as it must
-    never hear itself. About half the frames overlap nothing, so their
-    own-signal draws are one vector call. Around the others some
+    never hear itself. About half the frames overlap nothing; each run
+    of consecutive ones, a lone one included, takes its own-signal
+    draws as one vector call when its first frame is decided (the 60
+    batches of ``TestDrawForDraw`` hold runs of one to five frames).
+    Around the other frames some
     receivers are themselves on the air (half-duplex); some frames
     overlap the finished one, some touch it, some miss it; and some
     senders are more than 300 m from every receiver, others share a spot
@@ -478,21 +481,83 @@ def _batches(draw):
     return batch
 
 
+@st.composite
+def _run_batches(draw):
+    """Batches whose overlap-free frames come in runs of three or more
+    between overlapped frames, like ``_batches`` otherwise. Every run
+    holds a frame without links: one offered nobody, or one sent from
+    beyond the cutoff of everyone. A run's frames may have frames on the
+    air that touch them without overlapping them."""
+    dur = 1.373e-3
+    spots = draw(st.lists(st.tuples(_coord, _coord), min_size=1,
+                          max_size=10))
+    population = [_rx(i, x, y) for i, (x, y) in enumerate(spots)]
+
+    def frame(overlapped):
+        s = population[draw(st.integers(0, len(population) - 1))]
+        tx = _tx(s.id, 0.0, s.x, s.y, dur)
+        receivers = [r for r in population if draw(st.booleans())]
+        # on the half-airtime grid, -1..1 overlaps and -2 or 2 touches
+        halves = (st.integers(-1, 1) if overlapped
+                  else st.sampled_from([-2, 2]))
+        concurrent = []
+        for j, (half, who, (cx, cy)) in enumerate(draw(st.lists(
+                st.tuples(halves, st.integers(0, len(population)),
+                          st.tuples(_coord, _coord)),
+                min_size=int(overlapped), max_size=3))):
+            if who < len(population):
+                r = population[who]
+                cx, cy, who = r.x, r.y, r.id
+            else:
+                who = 100 + j
+            concurrent.append(_tx(who, half * dur / 2, cx, cy, dur))
+        return tx, receivers, concurrent
+
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        batch.append(frame(True))
+        run = [frame(False) for _ in range(draw(st.integers(2, 4)))]
+        if draw(st.booleans()):
+            _, _, concurrent = run[0]
+            linkless = (_tx(0, 0.0, spots[0][0], spots[0][1], dur), [],
+                        concurrent)
+        else:
+            linkless = (_tx(99, 0.0, 1e5, 0.0, dur), population, [])
+        run.insert(draw(st.integers(0, len(run))), linkless)
+        batch += run
+    if draw(st.booleans()):
+        batch.append(frame(True))
+    return batch
+
+
 def _assert_batch_matches_the_reference(batch, seed, cfg):
     """Decide the batch as the engine does and each frame, in order,
     with the reference on a twin generator: the same decoded sets, in
-    the same iteration order, and the same generator state after every
-    frame. Returns the frames' (overlapped, decoded set) pairs."""
+    the same iteration order. The first frame of a run of overlap-free
+    frames draws for the whole run, so the generator states are equal
+    after every frame that does not end inside such a run: at the end
+    of every run, after every overlapped frame and at the end of the
+    batch. Every maximal run of consecutive overlap-free frames shares
+    one run. Returns the frames' (overlapped, decoded set) pairs."""
     ref_rng = np.random.default_rng(seed)
     new_rng = np.random.default_rng(seed)
+    decided = _links(batch, cfg)
+    runs = [links.run for _, links, _ in decided] + [None]
     outcomes = []
-    for (tx, receivers, concurrent), (_, links, over) in zip(
-            batch, _links(batch, cfg)):
+    for k, ((tx, receivers, concurrent), (_, links, over)) in enumerate(
+            zip(batch, decided)):
+        assert (links.run is None) == bool(over)
+        if links.run is not None:
+            # a run goes on exactly as long as its frames overlap nothing
+            prev = runs[k - 1]   # runs[-1] is None: nothing before frame 0
+            assert prev is None or prev is links.run
+            assert links.pos == (decided[k - 1][1].pos + 1 if prev else 0)
         want = _reference_delivery_outcome(tx, receivers, concurrent,
                                            ref_rng, cfg)
         got = delivery_outcome(tx, links, over, new_rng, cfg)
         assert got == want and list(got) == list(want)
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        if links.run is None or runs[k + 1] is not links.run:
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
         outcomes.append((bool(over), got))
     return outcomes
 
@@ -528,6 +593,29 @@ class TestDrawForDraw:
            st.sampled_from([CFG, COARSE, WIDE]))
     def test_random_batches_match_the_reference(self, batch, seed, cfg):
         _assert_batch_matches_the_reference(batch, seed, cfg)
+
+    @given(_run_batches(), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([CFG, COARSE, WIDE]))
+    def test_runs_of_overlap_free_frames_match_the_reference(self, batch,
+                                                             seed, cfg):
+        decided = _links(batch, cfg)
+        lengths = {}
+        for _, links, _ in decided:
+            if links.run is not None:
+                lengths[id(links.run)] = links.pos + 1
+        assert len(lengths) >= 1 and min(lengths.values()) >= 3
+        assert any(lk.run is not None and lk.lo == lk.hi
+                   for _, lk, _ in decided)
+        _assert_batch_matches_the_reference(batch, seed, cfg)
+
+    def test_a_run_is_decided_first_frame_first(self):
+        tx = _tx(0, 0.0, 0.0, 0.0)
+        second = _tx(1, 0.0, 5.0, 0.0)
+        [_, (_, links, over)] = _links(
+            [(tx, [_rx(1, 5.0)], []), (second, [_rx(0, 0.0)], [])], CFG)
+        with pytest.raises(ValueError, match="first frame first"):
+            delivery_outcome(second, links, over,
+                             np.random.default_rng(1), CFG)
 
     @pytest.mark.parametrize("far_frame", [False, True],
                              ids=["overlap_free", "overlapped"])

@@ -297,13 +297,17 @@ class TestBadInput:
         ({"forced_schedule": [0, 1]}, None),
         ({"nakagami_bins": [1, 2]}, None),
         ({"nakagami_bins": "ab"}, None),
+        ({}, ["--seeds", "1,1"]),
+        ({}, ["--densities", "4,04"]),
+        ({}, ["--protocols", "taoi,aoi,taoi"]),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
             "non_string_trace_path", "interval_below_airtime",
             "negative_aifs", "negative_preamble", "negative_slot",
             "negative_ranges", "flat_forced_schedule", "flat_nakagami_bins",
-            "string_nakagami_bins"])
+            "string_nakagami_bins", "repeated_seed", "repeated_density",
+            "repeated_protocol"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         self._assert_rejected_up_front(tmp_path, capsys, config, sweep_args)

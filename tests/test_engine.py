@@ -15,13 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taoi_sim import aoi, engine
 from taoi_sim.channel import ChannelConfig
 from taoi_sim.engine import SimConfig, Simulation, run_simulation
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.metrics import Bsm, SafetyParams
-from taoi_sim.mobility import KraussParams, RoadConfig, write_trace
+from taoi_sim.mobility import (KraussParams, RoadConfig, VehicleState,
+                               write_trace)
 from taoi_sim.oracle import (
     ALTERNATING_SCHEDULE,
     SINGLE_SHOT_SCHEDULE,
@@ -305,6 +308,94 @@ class TestBatchedDelivery:
         assert 0 < decided.count(0) < len(decided)
 
 
+def _bits(values) -> list:
+    """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestPayloadPoses:
+    """A Krauss run's MAC payloads take their poses in one vector pass at
+    the next flush: each must be what ``_snapshot_bsm`` computes at its
+    generation instant, bit for bit, and a payload replaced in the queue
+    is never computed."""
+
+    @staticmethod
+    def _assert_bulk_poses_match(placements, last_tick, generations):
+        """``placements``: one (lane, arc, speed) per vehicle, the arc
+        kept as given, not reduced; ``generations``: (offset ns from the
+        last tick, vehicle) pairs. Each state's pose sits an ulp off its
+        arc's, so a payload generated at the tick itself must take the
+        state's own pose."""
+        sim = Simulation(SimConfig(vehicle_count=len(placements),
+                                   duration_s=100.0, seed=0))
+        road = sim.cfg.road
+        sim.states = []
+        for i, (lane, arc, speed) in enumerate(placements):
+            x, y, heading = road.lane_pose(arc, lane)
+            x, y, heading = (math.nextafter(v, math.inf)
+                             for v in (x, y, heading))
+            sim.states.append(VehicleState(i, x, y, speed, heading, lane))
+        sim._arcs = [arc for _, arc, _ in placements]
+        sim._lanes = [lane for lane, _, _ in placements]
+        sim._refresh_arrays()
+        sim._last_tick_ns = last_tick
+        replaced = []
+        for offset, idx in sorted(generations):
+            if sim.vehicles[idx].queued is not None:
+                replaced.append(sim.vehicles[idx].queued)
+            sim._on_generation(last_tick + offset, idx)
+        sim._flush_receptions()
+        queued = [v.queued for v in sim.vehicles if v.queued is not None]
+        assert queued
+        for p in queued:
+            want = sim._snapshot_bsm(p.sender, p.t_ns)
+            assert _bits([p.x, p.y, p.speed, p.heading]) == \
+                _bits([want.x, want.y, want.speed, want.heading])
+            assert (p.gen_time, p.riskiness_flag, p.interval) == \
+                (want.gen_time, want.riskiness_flag, want.interval)
+        assert not any(hasattr(p, "x") for p in replaced)
+
+    def test_every_lane_corner_and_perimeter_multiple(self):
+        road = RoadConfig()
+        placements = []
+        for lane in range(road.lanes):
+            _, long, short, perimeter = road.lane_geometry(lane)
+            for arc in (0.0, long, long + short, 2.0 * long + short,
+                        perimeter, 2.0 * perimeter, perimeter - 1.0):
+                for speed in (0.0, 10.0):
+                    placements.append((lane, arc, speed))
+        tick = 10 ** 8
+        # at the tick itself, mid-tick, and a full tick on, where
+        # perimeter - 1 m at 10 m/s lands on the perimeter
+        generations = [((0, tick // 2, tick)[i % 3], i)
+                       for i in range(len(placements))]
+        self._assert_bulk_poses_match(placements, 7 * tick, generations)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_bulk_poses_equal_the_scalar_snapshot(self, data):
+        road = RoadConfig()
+        placements = []
+        for _ in range(data.draw(st.integers(2, 8))):
+            lane = data.draw(st.integers(0, road.lanes - 1))
+            _, long, short, perimeter = road.lane_geometry(lane)
+            arc = data.draw(st.one_of(
+                st.floats(0.0, perimeter, exclude_max=True),
+                st.sampled_from([0.0, long, long + short, 2.0 * long + short,
+                                 perimeter - 1.0]),
+                st.integers(1, 3).map(lambda k: k * perimeter)))
+            speed = data.draw(st.one_of(st.sampled_from([0.0, 10.0]),
+                                        st.floats(0.0, 40.0)))
+            placements.append((lane, arc, speed))
+        offsets = st.one_of(st.sampled_from([0, 10 ** 8]),
+                            st.integers(0, 10 ** 8))
+        generations = data.draw(st.lists(
+            st.tuples(offsets, st.integers(0, len(placements) - 1)),
+            min_size=1, max_size=16))
+        last_tick = data.draw(st.integers(0, 999)) * 10 ** 8
+        self._assert_bulk_poses_match(placements, last_tick, generations)
+
+
 class TestReceptionBookkeeping:
     """Decoded frames wait in the reception log until the next flush;
     receiver 0's record of sender 1 is cell 1 of the 3-vehicle table."""
@@ -477,6 +568,9 @@ class TestConfigGuards:
              forced_schedule=((True,), (1.0,))),
         dict(channel_mode="idealized_slotted", slot_capacity=2,
              forced_schedule=((1, 1),)),
+        # a flat id list, or no list at all, raised a raw TypeError
+        dict(channel_mode="idealized_slotted", forced_schedule=(0, 1)),
+        dict(channel_mode="idealized_slotted", forced_schedule=5),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

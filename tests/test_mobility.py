@@ -487,6 +487,52 @@ class TestSnap:
             ROAD.snap(100.0, 2.0, 0.1, 0)
 
 
+def _bits(values) -> list:
+    """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _arcs(road, lane):
+    """Arcs on a lane ring: anywhere, a few turns either way, at exact
+    multiples of the perimeter, and at or within an ulp of a corner."""
+    perimeter = road.perimeter(lane)
+    return st.one_of(
+        st.floats(-2.0 * perimeter, 3.0 * perimeter),
+        st.integers(-2, 3).map(lambda k: k * perimeter),
+        st.builds(_ulp_steps, st.sampled_from(_corners(road, lane)),
+                  st.integers(-1, 1)))
+
+
+def _assert_poses_match(road, arcs, lanes):
+    got = road.lane_poses(np.array(arcs), np.array(lanes))
+    want = zip(*[road.lane_pose(arc, lane) for arc, lane in zip(arcs, lanes)])
+    for vector, scalar in zip(got, want):
+        assert _bits(vector) == _bits(scalar)
+
+
+class TestLanePoses:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_vector_poses_equal_the_scalar_ones_bit_for_bit(self, data):
+        road = data.draw(st.sampled_from([ROAD, *SNAP_ROADS]))
+        lanes = data.draw(st.lists(st.integers(0, road.lanes - 1),
+                                   min_size=1, max_size=12))
+        arcs = [data.draw(_arcs(road, lane)) for lane in lanes]
+        _assert_poses_match(road, arcs, lanes)
+
+    @pytest.mark.parametrize("road", [ROAD, *SNAP_ROADS])
+    def test_every_lane_corner_and_perimeter_multiple(self, road):
+        arcs, lanes = [], []
+        for lane in range(road.lanes):
+            perimeter = road.perimeter(lane)
+            for arc in [k * perimeter for k in range(-2, 4)] + [
+                    _ulp_steps(c, k) for c in _corners(road, lane)
+                    for k in (-1, 0, 1)]:
+                arcs.append(arc)
+                lanes.append(lane)
+        _assert_poses_match(road, arcs, lanes)
+
+
 class TestInitialStates:
     def test_round_robin_lane_assignment(self):
         states = initial_states(ROAD, KraussParams(), 30,
