@@ -298,9 +298,9 @@ class _Vehicle:
 
 
 class _Payload:
-    """A Krauss run's BSM from its generation, at ``t_ns``, to the next
-    flush, which fills in its pose (``Simulation._pose_payloads``): nobody
-    moves before it. It reads like a ``Bsm``."""
+    """A realistic-channel BSM from its generation, at ``t_ns``, to the
+    next flush, which fills in its pose (``Simulation._pose_payloads``):
+    nobody moves before it. It reads like a ``Bsm``."""
 
     __slots__ = ("sender", "t_ns", "gen_time", "x", "y", "speed", "heading",
                  "riskiness_flag", "interval")
@@ -338,7 +338,7 @@ class Simulation:
         if cfg.trace_path is not None:
             self.trace = load_trace(cfg.trace_path)
             self._check_trace_coverage()
-            self.states = [self.trace.state_at(i, 0.0) for i in range(self.n)]
+            self.states = self.trace.states_at(0.0)
         else:
             self.states = initial_states(cfg.road, cfg.krauss, self.n,
                                          self.init_rng)
@@ -403,10 +403,11 @@ class Simulation:
             raise ConfigError(
                 f"trace vehicles {sorted(have)} do not match vehicle_count "
                 f"{self.n} (need ids 0..{self.n - 1})")
-        T = self.cfg.duration_s
+        # the run reads every vehicle at 0 and at instants up to T_ns
+        T = self.T_ns / NS
         for vid in range(self.n):
             lo, hi = self.trace.span(vid)
-            if lo > 1e-9 or hi < T - 1e-9:
+            if lo > 0.0 or hi < T:
                 raise TraceError(
                     f"vehicle {vid} trace span [{lo}, {hi}] does not cover "
                     f"[0, {T}]")
@@ -490,7 +491,7 @@ class Simulation:
         self._flush_receptions()
         self._prev_arcs, self._prev_lanes = self._arcs, self._lanes
         if self.trace is not None:
-            self.states = [self.trace.state_at(i, t_s) for i in range(self.n)]
+            self.states = self.trace.states_at(t_s)
         else:
             self.states = krauss_step(self.states, self.cfg.krauss,
                                       self.cfg.road, self.cfg.mobility_tick_s,
@@ -562,9 +563,9 @@ class Simulation:
     # ------------------------------------------------------ realistic MAC
 
     def _snapshot_bsm(self, idx: int, t_ns: int) -> Bsm:
-        """Exact ground truth at the (sub-tick) generation instant. A
-        Krauss run's MAC payloads take the same pose in bulk, from
-        ``_pose_payloads``."""
+        """Exact ground truth at the (sub-tick) generation instant, the
+        payload of a slot. The realistic channel's payloads take the same
+        pose in bulk, from ``_pose_payloads``."""
         t_s = t_ns / NS
         if self.trace is not None:
             s = self.trace.state_at(idx, t_s)
@@ -596,12 +597,9 @@ class Simulation:
                 self._unposed.discard(v.queued)
             elif v.airing is None:
                 self._begin_access(v, t_ns)
-            if self.trace is not None:
-                v.queued = self._snapshot_bsm(idx, t_ns)
-            else:
-                v.queued = payload = _Payload(idx, t_ns, v.ctrl.riskiness_flag,
-                                              v.ctrl.delta)
-                self._unposed.add(payload)
+            v.queued = payload = _Payload(idx, t_ns, v.ctrl.riskiness_flag,
+                                          v.ctrl.delta)
+            self._unposed.add(payload)
         nxt = t_ns + round(v.ctrl.delta * NS)
         if nxt <= self.T_ns:
             self._push(nxt, EV_GEN, idx)
@@ -648,25 +646,31 @@ class Simulation:
             self._rx_log = []
 
     def _pose_payloads(self) -> None:
-        """Fill in the pose of every Krauss BSM generated since the last
-        flush and not replaced in the queue, as ``_snapshot_bsm`` computes
-        it at the generation instant, since nobody has moved since: one
-        vector pass of the same IEEE operations, with a BSM generated at
-        the tick itself taking its state's own pose."""
+        """Fill in the pose of every BSM generated since the last flush
+        and not replaced in the queue, as ``_snapshot_bsm`` computes it at
+        the generation instant, since nobody has moved since: one trace
+        query, or one vector pass of the same IEEE operations as a Krauss
+        pose, with a BSM generated at the tick itself taking its state's
+        own pose."""
         pending = list(self._unposed)
         self._unposed = set()
         idx = np.array([p.sender for p in pending], dtype=np.intp)
-        dt = (np.array([p.t_ns for p in pending]) - self._last_tick_ns) / NS
-        road = self.cfg.road
-        lanes = np.array(self._lanes)[idx]
-        speed = self._speeds[idx]
-        perimeter = road.lane_columns[3][lanes]
-        arc = (np.array(self._arcs)[idx] + speed * dt) % perimeter
-        x, y, heading = road.lane_poses(arc, lanes)
-        still = dt == 0.0
-        x = np.where(still, self._xs[idx], x)
-        y = np.where(still, self._ys[idx], y)
-        heading = np.where(still, self._headings[idx], heading)
+        if self.trace is not None:
+            x, y, speed, heading, _ = self.trace.sample(
+                idx, np.array([p.gen_time for p in pending]))
+        else:
+            dt = ((np.array([p.t_ns for p in pending]) - self._last_tick_ns)
+                  / NS)
+            road = self.cfg.road
+            lanes = np.array(self._lanes)[idx]
+            speed = self._speeds[idx]
+            perimeter = road.lane_columns[3][lanes]
+            arc = (np.array(self._arcs)[idx] + speed * dt) % perimeter
+            x, y, heading = road.lane_poses(arc, lanes)
+            still = dt == 0.0
+            x = np.where(still, self._xs[idx], x)
+            y = np.where(still, self._ys[idx], y)
+            heading = np.where(still, self._headings[idx], heading)
         for p, px, py, pv, ph in zip(pending, x.tolist(), y.tolist(),
                                      speed.tolist(), heading.tolist()):
             p.x, p.y, p.speed, p.heading = px, py, pv, ph

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -393,100 +395,253 @@ def initial_states(road: RoadConfig, params: KraussParams, n: int, rng
 
 
 class TrajectoryTable:
-    """Uniformly ticked per-vehicle trajectory samples."""
+    """Uniformly ticked per-vehicle trajectory samples, as columns sorted
+    by (vehicle id, t): vehicle ``ids[k]`` owns rows
+    ``offsets[k]:offsets[k + 1]`` of ``t``, ``x``, ``y``, ``speed``,
+    ``heading`` and ``lane``. Between two samples of a vehicle, x, y and
+    speed are interpolated linearly and heading and lane are held."""
 
-    def __init__(self, per_vehicle: dict):
-        self._data = per_vehicle  # vid -> (ts, xs, ys, speeds, headings, lanes)
+    def __init__(self, ids, offsets, t, x, y, speed, heading, lane):
+        self.ids, self.offsets = ids, offsets
+        self.t, self.x, self.y, self.speed = t, x, y, speed
+        self.heading, self.lane = heading, lane
+        # one ascending integer key per row, its vehicle's rank and then
+        # its time's rank among every distinct sample time, so that one
+        # searchsorted finds each query's row within its own vehicle
+        self._times = np.unique(t)
+        self._stride = len(self._times) + 1
+        self._keys = (np.repeat(np.arange(len(ids)) * self._stride,
+                                np.diff(offsets))
+                      + np.searchsorted(self._times, t))
 
     def vehicles(self) -> list:
-        return sorted(self._data)
+        return self.ids.tolist()
+
+    def _rows(self, vid: int) -> tuple[int, int]:
+        k = int(np.searchsorted(self.ids, vid))
+        if k == len(self.ids) or self.ids[k] != vid:
+            raise ValueError(f"unknown vehicle id {vid}")
+        return int(self.offsets[k]), int(self.offsets[k + 1])
 
     def span(self, vid: int) -> tuple[float, float]:
-        ts = self._ts(vid)
-        return ts[0], ts[-1]
-
-    def _ts(self, vid: int) -> list:
-        if vid not in self._data:
-            raise ValueError(f"unknown vehicle id {vid}")
-        return self._data[vid][0]
+        lo, hi = self._rows(vid)
+        return float(self.t[lo]), float(self.t[hi - 1])
 
     def state_at(self, vid: int, t: float) -> VehicleState:
-        ts, xs, ys, sp, hd, ln = self._data[vid]
-        if t < ts[0] or t > ts[-1]:
+        """One vehicle's state at time t: the reference for ``sample``."""
+        lo, hi = self._rows(vid)
+        first, last = float(self.t[lo]), float(self.t[hi - 1])
+        if t < first or t > last:
             raise ValueError(
-                f"t={t} outside trace span [{ts[0]}, {ts[-1]}] of vehicle {vid}")
-        k = bisect.bisect_right(ts, t) - 1
-        if k == len(ts) - 1:
-            return VehicleState(vid, xs[k], ys[k], sp[k], hd[k], ln[k], t)
-        f = (t - ts[k]) / (ts[k + 1] - ts[k])
+                f"t={t} outside trace span [{first}, {last}] of vehicle {vid}")
+        k = bisect.bisect_right(self.t, t, lo, hi) - 1
+        heading, lane = float(self.heading[k]), int(self.lane[k])
+        if k == hi - 1:
+            return VehicleState(vid, float(self.x[k]), float(self.y[k]),
+                                float(self.speed[k]), heading, lane, t)
+        ts, xs, ys, sp = (c[k:k + 2].tolist()
+                          for c in (self.t, self.x, self.y, self.speed))
+        f = (t - ts[0]) / (ts[1] - ts[0])
         return VehicleState(
             vid,
-            xs[k] + f * (xs[k + 1] - xs[k]),
-            ys[k] + f * (ys[k + 1] - ys[k]),
-            sp[k] + f * (sp[k + 1] - sp[k]),
-            hd[k], ln[k], t)
+            xs[0] + f * (xs[1] - xs[0]),
+            ys[0] + f * (ys[1] - ys[0]),
+            sp[0] + f * (sp[1] - sp[0]),
+            heading, lane, t)
+
+    def sample(self, vids, ts) -> tuple:
+        """``state_at`` for many (vehicle, time) queries at once: x, y,
+        speed, heading and lane arrays. Each query takes the row
+        ``state_at`` bisects to and the same IEEE operations, so every
+        value is the scalar call's bit for bit."""
+        vids = np.asarray(vids)
+        ts = np.asarray(ts, dtype=float)
+        seg = np.searchsorted(self.ids, vids)
+        if (seg == len(self.ids)).any() or (
+                self.ids[np.minimum(seg, len(self.ids) - 1)] != vids).any():
+            raise ValueError("query for an unknown vehicle id")
+        lo, end = self.offsets[seg], self.offsets[seg + 1] - 1
+        t = self.t
+        if ((ts < t[lo]) | (ts > t[end])).any():
+            raise ValueError("query outside its vehicle's trace span")
+        k = np.searchsorted(self._keys, seg * self._stride + np.searchsorted(
+            self._times, ts, side="right")) - 1
+        last = k == end
+        k1 = np.where(last, k, k + 1)
+        t0 = t[k]
+        # a vehicle's last sample is taken as it is; the 1.0 only keeps
+        # its discarded interpolation free of 0 / 0
+        f = (ts - t0) / np.where(last, 1.0, t[k1] - t0)
+
+        def lerp(column):
+            a = column[k]
+            return np.where(last, a, a + f * (column[k1] - a))
+
+        return (lerp(self.x), lerp(self.y), lerp(self.speed), self.heading[k],
+                self.lane[k])
+
+    def states_at(self, t: float) -> list:
+        """Every vehicle's state at time t, in id order, from one
+        ``sample`` query."""
+        columns = self.sample(self.ids, np.full(len(self.ids), t))
+        return [VehicleState(vid, x, y, speed, heading, lane, t)
+                for vid, x, y, speed, heading, lane in zip(
+                    self.ids.tolist(), *(c.tolist() for c in columns))]
 
 
-def _build_table(groups: dict) -> TrajectoryTable:
-    tick = None
-    for vid, rows in groups.items():
-        rows.sort(key=lambda r: r[0])
-        for (t1, *_), (t2, *_) in zip(rows, rows[1:]):
-            if t2 == t1:
-                raise TraceError(f"duplicate timestamp {t1} for vehicle {vid}")
-        if len(rows) >= 2:
-            step = rows[1][0] - rows[0][0]
-            for (t1, *_), (t2, *_) in zip(rows, rows[1:]):
-                if abs((t2 - t1) - step) > 1e-9:
-                    raise TraceError(
-                        f"nonuniform tick for vehicle {vid}: {t2 - t1} vs {step}")
-            if tick is None:
-                tick = step
-            elif abs(step - tick) > 1e-9:
+_TRACE_DTYPE = np.dtype([(name, "i8" if name in ("vehicle_id", "lane")
+                          else "f8") for name in TRACE_FIELDS])
+_INT64 = np.iinfo(np.int64)
+# the bytes of plain numbers, and what is left of the header without them
+_PLAIN = b"0123456789.+-eE \t,\r\n"
+_HEADER_LETTERS = ",".join(TRACE_FIELDS).encode().translate(None, _PLAIN)
+
+
+def _build_table(t, vid, x, y, speed, heading, lane) -> TrajectoryTable:
+    """Group trace columns (in file order) by vehicle, sort each vehicle's
+    samples by time and check the ticks. Vehicles are checked in the order
+    of their first row in the file, and within one a duplicate timestamp
+    comes before a nonuniform tick, which comes before a tick that differs
+    from that of the first vehicle with two samples."""
+    order = np.lexsort((t, vid))
+    ids, first, counts = np.unique(vid, return_index=True, return_counts=True)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    t = t[order]
+    seg = np.repeat(np.arange(len(ids)), counts)
+    # consecutive sorted rows of one vehicle, as (k, k + 1) pairs
+    pair = np.flatnonzero(seg[1:] == seg[:-1])
+    pair_seg = seg[pair]
+    ticked = counts >= 2
+    step = np.full(len(ids), np.nan)
+    # Python's float arithmetic: overflow gives inf and inf - inf nan,
+    # silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        step[ticked] = t[offsets[:-1][ticked] + 1] - t[offsets[:-1][ticked]]
+        gap = t[pair + 1] - t[pair]
+        dup = t[pair + 1] == t[pair]
+        uneven = np.abs(gap - step[pair_seg]) > 1e-9
+        by_file = np.argsort(first)
+        tick_setters = by_file[ticked[by_file]]
+        tick = step[tick_setters[0]] if len(tick_setters) else np.nan
+        differs = ticked & (np.abs(step - tick) > 1e-9)
+    bad = differs.copy()
+    bad[pair_seg[dup | uneven]] = True
+    if bad.any():
+        s = by_file[bad[by_file]][0]
+        vehicle = int(ids[s])
+        mine = pair_seg == s
+        if (dup & mine).any():
+            k = pair[dup & mine][0]
+            raise TraceError(
+                f"duplicate timestamp {float(t[k])} for vehicle {vehicle}")
+        if (uneven & mine).any():
+            j = np.flatnonzero(uneven & mine)[0]
+            raise TraceError(f"nonuniform tick for vehicle {vehicle}: "
+                             f"{float(gap[j])} vs {float(step[s])}")
+        raise TraceError(f"vehicle {vehicle} tick {float(step[s])} differs "
+                         f"from {float(tick)}")
+    return TrajectoryTable(ids, offsets, t, x[order], y[order], speed[order],
+                           heading[order], lane[order])
+
+
+def _loadtxt_columns(text: str):
+    """The seven columns of a trace, in file order, from one
+    ``np.loadtxt`` pass, when every line is plain ASCII numbers and
+    passes the row checks; otherwise None."""
+    # float() and int() take syntax np.loadtxt refuses, and np.loadtxt
+    # takes some they refuse (an id of 0\x1c): only a file of plain
+    # numbers under the header passes
+    if (not text.isascii()
+            or text.encode().translate(None, _PLAIN) != _HEADER_LETTERS):
+        return None
+    # the csv module ends a line at \r, \n and \r\n; np.loadtxt takes a
+    # line that ends in \r and refuses one with \r anywhere else
+    lines = text.split("\n")
+    # the lines hold all of the text: dropping it keeps it out of the
+    # load's peak memory
+    del text
+    if tuple(h.strip() for h in lines[0].split(",")) != TRACE_FIELDS:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy before 1.23 parses an id written as 3.0 with a
+            # DeprecationWarning instead of refusing it
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines[1:], dtype=_TRACE_DTYPE,
+                              delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    columns = [rows[name] for name in TRACE_FIELDS]
+    t, _, x, y, speed, heading, lane = columns
+    if (len(t) == 0 or not all(np.isfinite(c).all()
+                               for c in (t, x, y, speed, heading))
+            or (speed < 0).any() or (lane < 0).any()):
+        return None
+    return columns
+
+
+def _row_columns(text: str) -> list:
+    """The seven columns of a trace, in file order, read row by row with
+    ``float()`` and ``int()``: the reading for any syntax ``np.loadtxt``
+    refuses (quoted fields, ``1_000.5``, non-ASCII digits), and the one
+    that names the line of every error."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != TRACE_FIELDS:
+        raise TraceError(f"bad trace header: {header!r}")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(TRACE_FIELDS):
+            raise TraceError(f"line {lineno}: expected 7 fields, got {len(row)}")
+        try:
+            t = float(row[0])
+            vid = int(row[1])
+            x, y, speed, heading = (float(v) for v in row[2:6])
+            lane = int(row[6])
+        except ValueError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+        for name, v in (("t", t), ("x", x), ("y", y), ("speed", speed),
+                        ("heading", heading)):
+            if not math.isfinite(v):
+                raise TraceError(f"line {lineno}: {name} is not finite: {v}")
+        if speed < 0:
+            raise TraceError(f"line {lineno}: negative speed {speed}")
+        if lane < 0:
+            raise TraceError(f"line {lineno}: negative lane {lane}")
+        for name, v in (("vehicle_id", vid), ("lane", lane)):
+            if not _INT64.min <= v <= _INT64.max:
                 raise TraceError(
-                    f"vehicle {vid} tick {step} differs from {tick}")
-    data = {}
-    for vid, rows in groups.items():
-        cols = list(zip(*rows))
-        data[vid] = tuple(list(c) for c in cols)
-    return TrajectoryTable(data)
+                    f"line {lineno}: {name} {v} does not fit 64 bits")
+        rows.append((t, vid, x, y, speed, heading, lane))
+    if not rows:
+        raise TraceError("trace contains no samples")
+    return [np.array(c, dtype=_TRACE_DTYPE[name])
+            for name, c in zip(TRACE_FIELDS, zip(*rows))]
 
 
 def load_trace(path) -> TrajectoryTable:
     """Parse a trajectory CSV. Schema (exact header):
-    t,vehicle_id,x,y,speed,heading,lane. Rejects a file it cannot open,
-    malformed rows, negative speeds or lanes, duplicate timestamps and
-    nonuniform ticks, all with TraceError."""
-    groups: dict = {}
+    t,vehicle_id,x,y,speed,heading,lane. Rejects a file it cannot open or
+    decode, malformed rows, non-finite values, negative speeds or lanes,
+    duplicate timestamps and nonuniform ticks, all with TraceError. A file
+    of plain numbers is read in one ``np.loadtxt`` pass; anything else,
+    and any file that fails a row check, is read row by row, which takes
+    every syntax ``float()`` and ``int()`` take and names the failing
+    line."""
+    columns = _loadtxt_columns(_read_text(path))
+    if columns is None:
+        columns = _row_columns(_read_text(path))
+    return _build_table(*columns)
+
+
+def _read_text(path) -> str:
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TRACE_FIELDS:
-            raise TraceError(f"bad trace header: {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(TRACE_FIELDS):
-                raise TraceError(f"line {lineno}: expected 7 fields, got {len(row)}")
-            try:
-                t = float(row[0])
-                vid = int(row[1])
-                x, y, speed, heading = (float(v) for v in row[2:6])
-                lane = int(row[6])
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from None
-            if speed < 0:
-                raise TraceError(f"line {lineno}: negative speed {speed}")
-            if lane < 0:
-                raise TraceError(f"line {lineno}: negative lane {lane}")
-            groups.setdefault(vid, []).append((t, x, y, speed, heading, lane))
-    if not groups:
-        raise TraceError("trace contains no samples")
-    return _build_table(groups)
 
 
 def write_trace(path, rows) -> None:

@@ -319,6 +319,18 @@ class TestBadInput:
         self._assert_rejected_up_front(
             tmp_path, capsys, {key: str(tmp_path / "missing" / "t.csv")})
 
+    @pytest.mark.parametrize("first,last", [(5e-10, 1.0), (0.0, 1.0 - 5e-10)],
+                             ids=["starts_after_zero", "ends_before_the_end"])
+    def test_trace_span_short_of_the_run_by_a_hair(self, tmp_path, capsys,
+                                                   first, last):
+        times = [first] + [k * 0.1 for k in range(1, 10)] + [last]
+        path = tmp_path / "short.csv"
+        path.write_text("t,vehicle_id,x,y,speed,heading,lane\n" + "".join(
+            f"{t!r},{vid},{10.0 * vid + t!r},2.0,1.0,0.0,0\n"
+            for t in times for vid in range(SMALL["vehicle_count"])))
+        self._assert_rejected_up_front(tmp_path, capsys,
+                                       {"trace_path": str(path)})
+
     @staticmethod
     def _assert_rejected_up_front(tmp_path, capsys, config, sweep_args=None):
         # small, so that a value the checks let through fails fast

@@ -314,10 +314,11 @@ def _bits(values) -> list:
 
 
 class TestPayloadPoses:
-    """A Krauss run's MAC payloads take their poses in one vector pass at
-    the next flush: each must be what ``_snapshot_bsm`` computes at its
-    generation instant, bit for bit, and a payload replaced in the queue
-    is never computed."""
+    """A realistic run's MAC payloads take their poses in one pass at the
+    next flush, a vector pose under Krauss and a trace query in a replay:
+    each must be what ``_snapshot_bsm`` computes at its generation
+    instant, bit for bit, and a payload replaced in the queue is never
+    computed."""
 
     @staticmethod
     def _assert_bulk_poses_match(placements, last_tick, generations):
@@ -354,6 +355,26 @@ class TestPayloadPoses:
             assert (p.gen_time, p.riskiness_flag, p.interval) == \
                 (want.gen_time, want.riskiness_flag, want.interval)
         assert not any(hasattr(p, "x") for p in replaced)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(
+        [0, 1, 10 ** 8 // 3, 10 ** 8 // 2, 10 ** 8 - 1]), st.integers(0, 2)),
+        min_size=1, max_size=12))
+    def test_replay_payloads_take_the_trace_pose(self, braking_trace,
+                                                 generations):
+        # a replayed BSM is posed at the next flush from one trace query:
+        # at a sample, between samples and at the span's end it must be
+        # what the scalar ``state_at`` gives at its generation instant
+        sim = Simulation(_trace_cfg(braking_trace, "taoi"))
+        posed = []
+        for k, offset, idx in generations:
+            sim._on_generation(min(k * sim.tick_ns + offset, sim.T_ns), idx)
+            posed.append(sim.vehicles[idx].queued)
+            sim._flush_receptions()
+        for p in posed:
+            want = sim._snapshot_bsm(p.sender, p.t_ns)
+            assert _bits([p.x, p.y, p.speed, p.heading]) == \
+                _bits([want.x, want.y, want.speed, want.heading])
 
     def test_every_lane_corner_and_perimeter_multiple(self):
         road = RoadConfig()
@@ -627,6 +648,22 @@ class TestConfigGuards:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(vehicle_count=4, duration_s=5.0,
                                      trace_path=braking_trace))
+
+    @pytest.mark.parametrize("first,last", [(5e-10, 1.0), (0.0, 1.0 - 5e-10)],
+                             ids=["starts_after_zero", "ends_before_the_end"])
+    def test_trace_span_short_of_the_run_by_a_hair(self, tmp_path, first,
+                                                   last):
+        # the run reads every vehicle at exactly 0 and at T: a span that
+        # misses either by half a nanosecond fails before the run, not
+        # inside it as a ValueError
+        times = [first] + [k * 0.1 for k in range(1, 10)] + [last]
+        path = tmp_path / "short.csv"
+        path.write_text("t,vehicle_id,x,y,speed,heading,lane\n" + "".join(
+            f"{t!r},{vid},{10.0 * vid + t!r},2.0,1.0,0.0,0\n"
+            for t in times for vid in range(2)))
+        with pytest.raises(TraceError, match="does not cover"):
+            Simulation(SimConfig(vehicle_count=2, duration_s=1.0,
+                                 trace_path=str(path)))
 
     def test_trace_span_too_short(self, braking_trace):
         with pytest.raises(TraceError):

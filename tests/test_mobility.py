@@ -2,12 +2,14 @@
 
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from taoi_sim import mobility
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.mobility import (
     KraussParams,
@@ -644,15 +646,39 @@ class TestTraceIo:
         ("0.0,0,0.0,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0,0\n"
          "0.3,0,2.0,2.0,10.0,0.0,0\n", "uneven tick"),
         ("", "no rows"),
+        ("0.0,0,nan,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0,0\n", "nan x"),
+        ("0.0,0,inf,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0,0\n",
+         "infinite x"),
+        ("0.0,0,0.0,-inf,10.0,0.0,0\n", "infinite y"),
+        ("nan,0,0.0,2.0,10.0,0.0,0\n", "nan t"),
+        ("0.0,0,0.0,2.0,nan,0.0,0\n", "nan speed"),
+        ("0.0,0,0.0,2.0,10.0,nan,0\n", "nan heading"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, body, why):
         p = _write(tmp_path / "bad.csv", body)
         with pytest.raises(TraceError):
             load_trace(p)
 
+    @pytest.mark.parametrize("field", ["t", "x", "y", "speed", "heading"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_a_non_finite_value_names_its_line(self, tmp_path, field, value):
+        good = dict(t="0.1", x="1.0", y="2.0", speed="10.0", heading="0.0")
+        good[field] = value
+        p = _write(tmp_path / "bad.csv", "0.0,0,0.0,2.0,10.0,0.0,0\n"
+                   + ",".join([good["t"], "0", good["x"], good["y"],
+                               good["speed"], good["heading"], "0"]) + "\n")
+        with pytest.raises(TraceError, match=f"^line 3: {field} is not finite"):
+            load_trace(p)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="cannot read trace"):
             load_trace(tmp_path / "missing.csv")
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(HEADER.encode() + b"0.0,0,1\xff,2.0,10.0,0.0,0\n")
+        with pytest.raises(TraceError):
+            load_trace(p)
 
     def test_wrong_header_rejected(self, tmp_path):
         p = _write(tmp_path / "bad.csv", "0.0,0,0.0,2.0,10.0,0.0,0\n",
@@ -661,12 +687,311 @@ class TestTraceIo:
             load_trace(p)
 
     def test_write_then_load_round_trip(self, tmp_path):
-        rows = [(k * 0.1, vid, 10.0 * vid + k, 2.0, 15.0, 0.0, 0)
+        # values whose shortest repr is long, signed zero, a subnormal and
+        # one near the top of the range come back exactly; t is written
+        # with millisecond precision
+        awkward = (-0.0, 5e-324, 0.1 + 0.2, -1.0 / 3.0, 1e300)
+        rows = [(k * 0.1, vid, 10.0 * vid + k + awkward[k] * 1e-300,
+                 awkward[k], 15.0 + awkward[(k + 1) % 5] * 1e-300,
+                 awkward[(k + vid) % 5] * 1e-300, vid)
                 for k in range(5) for vid in (0, 1)]
         p = tmp_path / "rt.csv"
         write_trace(p, rows)
         table = load_trace(p)
         assert table.vehicles() == [0, 1]
-        s = table.state_at(1, 0.3)
-        assert s.x == pytest.approx(13.0)
-        assert s.speed == 15.0
+        want = sorted(((vid, float(f"{t:.3f}"), x, y, speed, heading, lane)
+                       for t, vid, x, y, speed, heading, lane in rows),
+                      key=lambda r: r[:2])
+        got = list(zip(np.repeat(table.ids, np.diff(table.offsets)).tolist(),
+                       table.t.tolist(), table.x.tolist(), table.y.tolist(),
+                       table.speed.tolist(), table.heading.tolist(),
+                       table.lane.tolist()))
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        t, vid, *pose, lane = rows[3 * 2 + 1]
+        s = table.state_at(vid, float(f"{t:.3f}"))
+        assert _bits([s.x, s.y, s.speed, s.heading]) == _bits(pose)
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _column_bits(column) -> tuple:
+    column = np.asarray(column)
+    if column.dtype == np.float64:
+        return "f8", column.view(np.int64).tolist()
+    return column.dtype.str, column.tolist()
+
+
+def _table_or_error(columns):
+    """Every column of the table built from parsed columns, bit for
+    bit, with its vehicle offsets; or the TraceError message."""
+    try:
+        table = mobility._build_table(*columns)
+    except TraceError as exc:
+        return str(exc)
+    return [_column_bits(c) for c in (
+        table.ids, table.offsets, table.t, table.x, table.y, table.speed,
+        table.heading, table.lane)]
+
+
+# padding: ASCII and Unicode whitespace, not all of which float() and
+# int() both strip, and a zero-width space, which neither strips
+_PADDING = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+            "\u2003", "\u2028", "\u3000", "\u200b"]
+# zeros of digit sets that float() and int() read: Arabic-Indic,
+# Devanagari, fullwidth
+_ZEROS = ["\u0660", "\u0966", "\uff10"]
+# the characters a field of a file np.loadtxt reads may hold
+_PLAIN_ALPHABET = "0123456789.+-eE \t"
+
+
+def _foreign_digits(text: str, zero: str) -> str:
+    return "".join(chr(ord(zero) + int(c)) if c.isdigit() else c
+                   for c in text)
+
+
+@st.composite
+def _float_spelling(draw, v: float, level: int) -> str:
+    """A spelling of v: level 0 is repr, level 1 adds spellings that both
+    readers may take (other formats, a plus sign, padding), level 2 any
+    spelling, odd or invalid."""
+    if level == 0:
+        return repr(v)
+    plain = draw(st.sampled_from([repr(v), f"{v:.3f}", f"{v:e}",
+                                  f"{v:.17g}"]))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return ("+" + plain) if not plain.startswith("-") else plain
+    if kind == 1:
+        pad = st.sampled_from(_PADDING[:3] if level == 1 else _PADDING)
+        return draw(pad) + plain + draw(pad)
+    if level == 1 or kind > 7:
+        return plain
+    if kind == 2:
+        return f'"{plain}"'
+    if kind == 3:
+        # 1_000.5: an underscore between two digits
+        digits = [i for i in range(1, len(plain))
+                  if plain[i - 1].isdigit() and plain[i].isdigit()]
+        if digits:
+            i = draw(st.sampled_from(digits))
+            return plain[:i] + "_" + plain[i:]
+        return plain
+    if kind == 4:
+        return _foreign_digits(plain, draw(st.sampled_from(_ZEROS)))
+    if kind == 5:
+        return draw(st.sampled_from(["nan", "inf", "-inf", "+nan",
+                                     "Infinity", "1e999", "-1e999"]))
+    if kind == 6:
+        return draw(st.text(_PLAIN_ALPHABET, max_size=6))
+    return draw(st.sampled_from(["", "ten", "0x1p3", "1d5", "1e", ".",
+                                 "- 3", "+-1", "1e+-5", ".e1", "e5",
+                                 "1.5.2", "--1", "1 2"]))
+
+
+@st.composite
+def _int_spelling(draw, v: int, level: int) -> str:
+    if level == 0:
+        return str(v)
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return f"+{v}"
+    if kind == 1:
+        pad = st.sampled_from(_PADDING[:3] if level == 1 else _PADDING)
+        return draw(pad) + str(v) + draw(pad)
+    if level == 1 or kind > 6:
+        return str(v)
+    if kind == 2:
+        return f"{v}.0"
+    if kind == 3:
+        return f'"{v}"'
+    if kind == 4:
+        return _foreign_digits(str(v), draw(st.sampled_from(_ZEROS)))
+    if kind == 5:
+        return draw(st.text(_PLAIN_ALPHABET, max_size=6))
+    return draw(st.sampled_from(["-1", "1_0", "3e0", "0x1", "", "007",
+                                 "- 3", "+-3", "99999999999999999999"]))
+
+
+@st.composite
+def _trace_texts(draw) -> str:
+    """Trace files that stress both readers: vehicles with different
+    starts and sample counts, rows shuffled or not, odd spellings of
+    numbers, rows of 6 or 8 fields, duplicate or shifted timestamps,
+    vehicles on another tick, blank lines and three line endings."""
+    tick = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    values = st.floats(-1e4, 1e4, allow_nan=False)
+    level = draw(st.integers(0, 2))
+    samples = []
+    for vid in draw(st.lists(st.integers(0, 12), min_size=1, max_size=4,
+                             unique=True)):
+        start = draw(st.integers(0, 3)) * tick
+        own_tick = tick * draw(st.sampled_from([1, 1, 1, 2]))
+        for k in range(draw(st.integers(1, 5))):
+            t = start + k * own_tick
+            samples.append([t, vid, draw(values), draw(values),
+                            draw(st.floats(0.0, 40.0)),
+                            draw(st.sampled_from([0.0, math.pi / 2.0])),
+                            draw(st.integers(0, 2))])
+    fault = draw(st.integers(0, 9))
+    if fault == 0:
+        samples.append(list(draw(st.sampled_from(samples))))
+    elif fault == 1:
+        draw(st.sampled_from(samples))[0] += tick / 3.0
+    elif fault == 2:
+        draw(st.sampled_from(samples))[draw(st.sampled_from([4, 6]))] = -1
+    if draw(st.booleans()):
+        samples = draw(st.permutations(samples))
+    lines = []
+    for t, vid, x, y, speed, heading, lane in samples:
+        fields = [draw(_float_spelling(t, level)),
+                  draw(_int_spelling(vid, level))]
+        fields += [draw(_float_spelling(v, level))
+                   for v in (x, y, speed, heading)]
+        fields.append(draw(_int_spelling(lane, level)))
+        if fault == 3 and draw(st.integers(0, 3)) == 0:
+            fields = fields[:6] if draw(st.booleans()) else fields + ["0"]
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 29)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([",".join(mobility.TRACE_FIELDS)] + lines) + end
+
+
+class TestTraceReaders:
+    """``load_trace`` reads a file of plain numbers in one
+    ``np.loadtxt`` pass and anything else row by row. Wherever the fast
+    reader accepts a file, the row loop must read the same values, and
+    the table built from either must be the same, or fail with the same
+    message."""
+
+    @settings(max_examples=300)
+    @given(_trace_texts())
+    # np.loadtxt reads a lane of 0\x1c as 0, int() refuses it
+    @example(HEADER + "0.0,0,0.0,0.0,0.0,0.0,0\x1c\n")
+    def test_the_fast_reader_agrees_with_the_row_loop(self, text):
+        fast = mobility._loadtxt_columns(text)
+        try:
+            rows = mobility._row_columns(text)
+        except TraceError as exc:
+            rows = str(exc)
+        event("loadtxt read it" if fast is not None else "row loop only")
+        if fast is None:
+            return
+        assert not isinstance(rows, str), rows
+        assert [_column_bits(c) for c in fast] == \
+            [_column_bits(c) for c in rows]
+        built = _table_or_error(fast)
+        event("table built" if not isinstance(built, str) else "rejected")
+        assert built == _table_or_error(rows)
+
+    @pytest.mark.parametrize("spelling", [
+        '"10.5"', "1_0.5", "\u0661\u0660.5", " 10.5\u2003", "+10.5"])
+    def test_syntax_loadtxt_refuses_loads_like_plain_numbers(
+            self, tmp_path, spelling):
+        plain = _write(tmp_path / "plain.csv",
+                       "0.0,0,10.5,2.0,10.0,0.0,0\n"
+                       "0.1,0,11.5,2.0,10.0,0.0,0\n")
+        odd = tmp_path / "odd.csv"
+        with open(odd, "w", newline="") as fh:
+            fh.write(HEADER + f"0.0,0,{spelling},2.0,10.0,0.0,0\r\n\n"
+                     "  \n0.1,0,11.5,2.0,10.0,0.0,0\r\n")
+        assert _table_or_error(_columns_of(load_trace(odd))) == \
+            _table_or_error(_columns_of(load_trace(plain)))
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.0,0,0.0,2.0,10.0,0.0,0\n0.0,0,0.1,2.0,10.0,0.0,0\n",
+         "duplicate timestamp 0.0 for vehicle 0"),
+        ("0.0,0,0.0,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0,0\n"
+         "0.3,0,2.0,2.0,10.0,0.0,0\n",
+         "nonuniform tick for vehicle 0: 0.19999999999999998 vs 0.1"),
+        # vehicle 5 comes first in the file, so its tick is the one the
+        # others must match, and its error is the one reported
+        ("0.0,5,0.0,2.0,10.0,0.0,0\n0.2,5,1.0,2.0,10.0,0.0,0\n"
+         "0.0,1,0.0,2.0,10.0,0.0,0\n0.1,1,1.0,2.0,10.0,0.0,0\n",
+         "vehicle 1 tick 0.1 differs from 0.2"),
+        ("0.0,1,0.0,2.0,10.0,0.0,0\n0.0,5,0.0,2.0,10.0,0.0,0\n"
+         "0.0,5,0.0,2.0,10.0,0.0,0\n0.0,1,0.0,2.0,10.0,0.0,0\n",
+         "duplicate timestamp 0.0 for vehicle 1"),
+        ("0.0,5,0.0,2.0,10.0,0.0,0\n0.1,5,1.0,2.0,10.0,0.0,0\n"
+         "0.3,5,2.0,2.0,10.0,0.0,0\n0.0,1,0.0,2.0,10.0,0.0,0\n"
+         "0.0,1,0.0,2.0,10.0,0.0,0\n",
+         "nonuniform tick for vehicle 5: 0.19999999999999998 vs 0.1"),
+    ])
+    def test_table_errors_keep_their_message_and_order(self, tmp_path, body,
+                                                       message):
+        for spelling in (body, body.replace(",0\n", ',"0"\n')):
+            p = _write(tmp_path / "bad.csv", spelling)
+            with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+                load_trace(p)
+
+    @pytest.mark.parametrize("line,message", [
+        ("0.0,1e999999999999999999999,0.0,2.0,10.0,0.0,0",
+         "line 2: invalid literal for int()"),
+        ("0.0,99999999999999999999,0.0,2.0,10.0,0.0,0",
+         "line 2: vehicle_id 99999999999999999999 does not fit 64 bits"),
+        ("0.0,0,0.0,2.0,10.0,0.0,99999999999999999999",
+         "line 2: lane 99999999999999999999 does not fit 64 bits"),
+    ])
+    def test_ids_beyond_64_bits_are_rejected(self, tmp_path, line, message):
+        p = _write(tmp_path / "bad.csv", line + "\n")
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}"):
+            load_trace(p)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_bulk_queries_equal_state_at(self, data):
+        tick = data.draw(st.sampled_from([0.1, 0.25, 0.3, 1.0]))
+        values = st.floats(-1e4, 1e4, allow_nan=False)
+        samples = []
+        for vid in range(data.draw(st.integers(1, 5))):
+            start = data.draw(st.integers(0, 6)) * tick
+            for k in range(data.draw(st.integers(1, 6))):
+                samples.append((start + k * tick, vid, data.draw(values),
+                                data.draw(values), data.draw(st.floats(0, 40)),
+                                data.draw(values), data.draw(st.integers(0, 3))))
+        samples = data.draw(st.permutations(samples))
+        table = mobility._build_table(*(
+            np.array(c, dtype=mobility._TRACE_DTYPE[name])
+            for name, c in zip(mobility.TRACE_FIELDS, zip(*samples))))
+        queries = []
+        for vid in table.vehicles():
+            lo, hi = table.span(vid)
+            ts = table.t[table.offsets[vid]:table.offsets[vid + 1]].tolist()
+            inside = ts + [(a + b) / 2.0 for a, b in zip(ts, ts[1:])]
+            inside += [data.draw(st.floats(lo, hi)) for _ in range(3)]
+            for t in ts:
+                inside += [math.nextafter(t, -math.inf),
+                           math.nextafter(t, math.inf)]
+            queries += [(vid, t) for t in inside if lo <= t <= hi]
+        queries = data.draw(st.permutations(queries))
+        vids = [vid for vid, _ in queries]
+        got = table.sample(vids, [t for _, t in queries])
+        for j, (vid, t) in enumerate(queries):
+            s = table.state_at(vid, t)
+            assert _bits([c[j] for c in got[:4]]) == \
+                _bits([s.x, s.y, s.speed, s.heading])
+            assert got[4][j] == s.lane
+
+    def test_bulk_queries_reject_what_state_at_rejects(self, tmp_path):
+        table = load_trace(_write(
+            tmp_path / "t.csv",
+            "0.0,0,0.0,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0,0\n"
+            "0.1,2,0.0,2.0,10.0,0.0,0\n0.2,2,1.0,2.0,10.0,0.0,0\n"))
+        for vid, t in ((0, 0.2), (2, 0.0), (2, math.nextafter(0.2, 1.0))):
+            with pytest.raises(ValueError):
+                table.state_at(vid, t)
+            with pytest.raises(ValueError, match="outside"):
+                table.sample([0, vid], [0.0, t])
+        with pytest.raises(ValueError, match="unknown vehicle"):
+            table.sample([1], [0.1])
+        with pytest.raises(ValueError, match="unknown vehicle"):
+            table.sample([3], [0.1])
+
+
+def _columns_of(table) -> list:
+    """A table's columns in the order the readers return them."""
+    return [table.t, np.repeat(table.ids, np.diff(table.offsets)), table.x,
+            table.y, table.speed, table.heading, table.lane]
