@@ -15,15 +15,9 @@ cells, where cell ``r * n + s`` holds receiver r's record of sender s and
 and an integer array of cells and update those cells together; a cell may
 appear at most once per call.
 
-Two accumulation styles coexist and are validated by different oracles:
-
-* ``advance`` integrates the continuous sawtooth and is what the realistic
-  channel mode uses.
-* ``slot_sample`` adds right-endpoint step areas (the age at a slot
-  boundary times the slot length), which is the discrete arithmetic of the
-  idealized slotted channel abstraction.
-
-Callers must never mix the two on one table.
+``advance`` integrates the continuous sawtooth. The slotted mode accounts
+its areas as right-endpoint steps instead (``slotted.slot_sample``); one
+table never mixes the two.
 """
 
 from __future__ import annotations
@@ -212,23 +206,6 @@ def apply_reception(table: PairTable, log) -> None:
         if len(c):
             advance(table, c, f[:, 1])
             swap_snapshot(table, c, f[:, 2:].T, f[:, 1])
-
-
-def slot_sample(table: PairTable, cells, t: float, slot: float):
-    """Right-endpoint step accounting for the idealized slotted mode: add
-    age(t) * slot to the accumulators of ``cells`` (the gated ones under
-    the flag of the snapshot held at t) and return the sampled ages.
-    Callers invoke this after the slot's deliveries have been applied."""
-    a = instantaneous_aoi(table, cells, t)
-    step = a * slot
-    table.aoi_mi[cells] += step
-    table.aoi_run[cells] += step
-    gated = table.risky[cells] != 0
-    g = cells[gated]
-    table.taoi_mi[g] += step[gated]
-    table.taoi_run[g] += step[gated]
-    table.cursor[cells] = t
-    return a
 
 
 def vehicle_aoi(areas, t_mi: float) -> float:

@@ -8,11 +8,9 @@ truth moves first, finishing frames deliver before new generations look
 at the medium, and measurement logic runs after everything that changes
 the picture it measures.
 
-Two channel modes share the loop. The realistic mode runs CSMA access,
-airtime and fading per frame; the idealized slotted mode replaces all of
-that with fixed-capacity slots at zero delay (the abstraction behind the
-analytical toy example), where each slot boundary samples tracking error
-before delivery and age after delivery as right-endpoint steps.
+``Simulation`` is the realistic channel: CSMA access, airtime and
+fading per frame. A config in the idealized slotted mode builds the
+subclass in ``slotted``, which replaces all of that with zero-delay slots.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ NS = 10 ** 9
 
 # event kinds in tie-break priority order at equal timestamps
 EV_MOBILITY = 0
-EV_SLOT = 1
+EV_SLOT = 1          # scheduled by a subclass only, see Simulation.run
 EV_TX_END = 2
 EV_GEN = 3
 EV_TX_START = 4
@@ -82,7 +80,7 @@ class SimConfig:
     delta_min_s: float = 0.02
     delta_max_s: float = 1.0
     spread_lambda: float = 0.25
-    # idealized slotted channel
+    # the slotted channel (slotted.py)
     slot_s: float = 0.1
     slot_capacity: int = 1
     forced_schedule: tuple | None = None
@@ -109,8 +107,10 @@ class SimConfig:
         if self.channel_mode not in CHANNEL_MODES:
             raise ConfigError(f"channel_mode must be one of {CHANNEL_MODES}, "
                               f"got {self.channel_mode!r}")
-        if self.mobility_tick_s <= 0:
-            raise ConfigError("mobility_tick_s must be positive")
+        # a tick that rounds to 0 ns would never let the clock advance
+        if round(self.mobility_tick_s * NS) < 1:
+            raise ConfigError(f"mobility_tick_s must be at least 1 ns, got "
+                              f"{self.mobility_tick_s}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("trace_path", "dump_trace_path"):
@@ -128,11 +128,17 @@ class SimConfig:
             val = getattr(self, name)
             if val <= 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
+        # only the slotted mode reads slot_s. A step of 0 ticks would never
+        # let the clock advance
+        slotted = self.channel_mode == "idealized_slotted"
+        for name in ("t_mi_s", "slot_s") if slotted else ("t_mi_s",):
+            val = getattr(self, name)
             ratio = val / self.mobility_tick_s
-            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+            if (not math.isfinite(ratio) or round(ratio) < 1
+                    or abs(ratio - round(ratio)) > 1e-9):
                 raise ConfigError(
-                    f"{name}={val} must be an integer multiple of "
-                    f"mobility_tick_s={self.mobility_tick_s}")
+                    f"{name}={val} must be an integer multiple (at least 1) "
+                    f"of mobility_tick_s={self.mobility_tick_s}")
         if not 0 < self.delta_min_s <= self.delta_init_s <= self.delta_max_s:
             raise ConfigError(
                 f"need 0 < delta_min <= delta_init <= delta_max, got "
@@ -197,10 +203,17 @@ class SimConfig:
                 f"{ch.max_reception_range_m}: receivers between the two "
                 f"would never be evaluated")
         if self.forced_schedule is not None:
-            if self.channel_mode != "idealized_slotted":
+            if not slotted:
                 raise ConfigError("forced_schedule requires idealized_slotted mode")
             if not isinstance(self.forced_schedule, (list, tuple)):
                 raise ConfigError("forced_schedule must be a list of slots")
+            # a shorter schedule leaves the remaining slots idle; a longer
+            # one would be cut off silently
+            slots = round(self.duration_s * NS) // round(self.slot_s * NS)
+            if len(self.forced_schedule) > slots:
+                raise ConfigError(
+                    f"forced_schedule lists {len(self.forced_schedule)} "
+                    f"slots, but the run has {slots}")
             for k, entry in enumerate(self.forced_schedule):
                 if not isinstance(entry, (list, tuple)):
                     raise ConfigError(f"forced_schedule slot {k + 1} must be "
@@ -275,7 +288,7 @@ class RunReport:
 class _Vehicle:
     """Per-vehicle runtime state owned by the event loop. ``queued`` is
     the one request not yet on the air: the unsent BSM of the CSMA MAC,
-    or the slot a request boarded in the idealized mode. The MAC is idle
+    or the slot a request boarded in the slotted mode. The MAC is idle
     exactly when ``queued`` and ``airing`` are both None."""
 
     __slots__ = ("idx", "ctrl", "records", "queued", "airing", "mi_prev",
@@ -319,6 +332,12 @@ def _stream(seed: int, stream_id: int):
 class Simulation:
     """One configured run. Build, call run(), read the RunReport."""
 
+    def __new__(cls, cfg: SimConfig):
+        if cls is Simulation and cfg.channel_mode == "idealized_slotted":
+            from .slotted import SlottedSimulation
+            cls = SlottedSimulation
+        return super().__new__(cls)
+
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
@@ -326,8 +345,6 @@ class Simulation:
         self.T_ns = round(cfg.duration_s * NS)
         self.tick_ns = round(cfg.mobility_tick_s * NS)
         self.t_mi_ns = round(cfg.t_mi_s * NS)
-        self.slot_ns = round(cfg.slot_s * NS)
-        self.idealized = cfg.channel_mode == "idealized_slotted"
 
         self.init_rng = _stream(cfg.seed, STREAM_INIT)
         self.mob_rng = _stream(cfg.seed, STREAM_MOBILITY)
@@ -375,11 +392,6 @@ class Simulation:
         self.mi_count = 0   # measurement boundaries, the same for everyone
         self.trace_rows: list = []
 
-        # idealized slotted bookkeeping: slot number -> boarded vehicles
-        self.slot_queue: dict[int, list] = {}
-        if self.idealized:
-            self._init_virtual_records()
-
         # cached per-tick ground-truth arrays (filled by _refresh_arrays)
         self._xs = self._ys = self._vxs = self._vys = self._speeds = None
         self._headings = None
@@ -412,21 +424,6 @@ class Simulation:
                     f"vehicle {vid} trace span [{lo}, {hi}] does not cover "
                     f"[0, {T}]")
 
-    def _init_virtual_records(self) -> None:
-        """Idealized mode bootstrap: every ordered pair starts with a fresh
-        zero-velocity snapshot at t0 (all ages start at 0). The bootstrap
-        flag is raised, matching the fresh controller state: a sender with
-        no history is unproven, so its age counts as tracked age."""
-        n = self.n
-        cells = np.flatnonzero(~np.eye(n, dtype=bool))
-        senders = cells % n
-        xs = np.array([s.x for s in self.states])[senders]
-        ys = np.array([s.y for s in self.states])[senders]
-        flag0 = 1
-        aoi.record_from_bsm(self.pairs, cells,
-                            (0.0, xs, ys, 0.0, 0.0, flag0,
-                             self.cfg.delta_init_s), 0.0)
-
     def _push(self, t_ns: int, kind: int, vid: int = -1) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (t_ns, kind, vid, self._seq))
@@ -448,28 +445,20 @@ class Simulation:
     # ------------------------------------------------------------ running
 
     def run(self) -> RunReport:
-        cfg = self.cfg
         if self.T_ns == 0:
             return self._finalize()
-        if cfg.dump_trace_path is not None:
+        if self.cfg.dump_trace_path is not None:
             self._record_trace_rows(0.0)
         self._push(self.tick_ns, EV_MOBILITY)
         self._push(self.t_mi_ns, EV_MEASUREMENT)
         self._push(self.T_ns, EV_END)
-        if self.idealized:
-            self._push(self.slot_ns, EV_SLOT)
-        # a forced schedule (idealized mode only) generates in its slots
-        if cfg.forced_schedule is None:
-            for i in range(self.n):
-                self._push(min(self.gen_phase_ns[i], self.T_ns), EV_GEN, i)
+        self._push_first_events()
 
         heap = self._heap
         while heap:
             t_ns, kind, vid, _ = heapq.heappop(heap)
             if kind == EV_MOBILITY:
                 self._on_tick(t_ns)
-            elif kind == EV_SLOT:
-                self._on_slot(t_ns)
             elif kind == EV_TX_END:
                 self._on_tx_end(t_ns, vid)
             elif kind == EV_GEN:
@@ -478,9 +467,16 @@ class Simulation:
                 self._on_tx_start(t_ns, vid)
             elif kind == EV_MEASUREMENT:
                 self._on_measurement(t_ns)
-            else:
+            elif kind == EV_END:
                 break
+            else:   # a kind that only a subclass schedules (EV_SLOT)
+                self._on_extra_event(t_ns)
         return self._finalize()
+
+    def _push_first_events(self) -> None:
+        """Schedule every vehicle's first generation."""
+        for i in range(self.n):
+            self._push(min(self.gen_phase_ns[i], self.T_ns), EV_GEN, i)
 
     # ------------------------------------------------------- ground truth
 
@@ -502,9 +498,8 @@ class Simulation:
         self._last_tick_ns = t_ns
         if self.cfg.dump_trace_path is not None:
             self._record_trace_rows(t_s)
-        if not self.idealized:
-            self._sample_te_and_risk(t_s)
-            self.timeline.prune(t_s - 0.05)
+        self._sample_te_and_risk(t_s)
+        self.timeline.prune(t_s - 0.05)
         if t_ns + self.tick_ns <= self.T_ns:
             self._push(t_ns + self.tick_ns, EV_MOBILITY)
 
@@ -560,49 +555,31 @@ class Simulation:
                 pairs.last_seen[dead] + cfg.neighbor_timeout_s))
             pairs.retire(dead)
 
-    # ------------------------------------------------------ realistic MAC
+    def _close_areas(self, cells, t_s: float) -> None:
+        """Extend the areas of ``cells`` to a window's or the run's end."""
+        aoi.advance(self.pairs, cells, t_s)
 
-    def _snapshot_bsm(self, idx: int, t_ns: int) -> Bsm:
-        """Exact ground truth at the (sub-tick) generation instant, the
-        payload of a slot. The realistic channel's payloads take the same
-        pose in bulk, from ``_pose_payloads``."""
-        t_s = t_ns / NS
-        if self.trace is not None:
-            s = self.trace.state_at(idx, t_s)
-            x, y, speed, heading = s.x, s.y, s.speed, s.heading
-        else:
-            dt = (t_ns - self._last_tick_ns) / NS
-            s = self.states[idx]
-            speed, heading = s.speed, s.heading
-            if dt == 0.0:
-                x, y = s.x, s.y
-            else:
-                arc = (self._arcs[idx] + speed * dt) % self.cfg.road.perimeter(s.lane)
-                x, y, heading = self.cfg.road.lane_pose(arc, s.lane)
-        ctrl = self.vehicles[idx].ctrl
-        return Bsm(idx, t_s, x, y, speed, heading, ctrl.riskiness_flag,
-                   ctrl.delta)
+    # ------------------------------------------------------ realistic MAC
 
     def _on_generation(self, t_ns: int, idx: int) -> None:
         v = self.vehicles[idx]
         v.generated += 1
-        if self.idealized:
-            # payload is snapshotted at slot time, so only the request boards
-            self._enqueue_slot_request(v, t_ns)
-        else:
-            # a frame not yet on the air is replaced by the fresher payload,
-            # keeping any medium grant already won; an idle MAC starts access
-            if v.queued is not None:
-                v.dropped += 1
-                self._unposed.discard(v.queued)
-            elif v.airing is None:
-                self._begin_access(v, t_ns)
-            v.queued = payload = _Payload(idx, t_ns, v.ctrl.riskiness_flag,
-                                          v.ctrl.delta)
-            self._unposed.add(payload)
+        self._enqueue(v, t_ns)
         nxt = t_ns + round(v.ctrl.delta * NS)
         if nxt <= self.T_ns:
             self._push(nxt, EV_GEN, idx)
+
+    def _enqueue(self, v: _Vehicle, t_ns: int) -> None:
+        """A frame not yet on the air is replaced by the fresher payload,
+        keeping any medium grant already won; an idle MAC starts access."""
+        if v.queued is not None:
+            v.dropped += 1
+            self._unposed.discard(v.queued)
+        elif v.airing is None:
+            self._begin_access(v, t_ns)
+        v.queued = payload = _Payload(v.idx, t_ns, v.ctrl.riskiness_flag,
+                                      v.ctrl.delta)
+        self._unposed.add(payload)
 
     def _begin_access(self, v: _Vehicle, t_ns: int) -> None:
         start_s = csma_access(v.idx, t_ns / NS, self.timeline,
@@ -637,7 +614,8 @@ class Simulation:
         is read, before any vehicle moves: the top of the mobility tick,
         the measurement boundary and the wrap-up."""
         if self._unposed:
-            self._pose_payloads()
+            self._pose_payloads(list(self._unposed))
+            self._unposed = set()
         if self._ended:
             self._decide(self._ended)
             self._ended = []
@@ -645,15 +623,13 @@ class Simulation:
             aoi.apply_reception(self.pairs, self._rx_log)
             self._rx_log = []
 
-    def _pose_payloads(self) -> None:
-        """Fill in the pose of every BSM generated since the last flush
-        and not replaced in the queue, as ``_snapshot_bsm`` computes it at
-        the generation instant, since nobody has moved since: one trace
-        query, or one vector pass of the same IEEE operations as a Krauss
-        pose, with a BSM generated at the tick itself taking its state's
-        own pose."""
-        pending = list(self._unposed)
-        self._unposed = set()
+    def _pose_payloads(self, pending: list) -> None:
+        """Fill in the pose of each payload at its generation instant, as
+        nobody has moved since the last tick: one trace query, or one
+        vector pass of the same IEEE operations as a Krauss pose
+        (``RoadConfig.lane_pose``), with a payload generated at the tick
+        itself taking its state's own pose. The flush poses every BSM
+        generated since the last flush and not replaced in the queue."""
         idx = np.array([p.sender for p in pending], dtype=np.intp)
         if self.trace is not None:
             x, y, speed, heading, _ = self.trace.sample(
@@ -705,59 +681,6 @@ class Simulation:
         pdr_record(self.pdr, dist[audience],
                    np.flatnonzero(hit[near][audience]))
 
-    # -------------------------------------------------- idealized channel
-
-    def _enqueue_slot_request(self, v: _Vehicle, t_ns: int) -> None:
-        """Assign the generation to the first strictly later slot with
-        spare capacity (first committed wins)."""
-        if v.queued is not None:
-            # an un-aired request is already boarded; the fresher payload
-            # would be identical at slot time, so the duplicate is dropped
-            v.dropped += 1
-            return
-        k = t_ns // self.slot_ns + 1
-        while len(self.slot_queue.get(k, ())) >= self.cfg.slot_capacity:
-            k += 1
-        if k * self.slot_ns > self.T_ns:
-            v.dropped += 1  # no slot left inside the horizon
-            return
-        self.slot_queue.setdefault(k, []).append(v.idx)
-        v.queued = k
-
-    def _on_slot(self, t_ns: int) -> None:
-        t_s = t_ns / NS
-        k = t_ns // self.slot_ns
-        pairs, n = self.pairs, self.n
-        cells = np.flatnonzero(pairs.live)   # every ordered pair
-        # phase 1: tracking error against pre-delivery snapshots; the
-        # slotted abstraction scores no collision risk and evicts nothing
-        sample_te_and_risk(
-            pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
-            self._speeds, self._dist, self.cfg.channel.range_m,
-            self.cfg.safety)
-        # phase 2: zero-delay delivery
-        if self.cfg.forced_schedule is not None:
-            sched = self.cfg.forced_schedule
-            txs = tuple(sched[k - 1]) if k - 1 < len(sched) else ()
-            for idx in txs:
-                self.vehicles[idx].generated += 1
-        else:
-            txs = tuple(sorted(self.slot_queue.pop(k, ())))
-        for idx in txs:
-            v = self.vehicles[idx]
-            bsm = self._snapshot_bsm(idx, t_ns)
-            v.sent += 1
-            v.queued = None
-            # snapshot swap only: the step accounting in phase 3 owns
-            # every slot's area contribution
-            column = np.arange(idx, n * n, n)
-            aoi.swap_snapshot(pairs, column[column != idx * n + idx],
-                              aoi.snapshot(bsm), t_s)
-        # phase 3: post-delivery right-endpoint age samples
-        aoi.slot_sample(pairs, cells, t_s, self.cfg.slot_s)
-        if t_ns + self.slot_ns <= self.T_ns:
-            self._push(t_ns + self.slot_ns, EV_SLOT)
-
     # --------------------------------------------------- measurement loop
 
     def _on_measurement(self, t_ns: int) -> None:
@@ -770,8 +693,7 @@ class Simulation:
         self._flush_receptions()
         live = np.flatnonzero(pairs.live)
         # close the elapsed window under the flags that were in force
-        if not self.idealized:
-            aoi.advance(pairs, live, t_s)
+        self._close_areas(live, t_s)
         # the measurement population is every neighbor actually heard this
         # window; records gone silent stay around for tracking-error
         # bookkeeping but say nothing about the current local picture.
@@ -844,8 +766,7 @@ class Simulation:
         if T > 0:
             self._flush_receptions()
             live = pairs.by_insertion(np.flatnonzero(pairs.live))
-            if not self.idealized:
-                aoi.advance(pairs, live, self.T_ns / NS)
+            self._close_areas(live, self.T_ns / NS)
             pairs.retire(live)
         denom = n * (n - 1)
         if T > 0 and pairs.retire_order:

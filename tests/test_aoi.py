@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taoi_sim import aoi
+from taoi_sim import aoi, slotted
 from taoi_sim.engine import NS, SimConfig, Simulation
 from taoi_sim.errors import UndefinedValueError
 from taoi_sim.metrics import Bsm
@@ -231,14 +231,14 @@ class TestDualRouteArea:
 class TestSlotSample:
     def test_right_endpoint_step(self):
         table = _fresh()
-        got = aoi.slot_sample(table, CELL, 3.0, slot=1.0)
+        got = slotted.slot_sample(table, CELL, 3.0, slot=1.0)
         assert got.tolist() == [3.0]
         assert table.aoi_run[1] == pytest.approx(3.0)
         assert table.taoi_run[1] == pytest.approx(3.0)
 
     def test_gate_zero_keeps_taoi_flat(self):
         table = _fresh(risky=0)
-        aoi.slot_sample(table, CELL, 2.0, slot=1.0)
+        slotted.slot_sample(table, CELL, 2.0, slot=1.0)
         assert table.aoi_run[1] == pytest.approx(2.0)
         assert table.taoi_run[1] == 0.0
 

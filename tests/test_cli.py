@@ -157,7 +157,7 @@ class TestEmitReports:
 
 class TestGoldenArtifacts:
     """The sha256 of every artifact ``emit_reports`` writes for a few small
-    runs, one per protocol and one self-clocked idealized run. No run has
+    runs, one per protocol and two self-clocked idealized runs. No run has
     a trace path, which the config echo would carry into the digest.
 
     Only a declared contract change may update a digest here, in the
@@ -194,6 +194,17 @@ class TestGoldenArtifacts:
             "summary.csv": "0866a6699730cdc46c282f6b2a9487c5901f14495cfca4a6e23f17afa70542b2",
             "te_pairs.csv": "552e0b13f69156b07b18c93f3e721469fbe90bc369f05ebaf77d640c851dea1d",
             "timeseries.csv": "6a13e8d001f64ef553b9d3ec282bd36852cf5c17e1d70ea8ac9182c50ea455a9",
+        }),
+        # each slot boundary falls 1-3 ns after a tick, so the slot's
+        # payload is posed along its lane with dt != 0
+        "slotted_between_ticks": (dict(vehicle_count=4, protocol="taoi",
+                                       channel_mode="idealized_slotted",
+                                       mobility_tick_s=1 / 3, slot_s=1.0), {
+            "pdr_bins.csv": "3ea8acfdf2055f39c3655d16a7779a4a0cf375945b59da652209ff28f7ba68dd",
+            "report.json": "208c28da976488650020b8958008027527e6aa752ae0a06857b06815051610e0",
+            "summary.csv": "74e9b22b5359b2b2344c155f1954ebfdec354bda5eabecee132d9b552f711261",
+            "te_pairs.csv": "76fa7f7a43f43ee27b983889a3784e579dc80c0d815b8c02558788bdfd9c660b",
+            "timeseries.csv": "bcf3a5cd203d72dcc2d4f15194bd0b8c02931aef25d38aef846a399640d62c6a",
         }),
     }
 

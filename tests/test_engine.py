@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taoi_sim import aoi, engine
+from taoi_sim import aoi, engine, slotted
 from taoi_sim.channel import ChannelConfig
-from taoi_sim.engine import SimConfig, Simulation, run_simulation
+from taoi_sim.engine import NS, SimConfig, Simulation, run_simulation
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.metrics import Bsm, SafetyParams
 from taoi_sim.mobility import (KraussParams, RoadConfig, VehicleState,
@@ -99,7 +99,7 @@ class TestOracleEquivalence:
             for c, value in zip(cells.tolist(), values.tolist()):
                 tables[(c % n, c // n)][key].append(value)
 
-        sweep, slot_sample = engine.sample_te_and_risk, aoi.slot_sample
+        sweep, slot_sample = slotted.sample_te_and_risk, slotted.slot_sample
 
         def spy_sweep(table, *args, **kwargs):
             cells = np.flatnonzero(table.live)
@@ -112,8 +112,8 @@ class TestOracleEquivalence:
             record("aoi", cells, ages)
             return ages
 
-        monkeypatch.setattr(engine, "sample_te_and_risk", spy_sweep)
-        monkeypatch.setattr(aoi, "slot_sample", spy_slot_sample)
+        monkeypatch.setattr(slotted, "sample_te_and_risk", spy_sweep)
+        monkeypatch.setattr(slotted, "slot_sample", spy_slot_sample)
         cfg = SimConfig(vehicle_count=n, duration_s=6.0, protocol="fixed10hz",
                         channel_mode="idealized_slotted", slot_s=1.0,
                         mobility_tick_s=0.5, forced_schedule=schedule,
@@ -206,6 +206,13 @@ class TestLifecycle:
         c = rep.counts
         assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
         assert rep.system_aoi_s > 0.0
+
+    def test_the_channel_mode_picks_the_class(self):
+        for mode, cls in (("realistic", Simulation),
+                          ("idealized_slotted", slotted.SlottedSimulation)):
+            sim = Simulation(SimConfig(vehicle_count=2, duration_s=1.0,
+                                       channel_mode=mode))
+            assert type(sim) is cls
 
     def test_long_frames_stay_sound(self):
         # frames long enough that fresher BSMs queue behind the airing one
@@ -308,6 +315,28 @@ class TestBatchedDelivery:
         assert 0 < decided.count(0) < len(decided)
 
 
+def _snapshot_bsm(sim, idx: int, t_ns: int) -> Bsm:
+    """Exact ground truth at the (sub-tick) generation instant, one
+    vehicle at a time: the scalar reference of the poses that
+    ``Simulation._pose_payloads`` fills in bulk."""
+    t_s = t_ns / NS
+    if sim.trace is not None:
+        s = sim.trace.state_at(idx, t_s)
+        x, y, speed, heading = s.x, s.y, s.speed, s.heading
+    else:
+        dt = (t_ns - sim._last_tick_ns) / NS
+        s = sim.states[idx]
+        speed, heading = s.speed, s.heading
+        if dt == 0.0:
+            x, y = s.x, s.y
+        else:
+            arc = (sim._arcs[idx] + speed * dt) % sim.cfg.road.perimeter(s.lane)
+            x, y, heading = sim.cfg.road.lane_pose(arc, s.lane)
+    ctrl = sim.vehicles[idx].ctrl
+    return Bsm(idx, t_s, x, y, speed, heading, ctrl.riskiness_flag,
+               ctrl.delta)
+
+
 def _bits(values) -> list:
     """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
@@ -349,7 +378,7 @@ class TestPayloadPoses:
         queued = [v.queued for v in sim.vehicles if v.queued is not None]
         assert queued
         for p in queued:
-            want = sim._snapshot_bsm(p.sender, p.t_ns)
+            want = _snapshot_bsm(sim, p.sender, p.t_ns)
             assert _bits([p.x, p.y, p.speed, p.heading]) == \
                 _bits([want.x, want.y, want.speed, want.heading])
             assert (p.gen_time, p.riskiness_flag, p.interval) == \
@@ -372,7 +401,7 @@ class TestPayloadPoses:
             posed.append(sim.vehicles[idx].queued)
             sim._flush_receptions()
         for p in posed:
-            want = sim._snapshot_bsm(p.sender, p.t_ns)
+            want = _snapshot_bsm(sim, p.sender, p.t_ns)
             assert _bits([p.x, p.y, p.speed, p.heading]) == \
                 _bits([want.x, want.y, want.speed, want.heading])
 
@@ -592,12 +621,40 @@ class TestConfigGuards:
         # a flat id list, or no list at all, raised a raw TypeError
         dict(channel_mode="idealized_slotted", forced_schedule=(0, 1)),
         dict(channel_mode="idealized_slotted", forced_schedule=5),
+        # the slotted mode reads slot_s: it must be a multiple of the tick
+        dict(channel_mode="idealized_slotted", slot_s=0.25),
+        # a step of 0 ticks, a 0 ns tick or a 0 ns slot never lets the
+        # clock advance
+        dict(t_mi_s=1e-12),
+        dict(mobility_tick_s=1e-10),
+        dict(channel_mode="idealized_slotted", slot_s=1e-12),
+        # 6 scheduled slots on a run of 3 would be cut off silently
+        dict(channel_mode="idealized_slotted", duration_s=3.0, slot_s=1.0,
+             forced_schedule=((0,), (1,)) * 3),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)
         base.update(kw)
         with pytest.raises(ConfigError):
             SimConfig(**base).validate()
+
+    def test_a_realistic_run_ignores_slot_s(self):
+        # slot_s=0.1 is no multiple of a 0.2 s tick, but only the slotted
+        # mode reads it
+        cfg = SimConfig(vehicle_count=6, duration_s=2.0, seed=1,
+                        mobility_tick_s=0.2)
+        cfg.validate()
+        c = run_simulation(cfg).counts
+        assert c["generated"] == c["dropped"] + c["sent"] + c["in_flight"]
+        assert c["sent"] > 0
+
+    def test_a_short_forced_schedule_leaves_the_rest_idle(self):
+        rep = run_simulation(SimConfig(
+            vehicle_count=2, duration_s=3.0, protocol="fixed10hz",
+            channel_mode="idealized_slotted", slot_s=1.0,
+            forced_schedule=((0,), (1,))))
+        assert rep.counts == {"generated": 2, "dropped": 0, "sent": 2,
+                              "in_flight": 0}
 
     def test_every_config_key_has_a_reader(self):
         # a field that only the checks read is a knob that changes nothing:
