@@ -31,7 +31,6 @@ calls in a row would.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,55 +97,41 @@ class ChannelTimeline:
     access-resolution time, so a later-arriving sender sees every frame
     already granted the medium even if that frame starts in the future.
 
-    Beside the intervals the timeline keeps their running maximum end in
-    list order (``_reach[i] = max(end_0, ..., end_i)``), which is
-    non-decreasing. Every interval before the first index whose reach
-    exceeds ``a`` ends at or before ``a``, and no interval before it can
-    overlap ``[a, b)``; that index, found by bisection, is the bound. The
-    interval at the bound ends after ``a``, so it is the earliest overlap
-    if it starts before ``b``, and nothing overlaps otherwise. Lookups take
-    O(log n) and answer exactly what a linear scan from the oldest
-    interval would, for intervals of any lengths.
+    Every frame of a run airs for the one ``airtime``, and adding a fixed
+    float to ascending starts gives non-decreasing ends, so the ends are
+    sorted too. Every interval before the first end that exceeds ``a``
+    ends at or before ``a`` and cannot overlap ``[a, b)``; the interval
+    at that index, found by bisection, is the earliest overlap if it
+    starts before ``b``, and nothing overlaps otherwise.
     """
 
-    def __init__(self):
+    def __init__(self, airtime: float):
+        if not airtime > 0:
+            raise ValueError(f"airtime must be positive, got {airtime}")
+        self.airtime = airtime
         self._starts: list[float] = []
-        self._reach: list[float] = []
-        self._intervals: list[tuple[float, float]] = []
+        self._ends: list[float] = []
 
-    def commit(self, start: float, end: float) -> None:
-        if end <= start:
-            raise ValueError(f"empty busy interval [{start}, {end})")
+    def commit(self, start: float) -> None:
         idx = bisect.bisect_left(self._starts, start)
         self._starts.insert(idx, start)
-        self._intervals.insert(idx, (start, end))
-        reach = self._reach
-        if idx and reach[idx - 1] > end:
-            end = reach[idx - 1]
-        reach.insert(idx, end)
-        # later reaches rise to this one; they usually already exceed it
-        for j in range(idx + 1, len(reach)):
-            if reach[j] >= end:
-                break
-            reach[j] = end
+        self._ends.insert(idx, start + self.airtime)
 
     def prune(self, before: float) -> None:
         """Drop intervals that ended before the given time."""
-        keep = [iv for iv in self._intervals if iv[1] >= before]
-        self._intervals = keep
-        self._starts = [iv[0] for iv in keep]
-        self._reach = list(itertools.accumulate((iv[1] for iv in keep), max))
+        k = bisect.bisect_left(self._ends, before)
+        del self._starts[:k], self._ends[:k]
 
     def first_overlap(self, a: float, b: float):
-        """Earliest committed interval intersecting [a, b), or None. Among
-        intervals with equal starts the latest committed comes first."""
-        i = bisect.bisect_right(self._reach, a)
+        """Earliest committed (start, end) intersecting [a, b), or None.
+        Among intervals with equal starts the latest committed comes first."""
+        i = bisect.bisect_right(self._ends, a)
         if i < len(self._starts) and self._starts[i] < b:
-            return self._intervals[i]
+            return self._starts[i], self._ends[i]
         return None
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._starts)
 
 
 def csma_access(sender: int, intended_start: float, timeline: ChannelTimeline,

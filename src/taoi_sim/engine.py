@@ -1,8 +1,10 @@
 """Discrete-event simulation core.
 
-Time on the event queue is integer nanoseconds so mobility ticks,
-measurement intervals and slot boundaries stay exactly aligned; metric
-math converts to float seconds once at the call boundary. Ties at one
+Time on the event queue is integer nanoseconds; metric math converts to
+float seconds once at the call boundary. Measurement and slot boundaries
+fall on mobility ticks only if their periods in ns are multiples of
+``tick_ns``; validation checks that in float seconds, so a 1/3 s tick
+passes and the boundaries drift from it by 1 ns every 3 ticks. Ties at one
 timestamp are broken by event-kind priority, then vehicle id: ground
 truth moves first, finishing frames deliver before new generations look
 at the medium, and measurement logic runs after everything that changes
@@ -174,9 +176,15 @@ class SimConfig:
             raise ConfigError(
                 f"delta_min_s={self.delta_min_s} is shorter than one "
                 f"{self.bsm_size_bytes}-byte frame's airtime ({airtime} s)")
-        # the risk metric divides by decel and rel_speed_floor, the fading
-        # draw by every m: a zero must fail here, not mid-run as a
-        # ZeroDivisionError, and a negative one would run on silently
+        # a frame must end after it starts, on the event grid and in float
+        # seconds at every instant of the run
+        if (round(airtime * NS) < 1
+                or self.duration_s + airtime == self.duration_s):
+            raise ConfigError(f"airtime {airtime} s is below 1 ns or "
+                              f"vanishes beside duration_s={self.duration_s}")
+        # the risk metric divides by decel and rel_speed_floor: a zero must
+        # fail here, not mid-run as a ZeroDivisionError, and a negative one
+        # would run on silently
         safety = self.safety
         if not safety.decel > 0:
             raise ConfigError(f"decel must be positive, got {safety.decel}")
@@ -186,10 +194,13 @@ class SimConfig:
         if not safety.t_react >= 0:
             raise ConfigError(f"t_react must be >= 0, got {safety.t_react}")
         ch = self.channel
+        # the m-distribution is defined for m >= 1/2 (Nakagami 1960); below
+        # it the gamma draw can underflow to 0.0, whose log10 fails mid-run
         for m in [m for _, m in ch.nakagami_bins] + [ch.nakagami_m_far]:
-            if not 0 < m < math.inf:
+            if not 0.5 <= m < math.inf:
                 raise ConfigError(
-                    f"every Nakagami m must be positive and finite, got {m}")
+                    f"every Nakagami m must be at least 1/2 and finite, "
+                    f"got {m}")
         # delivery_outcome bisects for the first bin whose bound exceeds
         # the distance, which needs the bounds strictly ascending
         bounds = [bound for bound, _ in ch.nakagami_bins]
@@ -380,10 +391,10 @@ class Simulation:
         for i, v in enumerate(self.vehicles):
             v.mi_prev = self.states[i]
 
-        self.timeline = ChannelTimeline()
         self.active_txs: list[TransmissionEvent] = []
         self.tx_dur_s = tx_duration(cfg.bsm_size_bytes,
                                     cfg.channel.data_rate_mbps, cfg.channel)
+        self.timeline = ChannelTimeline(self.tx_dur_s)
         self.pdr = PdrCounters()
         self.risk_count = 0
         self.negative_gap_events = 0
@@ -499,7 +510,8 @@ class Simulation:
         if self.cfg.dump_trace_path is not None:
             self._record_trace_rows(t_s)
         self._sample_te_and_risk(t_s)
-        self.timeline.prune(t_s - 0.05)
+        # every access query starts at or after this tick
+        self.timeline.prune(t_s)
         if t_ns + self.tick_ns <= self.T_ns:
             self._push(t_ns + self.tick_ns, EV_MOBILITY)
 
@@ -584,7 +596,7 @@ class Simulation:
     def _begin_access(self, v: _Vehicle, t_ns: int) -> None:
         start_s = csma_access(v.idx, t_ns / NS, self.timeline,
                               self.backoff_rng, self.cfg.channel)
-        self.timeline.commit(start_s, start_s + self.tx_dur_s)
+        self.timeline.commit(start_s)
         self._push(round(start_s * NS), EV_TX_START, v.idx)
 
     def _on_tx_start(self, t_ns: int, idx: int) -> None:

@@ -12,6 +12,7 @@ import math
 import random
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -170,25 +171,30 @@ RISK_SEEDS = tuple(range(1, 11))
 PROTOCOLS = ("fixed10hz", "aoi", "taoi")
 
 
+def _batch(duration_s: float) -> dict:
+    """The n=60 report of every protocol and seed, by protocol in seed
+    order, run on two processes as ``taoi-sim sweep --jobs 2`` runs them."""
+    configs = [SimConfig(vehicle_count=60, duration_s=duration_s,
+                         protocol=p, seed=s)
+               for p in PROTOCOLS for s in RISK_SEEDS]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        reports = iter(pool.map(run_simulation, configs))
+        return {p: [next(reports) for _ in RISK_SEEDS] for p in PROTOCOLS}
+
+
 @pytest.fixture(scope="module")
 def risk_batch():
     t0 = time.perf_counter()
-    reports = {
-        p: [run_simulation(SimConfig(vehicle_count=60, duration_s=60.0,
-                                     protocol=p, seed=s))
-            for s in RISK_SEEDS]
-        for p in PROTOCOLS}
+    reports = _batch(60.0)
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def pdr_batch():
     pooled = {}
-    for p in PROTOCOLS:
+    for p, reports in _batch(15.0).items():
         bins: dict = {}
-        for s in RISK_SEEDS:
-            rep = run_simulation(SimConfig(vehicle_count=60, duration_s=15.0,
-                                           protocol=p, seed=s))
+        for rep in reports:
             for lo, hi, succ, opp in rep.pdr_bins:
                 cell = bins.setdefault((lo, hi), [0, 0])
                 cell[0] += succ

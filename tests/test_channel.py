@@ -212,30 +212,32 @@ class TestConfigValidation:
 
 class TestTimeline:
     def test_first_overlap_half_open_semantics(self):
-        tl = ChannelTimeline()
-        tl.commit(1.0, 2.0)
+        tl = ChannelTimeline(1.0)
+        tl.commit(1.0)
         assert tl.first_overlap(0.0, 1.0) is None  # touching is not overlap
         assert tl.first_overlap(2.0, 3.0) is None
         assert tl.first_overlap(1.5, 1.6) == (1.0, 2.0)
         assert tl.first_overlap(0.5, 1.1) == (1.0, 2.0)
 
     def test_earliest_of_several(self):
-        tl = ChannelTimeline()
-        tl.commit(3.0, 4.0)
-        tl.commit(1.0, 2.0)
+        tl = ChannelTimeline(1.0)
+        tl.commit(3.0)
+        tl.commit(1.0)
         assert tl.first_overlap(0.0, 10.0) == (1.0, 2.0)
 
     def test_prune_drops_finished_frames(self):
-        tl = ChannelTimeline()
-        tl.commit(0.0, 1.0)
-        tl.commit(2.0, 3.0)
+        tl = ChannelTimeline(1.0)
+        tl.commit(0.0)
+        tl.commit(2.0)
         tl.prune(1.5)
         assert len(tl) == 1
         assert tl.first_overlap(0.0, 10.0) == (2.0, 3.0)
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelTimeline().commit(1.0, 1.0)
+        # every frame airs for the timeline's one airtime
+        for airtime in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ChannelTimeline(airtime)
 
 
 class _FixedDraw:
@@ -253,13 +255,13 @@ class _FixedDraw:
 class TestCsma:
     def test_idle_medium_needs_no_backoff(self):
         rng = _FixedDraw(9)
-        got = csma_access(0, 0.25, ChannelTimeline(), rng, CFG)
+        got = csma_access(0, 0.25, ChannelTimeline(0.001), rng, CFG)
         assert got == pytest.approx(0.25 + AIFS, abs=1e-12)
         assert rng.calls == 0
 
     def test_busy_medium_draws_once_and_counts_down(self):
-        tl = ChannelTimeline()
-        tl.commit(0.0, 0.001)
+        tl = ChannelTimeline(0.001)
+        tl.commit(0.0)
         rng = _FixedDraw(2)
         got = csma_access(0, 0.0005, tl, rng, CFG)
         assert got == pytest.approx(0.001 + AIFS + 2 * SLOT, abs=1e-12)
@@ -267,18 +269,18 @@ class TestCsma:
 
     def test_smaller_counter_wins_the_race(self):
         def grant(counter):
-            tl = ChannelTimeline()
-            tl.commit(0.0, 0.001)
+            tl = ChannelTimeline(0.001)
+            tl.commit(0.0)
             return csma_access(0, 0.0005, tl, _FixedDraw(counter), CFG)
         assert grant(2) < grant(5)
 
     def test_countdown_freezes_across_a_busy_period(self):
-        tl = ChannelTimeline()
-        tl.commit(0.0, 0.001)
+        tl = ChannelTimeline(0.001)
+        tl.commit(0.0)
         tau1 = 0.001 + AIFS
         # interrupt mid-countdown after 2 full idle slots
-        busy2 = (tau1 + 2.5 * SLOT, 0.002)
-        tl.commit(*busy2)
+        busy2 = (tau1 + 2.5 * SLOT, tau1 + 2.5 * SLOT + 0.001)
+        tl.commit(busy2[0])
         got = csma_access(0, 0.0, tl, _FixedDraw(5), CFG)
         # 2 slots spent, 3 remain after the gap that follows busy2
         assert got == pytest.approx(busy2[1] + AIFS + 3 * SLOT, abs=1e-12)
@@ -668,20 +670,21 @@ _times = st.one_of(st.integers(0, 24).map(lambda k: k * 0.25),
 _lengths = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.75]),
                      st.floats(1e-3, 3.0))
 _ops = st.lists(st.one_of(
-    st.tuples(st.just("commit"), _times, _lengths),
+    st.tuples(st.just("commit"), _times),
     st.tuples(st.just("prune"), _times),
     st.tuples(st.just("query"), _times, _lengths)), max_size=60)
 
 
 class TestTimelineAgainstLinearScan:
-    @given(_ops)
-    def test_first_overlap_and_len_match_the_linear_scan(self, ops):
-        fast, slow = ChannelTimeline(), _LinearTimeline()
+    @given(_lengths, _ops)
+    def test_first_overlap_and_len_match_the_linear_scan(self, airtime, ops):
+        # one airtime per timeline, as every frame of a run has
+        fast, slow = ChannelTimeline(airtime), _LinearTimeline()
         for op in ops:
             if op[0] == "commit":
-                start, end = op[1], op[1] + op[2]
-                fast.commit(start, end)
-                slow.commit(start, end)
+                start = op[1]
+                fast.commit(start)
+                slow.commit(start, start + airtime)
             elif op[0] == "prune":
                 fast.prune(op[1])
                 slow.prune(op[1])

@@ -311,6 +311,9 @@ class TestBadInput:
         ({}, ["--seeds", "1,1"]),
         ({}, ["--densities", "4,04"]),
         ({}, ["--protocols", "taoi,aoi,taoi"]),
+        ({"nakagami_m_far": 0.003}, None),
+        ({"bsm_size_bytes": 1, "data_rate_mbps": 1e12, "preamble_us": 0},
+         None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
@@ -318,7 +321,8 @@ class TestBadInput:
             "negative_aifs", "negative_preamble", "negative_slot",
             "negative_ranges", "flat_forced_schedule", "flat_nakagami_bins",
             "string_nakagami_bins", "repeated_seed", "repeated_density",
-            "repeated_protocol"])
+            "repeated_protocol", "nakagami_below_half",
+            "airtime_below_a_nanosecond"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         self._assert_rejected_up_front(tmp_path, capsys, config, sweep_args)
