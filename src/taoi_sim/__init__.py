@@ -10,9 +10,8 @@ cross-checking the event loop.
 """
 
 from .aoi import PairTable, instantaneous_aoi, vehicle_aoi, vehicle_taoi
-from .channel import (ChannelConfig, TransmissionEvent, csma_access,
-                      delivery_outcome, link_budgets, overlapping,
-                      tx_duration)
+from .channel import (ChannelConfig, Frame, csma_access, delivery_outcome,
+                      link_budgets, overlapping, tx_duration)
 from .engine import RunReport, SimConfig, Simulation, run_simulation
 from .errors import ConfigError, SimError, TraceError, UndefinedValueError
 from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
@@ -28,10 +27,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action", "Bsm", "ChannelConfig", "ConfigError", "ControllerState",
-    "KraussParams", "Motion", "PairTable", "PdrCounters", "RoadConfig",
-    "RunReport", "SafetyParams", "ScheduleProblem", "ScheduleSolution",
-    "SimConfig", "SimError", "Simulation", "TraceError", "TrajectoryTable",
-    "TransmissionEvent", "UndefinedValueError", "VehicleState",
+    "Frame", "KraussParams", "Motion", "PairTable", "PdrCounters",
+    "RoadConfig", "RunReport", "SafetyParams", "ScheduleProblem",
+    "ScheduleSolution", "SimConfig", "SimError", "Simulation", "TraceError",
+    "TrajectoryTable", "UndefinedValueError", "VehicleState",
     "aoi_rate_update", "assess_self_risk", "csma_access", "delivery_outcome",
     "enumerate_optimal", "fixed_rate", "instantaneous_aoi", "krauss_step",
     "link_budgets", "load_trace", "overlapping", "pdr_record",

@@ -16,8 +16,8 @@ and an integer array of cells and update those cells together; a cell may
 appear at most once per call.
 
 ``advance`` integrates the continuous sawtooth. The slotted mode accounts
-its areas as right-endpoint steps instead (``slotted.slot_sample``); one
-table never mixes the two.
+its areas as right-endpoint steps instead (``slotted.slot_sample``); both
+add their areas through ``accrue``, and one table never mixes the two.
 """
 
 from __future__ import annotations
@@ -158,7 +158,13 @@ def advance(table: PairTable, cells, t) -> None:
     if np.any(t < cursor):
         raise ValueError(f"cursor moved backwards: {t} < {cursor}")
     gen = table.gen_time[cells]
-    area = 0.5 * ((cursor - gen) + (t - gen)) * (t - cursor)
+    accrue(table, cells, 0.5 * ((cursor - gen) + (t - gen)) * (t - cursor), t)
+
+
+def accrue(table: PairTable, cells, area, t) -> None:
+    """Add ``area`` (one value per cell) to the window and run areas of
+    ``cells``, and to their gated areas where the cached snapshot's flag
+    is raised, then move their cursors to t."""
     table.aoi_mi[cells] += area
     table.aoi_run[cells] += area
     gated = table.risky[cells] != 0

@@ -2,6 +2,10 @@
 carrier-sense access walk over a shared busy-interval timeline, and
 per-receiver delivery evaluation under interference.
 
+In the realistic mode a ``Frame`` is one BSM for its whole life, the
+same object throughout: generated, posed at the next flush, queued,
+aired over ``[start, end)`` and decided.
+
 The medium is modeled globally: every committed transmission is visible
 to every sender's carrier sensing (the circuit is small relative to the
 sensing range, so hidden terminals are not modeled). Fading is drawn
@@ -37,6 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .metrics import Bsm
+
+NS = 10 ** 9   # the event clock counts integer nanoseconds
 
 
 @dataclass(frozen=True)
@@ -66,18 +73,20 @@ class ChannelConfig:
             raise ConfigError("data rate must be positive")
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
-    """One committed frame on the air: sender, interval, payload."""
+class Frame:
+    """A BSM from its generation, at ``t_ns``, to its decision. The next
+    flush fills in its pose, where nobody has moved since it was
+    generated; going on the air sets its ``start`` and ``end`` in
+    seconds. It reads like a ``Bsm``."""
 
-    sender: int
-    start: float     # s
-    duration: float  # s
-    bsm: object
+    __slots__ = ("sender", "t_ns", "gen_time", "x", "y", "speed", "heading",
+                 "riskiness_flag", "interval", "start", "end")
+    velocity = Bsm.velocity
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
+    def __init__(self, sender: int, t_ns: int, riskiness_flag: int,
+                 interval: float):
+        self.sender, self.t_ns, self.gen_time = sender, t_ns, t_ns / NS
+        self.riskiness_flag, self.interval = riskiness_flag, interval
 
 
 def tx_duration(size: int, rate: float, cfg: ChannelConfig) -> float:
@@ -173,9 +182,9 @@ def csma_access(sender: int, intended_start: float, timeline: ChannelTimeline,
         t = hit[1]
 
 
-def overlapping(tx: TransmissionEvent, frames) -> list:
-    """The frames among ``frames``, other than tx, whose airtime overlaps
-    tx's, in the given order."""
+def overlapping(tx: Frame, frames) -> list:
+    """The aired frames among ``frames``, other than tx, whose
+    ``[start, end)`` overlaps tx's, in the given order."""
     start, end = tx.start, tx.end
     return [c for c in frames
             if c is not tx and c.start < end and c.end > start]
@@ -241,8 +250,8 @@ def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
     per-link loop computes.
     """
     k = len(frames)
-    bx = np.array([tx.bsm.x for tx, _ in frames])
-    by = np.array([tx.bsm.y for tx, _ in frames])
+    bx = np.array([tx.x for tx, _ in frames])
+    by = np.array([tx.y for tx, _ in frames])
     d = np.fromiter(map(math.hypot, (xs[rx] - bx[frame_of]).tolist(),
                         (ys[rx] - by[frame_of]).tolist()), float, len(rx))
     # deaf[f, j]: receiver j sends frame f or a frame overlapping it; a
@@ -299,7 +308,7 @@ def _decide_run(columns, cuts, rng, sensitivity: float) -> list:
     return [set(got[a:b]) for a, b in zip(split, split[1:])]
 
 
-def delivery_outcome(tx: TransmissionEvent, links: Links, concurrent, rng,
+def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
                      cfg: ChannelConfig) -> set:
     """Decide which receivers decode a finished frame.
 
@@ -348,7 +357,7 @@ def delivery_outcome(tx: TransmissionEvent, links: Links, concurrent, rng,
     tx_dbm, ref = cfg.tx_power_dbm, cfg.reference_loss_db
     slope = 10.0 * cfg.path_loss_exponent
     cutoff, sense = cfg.max_reception_range_m, cfg.carrier_sense_dbm
-    interferers = [(c.bsm.x, c.bsm.y) for c in concurrent]
+    interferers = [(c.x, c.y) for c in concurrent]
     got = set()
     for r, x, y, m, scale, mean_dbm in zip(
             links.ids.tolist(), links.x.tolist(), links.y.tolist(),

@@ -28,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import aoi
-from .channel import (ChannelConfig, ChannelTimeline, TransmissionEvent,
+from .channel import (NS, ChannelConfig, ChannelTimeline, Frame,
                       csma_access, delivery_outcome, link_budgets,
                       overlapping, tx_duration)
 from .errors import ConfigError, TraceError, UndefinedValueError
-from .metrics import (Bsm, PdrCounters, SafetyParams, pdr_record,
+from .metrics import (PdrCounters, SafetyParams, pdr_record,
                       sample_te_and_risk, self_tracking_error)
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
                        initial_states, krauss_step, load_trace, write_trace)
@@ -41,8 +41,6 @@ from .rate_control import (ControllerState, aoi_rate_update,
                            taoi_rate_update)
 
 logger = logging.getLogger("taoi_sim.engine")
-
-NS = 10 ** 9
 
 # event kinds in tie-break priority order at equal timestamps
 EV_MOBILITY = 0
@@ -298,9 +296,9 @@ class RunReport:
 
 class _Vehicle:
     """Per-vehicle runtime state owned by the event loop. ``queued`` is
-    the one request not yet on the air: the unsent BSM of the CSMA MAC,
-    or the slot a request boarded in the slotted mode. The MAC is idle
-    exactly when ``queued`` and ``airing`` are both None."""
+    the one request not yet on the air: the unsent ``Frame`` of the CSMA
+    MAC, or the slot a request boarded in the slotted mode. The MAC is
+    idle exactly when ``queued`` and ``airing`` are both None."""
 
     __slots__ = ("idx", "ctrl", "records", "queued", "airing", "mi_prev",
                  "generated", "dropped", "sent", "risky_mis", "congested_mis",
@@ -310,8 +308,8 @@ class _Vehicle:
         self.idx = idx
         self.ctrl = ctrl
         self.records = records   # this receiver's row of the pair table
-        self.queued = None       # the one BSM (or slot) not yet on the air
-        self.airing = None       # TransmissionEvent on the air
+        self.queued = None       # the one frame (or slot) not yet on the air
+        self.airing = None       # the frame on the air
         self.mi_prev = None      # own state at the previous MI boundary
         self.generated = 0
         self.dropped = 0
@@ -319,21 +317,6 @@ class _Vehicle:
         self.risky_mis = 0
         self.congested_mis = 0
         self.delta_sum = 0.0
-
-
-class _Payload:
-    """A realistic-channel BSM from its generation, at ``t_ns``, to the
-    next flush, which fills in its pose (``Simulation._pose_payloads``):
-    nobody moves before it. It reads like a ``Bsm``."""
-
-    __slots__ = ("sender", "t_ns", "gen_time", "x", "y", "speed", "heading",
-                 "riskiness_flag", "interval")
-    velocity = Bsm.velocity
-
-    def __init__(self, sender: int, t_ns: int, riskiness_flag: int,
-                 interval: float):
-        self.sender, self.t_ns, self.gen_time = sender, t_ns, t_ns / NS
-        self.riskiness_flag, self.interval = riskiness_flag, interval
 
 
 def _stream(seed: int, stream_id: int):
@@ -357,7 +340,7 @@ class Simulation:
         self.tick_ns = round(cfg.mobility_tick_s * NS)
         self.t_mi_ns = round(cfg.t_mi_s * NS)
 
-        self.init_rng = _stream(cfg.seed, STREAM_INIT)
+        init_rng = _stream(cfg.seed, STREAM_INIT)
         self.mob_rng = _stream(cfg.seed, STREAM_MOBILITY)
         self.fading_rng = _stream(cfg.seed, STREAM_FADING)
         self.backoff_rng = _stream(cfg.seed, STREAM_BACKOFF)
@@ -369,17 +352,17 @@ class Simulation:
             self.states = self.trace.states_at(0.0)
         else:
             self.states = initial_states(cfg.road, cfg.krauss, self.n,
-                                         self.init_rng)
+                                         init_rng)
         # generation phase jitter, drawn in id order for every mode so the
         # init stream stays aligned across protocol comparisons
         self.gen_phase_ns = [
-            round(float(self.init_rng.uniform(0.0, cfg.delta_init_s)) * NS)
+            round(float(init_rng.uniform(0.0, cfg.delta_init_s)) * NS)
             for _ in range(self.n)]
 
         self.pairs = aoi.PairTable(self.n)
         self._ended: list = []    # finished frames not yet decided
         self._rx_log: list = []   # decoded frames not yet in the pair table
-        self._unposed: set = set()  # payloads awaiting their pose
+        self._unposed: set = set()  # frames awaiting their pose
         self.vehicles = [
             _Vehicle(i, ControllerState(
                 delta=cfg.delta_init_s, delta_min=cfg.delta_min_s,
@@ -391,9 +374,10 @@ class Simulation:
         for i, v in enumerate(self.vehicles):
             v.mi_prev = self.states[i]
 
-        self.active_txs: list[TransmissionEvent] = []
+        self.active_txs: list[Frame] = []
         self.tx_dur_s = tx_duration(cfg.bsm_size_bytes,
                                     cfg.channel.data_rate_mbps, cfg.channel)
+        self.tx_dur_ns = round(self.tx_dur_s * NS)
         self.timeline = ChannelTimeline(self.tx_dur_s)
         self.pdr = PdrCounters()
         self.risk_count = 0
@@ -403,12 +387,9 @@ class Simulation:
         self.mi_count = 0   # measurement boundaries, the same for everyone
         self.trace_rows: list = []
 
-        # cached per-tick ground-truth arrays (filled by _refresh_arrays)
-        self._xs = self._ys = self._vxs = self._vys = self._speeds = None
-        self._headings = None
-        self._dist = None
-        self._arcs = self._prev_arcs = None
-        self._lanes = self._prev_lanes = None
+        # per-tick ground truth: arrays from _refresh_arrays, and under
+        # Krauss the arc and lane of every vehicle from _snap_arcs
+        self._arcs = self._lanes = None
         self._last_tick_ns = 0
         self._refresh_arrays()
         if self.trace is None:
@@ -582,16 +563,16 @@ class Simulation:
             self._push(nxt, EV_GEN, idx)
 
     def _enqueue(self, v: _Vehicle, t_ns: int) -> None:
-        """A frame not yet on the air is replaced by the fresher payload,
+        """A frame not yet on the air is replaced by the fresher one,
         keeping any medium grant already won; an idle MAC starts access."""
         if v.queued is not None:
             v.dropped += 1
             self._unposed.discard(v.queued)
         elif v.airing is None:
             self._begin_access(v, t_ns)
-        v.queued = payload = _Payload(v.idx, t_ns, v.ctrl.riskiness_flag,
-                                      v.ctrl.delta)
-        self._unposed.add(payload)
+        v.queued = frame = Frame(v.idx, t_ns, v.ctrl.riskiness_flag,
+                                 v.ctrl.delta)
+        self._unposed.add(frame)
 
     def _begin_access(self, v: _Vehicle, t_ns: int) -> None:
         start_s = csma_access(v.idx, t_ns / NS, self.timeline,
@@ -600,12 +581,14 @@ class Simulation:
         self._push(round(start_s * NS), EV_TX_START, v.idx)
 
     def _on_tx_start(self, t_ns: int, idx: int) -> None:
+        """The queued frame goes on the air as it is."""
         v = self.vehicles[idx]
-        tx = TransmissionEvent(idx, t_ns / NS, self.tx_dur_s, v.queued)
+        tx = v.airing = v.queued
         v.queued = None
-        v.airing = tx
+        tx.start = t_ns / NS
+        tx.end = tx.start + self.tx_dur_s
         self.active_txs.append(tx)
-        self._push(t_ns + round(self.tx_dur_s * NS), EV_TX_END, idx)
+        self._push(t_ns + self.tx_dur_ns, EV_TX_END, idx)
 
     def _on_tx_end(self, t_ns: int, idx: int) -> None:
         t_s = t_ns / NS
@@ -681,7 +664,7 @@ class Simulation:
         for (tx, t_s, over), lk in zip(ended, links):
             got = delivery_outcome(tx, lk, over, rng, ch)
             if got:
-                log.append(aoi.log_entry(tx.bsm, t_s, got))
+                log.append(aoi.log_entry(tx, t_s, got))
             decoded.append(got)
         # range_m <= cutoff, so the PDR audience is a subset of the links
         counts = [len(got) for got in decoded]
@@ -713,7 +696,7 @@ class Simulation:
         # into from its start, so every windowed metric is structurally
         # partial; flags are still assessed, windows still reset, but the
         # controllers hold and metric memories stay unprimed
-        first_boundary = t_s <= t_mi + 1e-9
+        first_boundary = t_ns <= self.t_mi_ns
         heard = live[:0] if first_boundary else pairs.by_insertion(
             live[pairs.last_seen[live] >= t_s - t_mi])
         bounds = np.searchsorted(heard // n, np.arange(n + 1)).tolist()

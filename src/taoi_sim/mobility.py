@@ -41,7 +41,6 @@ class VehicleState:
     speed: float      # m/s, never negative
     heading: float    # rad
     lane: int
-    t: float = 0.0    # s
 
 
 @dataclass(frozen=True)
@@ -365,7 +364,7 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     for s, lane, arc, speed in zip(states, lanes, new_arcs.tolist(),
                                    v_new.tolist()):
         x, y, h = road.lane_pose(arc, lane)
-        out.append(VehicleState(s.id, x, y, speed, h, lane, s.t + dt))
+        out.append(VehicleState(s.id, x, y, speed, h, lane))
     return out
 
 
@@ -390,7 +389,7 @@ def initial_states(road: RoadConfig, params: KraussParams, n: int, rng
         arc = (i / n) * road.perimeter(lane)
         x, y, h = road.lane_pose(arc, lane)
         out.append(VehicleState(i, x, y, float(rng.uniform(lo, params.s_max)),
-                                h, lane, 0.0))
+                                h, lane))
     return out
 
 
@@ -438,7 +437,7 @@ class TrajectoryTable:
         heading, lane = float(self.heading[k]), int(self.lane[k])
         if k == hi - 1:
             return VehicleState(vid, float(self.x[k]), float(self.y[k]),
-                                float(self.speed[k]), heading, lane, t)
+                                float(self.speed[k]), heading, lane)
         ts, xs, ys, sp = (c[k:k + 2].tolist()
                           for c in (self.t, self.x, self.y, self.speed))
         f = (t - ts[0]) / (ts[1] - ts[0])
@@ -447,7 +446,7 @@ class TrajectoryTable:
             xs[0] + f * (xs[1] - xs[0]),
             ys[0] + f * (ys[1] - ys[0]),
             sp[0] + f * (sp[1] - sp[0]),
-            heading, lane, t)
+            heading, lane)
 
     def sample(self, vids, ts) -> tuple:
         """``state_at`` for many (vehicle, time) queries at once: x, y,
@@ -484,7 +483,7 @@ class TrajectoryTable:
         """Every vehicle's state at time t, in id order, from one
         ``sample`` query."""
         columns = self.sample(self.ids, np.full(len(self.ids), t))
-        return [VehicleState(vid, x, y, speed, heading, lane, t)
+        return [VehicleState(vid, x, y, speed, heading, lane)
                 for vid, x, y, speed, heading, lane in zip(
                     self.ids.tolist(), *(c.tolist() for c in columns))]
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import aoi
-from .engine import EV_SLOT, NS, Simulation, _Payload, _Vehicle
+from .channel import Frame
+from .engine import EV_SLOT, NS, Simulation, _Vehicle
 from .metrics import sample_te_and_risk
 
 
@@ -19,14 +20,7 @@ def slot_sample(table: aoi.PairTable, cells, t: float, slot: float):
     snapshot held at t) and return the sampled ages. Callers invoke this
     after the slot's deliveries have been applied."""
     a = aoi.instantaneous_aoi(table, cells, t)
-    step = a * slot
-    table.aoi_mi[cells] += step
-    table.aoi_run[cells] += step
-    gated = table.risky[cells] != 0
-    g = cells[gated]
-    table.taoi_mi[g] += step[gated]
-    table.taoi_run[g] += step[gated]
-    table.cursor[cells] = t
+    aoi.accrue(table, cells, a * slot, t)
     return a
 
 
@@ -47,12 +41,10 @@ class SlottedSimulation(Simulation):
         n = self.n
         cells = np.flatnonzero(~np.eye(n, dtype=bool))
         senders = cells % n
-        xs = np.array([s.x for s in self.states])[senders]
-        ys = np.array([s.y for s in self.states])[senders]
         flag0 = 1
         aoi.record_from_bsm(self.pairs, cells,
-                            (0.0, xs, ys, 0.0, 0.0, flag0,
-                             self.cfg.delta_init_s), 0.0)
+                            (0.0, self._xs[senders], self._ys[senders], 0.0,
+                             0.0, flag0, self.cfg.delta_init_s), 0.0)
 
     def _push_first_events(self) -> None:
         self._push(self.slot_ns, EV_SLOT)
@@ -108,8 +100,8 @@ class SlottedSimulation(Simulation):
             v = self.vehicles[idx]
             v.sent += 1
             v.queued = None
-            payloads.append(_Payload(idx, t_ns, v.ctrl.riskiness_flag,
-                                     v.ctrl.delta))
+            payloads.append(Frame(idx, t_ns, v.ctrl.riskiness_flag,
+                                  v.ctrl.delta))
         self._pose_payloads(payloads)
         for p in payloads:
             # snapshot swap only: the step accounting in phase 3 owns

@@ -11,9 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taoi_sim.channel import (
+    NS,
     ChannelConfig,
     ChannelTimeline,
-    TransmissionEvent,
+    Frame,
     csma_access,
     delivery_outcome,
     link_budgets,
@@ -21,7 +22,6 @@ from taoi_sim.channel import (
     tx_duration,
 )
 from taoi_sim.errors import ConfigError
-from taoi_sim.metrics import Bsm
 from taoi_sim.mobility import VehicleState
 
 CFG = ChannelConfig()
@@ -32,8 +32,10 @@ WIDE = dataclasses.replace(CFG, max_reception_range_m=1e4)
 
 
 def _tx(sender, start, x, y, dur=1.373e-3):
-    bsm = Bsm(sender, start, x, y, 10.0, 0.0)
-    return TransmissionEvent(sender, start, dur, bsm)
+    tx = Frame(sender, round(start * NS), 0, 0.1)
+    tx.x, tx.y, tx.speed, tx.heading = x, y, 10.0, 0.0
+    tx.start, tx.end = start, start + dur
+    return tx
 
 
 def _rx(vid, x, y=0.0):
@@ -374,7 +376,7 @@ def _reference_delivery_outcome(tx, receivers, concurrent, rng, cfg):
     for r in receivers:
         if r.id == tx.sender:
             continue
-        d = math.hypot(r.x - tx.bsm.x, r.y - tx.bsm.y)
+        d = math.hypot(r.x - tx.x, r.y - tx.y)
         if d > cfg.max_reception_range_m:
             continue
         if r.id in busy_senders:
@@ -383,7 +385,7 @@ def _reference_delivery_outcome(tx, receivers, concurrent, rng, cfg):
             continue
         garbled = False
         for c in overlapping:
-            di = math.hypot(r.x - c.bsm.x, r.y - c.bsm.y)
+            di = math.hypot(r.x - c.x, r.y - c.y)
             if di > cfg.max_reception_range_m:
                 continue
             if rx_power(di, fading_draw(di)) >= cfg.carrier_sense_dbm:

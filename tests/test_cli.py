@@ -157,8 +157,10 @@ class TestEmitReports:
 
 class TestGoldenArtifacts:
     """The sha256 of every artifact ``emit_reports`` writes for a few small
-    runs, one per protocol and two self-clocked idealized runs. No run has
-    a trace path, which the config echo would carry into the digest.
+    runs: one per protocol, two self-clocked idealized runs and a replay
+    of the Krauss run's own trace. The config echo carries the trace path
+    into the digest, so the replay reads it by a relative path from its
+    working directory.
 
     Only a declared contract change may update a digest here, in the
     change that declares it: a new draw order such as ROADMAP item 2's
@@ -206,16 +208,28 @@ class TestGoldenArtifacts:
             "te_pairs.csv": "76fa7f7a43f43ee27b983889a3784e579dc80c0d815b8c02558788bdfd9c660b",
             "timeseries.csv": "bcf3a5cd203d72dcc2d4f15194bd0b8c02931aef25d38aef846a399640d62c6a",
         }),
+        # payloads are posed from trace queries, not along their lanes
+        "replay": (dict(protocol="aoi", trace_path="krauss.csv"), {
+            "pdr_bins.csv": "05ed68889536fcb3b8bbc84150a1e68b24ffc1480f02c5d9408b325869cd013c",
+            "report.json": "aeac88a3496f0b66493f6cf6b77eb35f7863f1d3701927e8940de1f2dacd03c9",
+            "summary.csv": "f565d55fb11fc82e208e5bf21e79e5f0e5238159217edfa1dae2298a828926d4",
+            "te_pairs.csv": "88fe66d623afff7957bb11c3d0faf536d9d5cfa92a20f86e993233de6b9a0997",
+            "timeseries.csv": "4899096f8f5a3a46a2411a03f9ec8447ef60ea291c26f65f55705a41db0710a4",
+        }),
     }
 
     @pytest.mark.parametrize("name", RUNS)
-    def test_artifact_digests(self, tmp_path, name):
+    def test_artifact_digests(self, tmp_path, monkeypatch, name):
         kw, digests = self.RUNS[name]
-        cfg = SimConfig(**{**dict(vehicle_count=12, duration_s=3.0, seed=1),
-                           **kw})
-        emit_reports([run_simulation(cfg)], out_dir=str(tmp_path))
+        base = dict(vehicle_count=12, duration_s=3.0, seed=1)
+        if "trace_path" in kw:
+            monkeypatch.chdir(tmp_path)
+            run_simulation(SimConfig(**base, dump_trace_path=kw["trace_path"]))
+        out = tmp_path / "artifacts"
+        emit_reports([run_simulation(SimConfig(**{**base, **kw}))],
+                     out_dir=str(out))
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
+               for p in out.iterdir()}
         assert got == digests
 
 

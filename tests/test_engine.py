@@ -10,6 +10,7 @@ bookkeeping, and configuration guards.
 import ast
 import bisect
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -189,6 +190,23 @@ class TestLifecycle:
         assert sum(d["mi_count"] for d in rep.per_vehicle) == 8 * 3
         assert sum(count for _, count in rep.interval_histogram) == 8 * 3
 
+    def test_cold_start_is_the_first_boundary_only(self):
+        # with a 1 ns window the second boundary lies 1 ns after the
+        # first: only the first one closes a window nobody broadcast into
+        sim = Simulation(SimConfig(vehicle_count=2, duration_s=4e-9, seed=1,
+                                   mobility_tick_s=1e-9, t_mi_s=1e-9))
+        steps = []
+        control_step = sim._control_step
+
+        def spy(v, t_s, first_boundary, *rest):
+            steps.append((t_s, first_boundary))
+            control_step(v, t_s, first_boundary, *rest)
+
+        sim._control_step = spy
+        sim.run()
+        assert steps == [(k / NS, k == 1) for k in range(1, 5)
+                         for _ in range(2)]
+
     def test_small_traffic_run_stays_physical(self):
         rep = run_simulation(SimConfig(vehicle_count=20, duration_s=10.0,
                                        protocol="fixed10hz", seed=2))
@@ -261,8 +279,9 @@ class TestMediumRecord:
             return deliver(tx, receivers, concurrent, rng, cfg)
 
         monkeypatch.setattr(engine, "delivery_outcome", spy)
-        run_simulation(SimConfig(vehicle_count=60, duration_s=2.0,
-                                 protocol="fixed10hz", seed=1))
+        sim = Simulation(SimConfig(vehicle_count=60, duration_s=2.0,
+                                   protocol="fixed10hz", seed=1))
+        sim.run()
         frames = sorted((tx for tx, _ in calls), key=lambda f: f.start)
         starts = [f.start for f in frames]
         overlapping, missed = 0, []
@@ -270,7 +289,7 @@ class TestMediumRecord:
             seen = {id(c) for c in concurrent}
             # every frame of a run has the same airtime, so an overlapping
             # frame starts within one airtime before this one
-            lo = bisect.bisect_right(starts, tx.start - tx.duration)
+            lo = bisect.bisect_right(starts, tx.start - sim.tx_dur_s)
             hi = bisect.bisect_left(starts, tx.end)
             for f in frames[lo:hi]:
                 if f is not tx and f.end > tx.start:
@@ -315,6 +334,63 @@ class TestBatchedDelivery:
         assert len(decided) == report.counts["sent"] > 100
         # both paths ran: frames that overlap nothing and frames that do
         assert 0 < decided.count(0) < len(decided)
+
+
+class TestAiringRule:
+    """A frame airs the last payload its sender generated at or before the
+    frame's start: a fresher BSM replaces one still queued, and a
+    generation at the start instant itself wins the tie, because
+    generations sort before transmission starts at one timestamp."""
+
+    @staticmethod
+    def _airings(sim, extra_generation=False):
+        """Run ``sim`` and check the rule on every frame that starts. With
+        ``extra_generation``, vehicle 0 also generates at the instant its
+        first frame starts. Returns (start ns, sender, generation ns) per
+        aired frame and the run's report."""
+        generated = [[] for _ in range(sim.n)]   # (t_ns, payload) per sender
+        aired = []
+        on_generation, on_tx_start = sim._on_generation, sim._on_tx_start
+
+        def generation(t_ns, idx):
+            on_generation(t_ns, idx)
+            generated[idx].append((t_ns, sim.vehicles[idx].queued))
+            if extra_generation and idx == 0 and len(generated[0]) == 1:
+                start, = [t for t, kind, vid, _ in sim._heap
+                          if kind == engine.EV_TX_START and vid == 0]
+                sim._push(start, engine.EV_GEN, 0)
+
+        def tx_start(t_ns, idx):
+            aired.append((t_ns, idx, sim.vehicles[idx].queued))
+            on_tx_start(t_ns, idx)
+
+        sim._on_generation, sim._on_tx_start = generation, tx_start
+        report = sim.run()
+        rows = []
+        for t_ns, idx, payload in aired:
+            times = [t for t, _ in generated[idx]]
+            k = bisect.bisect_right(times, t_ns) - 1
+            assert payload is generated[idx][k][1]
+            rows.append((t_ns, idx, times[k]))
+        return rows, report
+
+    def test_a_frame_airs_its_senders_last_payload(self):
+        # 40 ms frames against a 41 ms floor: queued BSMs are often
+        # replaced before they air
+        sim = Simulation(SimConfig(vehicle_count=12, duration_s=3.0,
+                                   protocol="taoi", seed=1,
+                                   bsm_size_bytes=30000, delta_min_s=0.041))
+        rows, report = self._airings(sim)
+        assert len(rows) == 242
+        assert report.counts["dropped"] == 102
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "83311aaa4c39048ab7aa77488245e5ff95460bcc4e1d6925814c8f9f95d4ad09")
+
+    def test_a_generation_at_the_start_instant_wins(self):
+        sim = Simulation(SimConfig(vehicle_count=2, duration_s=0.3, seed=1))
+        rows, _ = self._airings(sim, extra_generation=True)
+        first = min(r for r in rows if r[1] == 0)
+        assert first[0] == first[2]
 
 
 def _snapshot_bsm(sim, idx: int, t_ns: int) -> Bsm:

@@ -181,25 +181,25 @@ class TestAverageTrackingError:
 
 class TestSelfTrackingError:
     def test_constant_velocity_is_exact(self):
-        prev = VehicleState(3, 0.0, 0.0, 12.0, 0.0, 0, t=1.0)
-        now = VehicleState(3, 12.0, 0.0, 12.0, 0.0, 0, t=2.0)
+        prev = VehicleState(3, 0.0, 0.0, 12.0, 0.0, 0)
+        now = VehicleState(3, 12.0, 0.0, 12.0, 0.0, 0)
         assert self_tracking_error(now, prev, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_acceleration(self):
         # y = t*t: predicting from (t=1, y=1, v=2) lands at 3, truth is 4
-        prev = VehicleState(4, 0.0, 1.0, 2.0, math.pi / 2, 0, t=1.0)
-        now = VehicleState(4, 0.0, 4.0, 4.0, math.pi / 2, 0, t=2.0)
+        prev = VehicleState(4, 0.0, 1.0, 2.0, math.pi / 2, 0)
+        now = VehicleState(4, 0.0, 4.0, 4.0, math.pi / 2, 0)
         assert self_tracking_error(now, prev, 1.0) == pytest.approx(1.0)
 
     def test_right_angle_turn(self):
-        prev = VehicleState(5, 0.0, 0.0, 10.0, 0.0, 0, t=0.0)
-        now = VehicleState(5, 0.0, 10.0, 10.0, math.pi / 2, 0, t=1.0)
+        prev = VehicleState(5, 0.0, 0.0, 10.0, 0.0, 0)
+        now = VehicleState(5, 0.0, 10.0, 10.0, math.pi / 2, 0)
         err = self_tracking_error(now, prev, 1.0)
         assert err == pytest.approx(10.0 * math.sqrt(2.0))
 
     def test_identity_mismatch_rejected(self):
-        prev = VehicleState(0, 0.0, 0.0, 1.0, 0.0, 0, t=0.0)
-        now = VehicleState(1, 1.0, 0.0, 1.0, 0.0, 0, t=1.0)
+        prev = VehicleState(0, 0.0, 0.0, 1.0, 0.0, 0)
+        now = VehicleState(1, 1.0, 0.0, 1.0, 0.0, 0)
         with pytest.raises(ValueError):
             self_tracking_error(now, prev, 1.0)
 

@@ -26,9 +26,9 @@ from taoi_sim.mobility import (
 ROAD = RoadConfig()
 
 
-def _veh(vid, arc, speed, lane=0, road=ROAD, t=0.0):
+def _veh(vid, arc, speed, lane=0, road=ROAD):
     x, y, h = road.lane_pose(arc, lane)
-    return VehicleState(vid, x, y, speed, h, lane, t)
+    return VehicleState(vid, x, y, speed, h, lane)
 
 
 def _reference_project(road, x, y, lane):
@@ -164,7 +164,7 @@ def _reference_krauss_step(states, params, road, dt, rng):
         na = (arcs[i] + new_speeds[i] * dt) % road.perimeter(lanes[i])
         x, y, h = road.lane_pose(na, lanes[i])
         out.append(VehicleState(states[i].id, x, y, new_speeds[i], h,
-                                lanes[i], states[i].t + dt))
+                                lanes[i]))
     return out
 
 
@@ -193,7 +193,6 @@ class TestKraussStep:
                           np.random.default_rng(0))
         assert out[0].speed == pytest.approx(10.2)
         assert out[0].x == pytest.approx(102.0 + 10.2 * 0.1)
-        assert out[0].t == pytest.approx(0.1)
 
     def test_speed_capped_at_maximum(self):
         p = KraussParams(imperfection_sigma=0.0)
@@ -542,7 +541,6 @@ class TestInitialStates:
         assert [s.id for s in states] == list(range(30))
         assert all(s.lane == s.id % 3 for s in states)
         assert all(5.0 <= s.speed <= 25.0 for s in states)
-        assert all(s.t == 0.0 for s in states)
 
     def test_positions_spread_without_overlap(self):
         states = initial_states(ROAD, KraussParams(), 50,
