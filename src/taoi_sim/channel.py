@@ -89,14 +89,12 @@ class Frame:
         self.riskiness_flag, self.interval = riskiness_flag, interval
 
 
-def tx_duration(size: int, rate: float, cfg: ChannelConfig) -> float:
-    """Airtime of one frame: payload bytes at the data rate (Mbps) plus the
-    preamble overhead."""
+def tx_duration(size: int, cfg: ChannelConfig) -> float:
+    """Airtime of one frame: payload bytes at the channel's data rate
+    (Mbps) plus the preamble overhead."""
     if size <= 0:
         raise ValueError(f"frame size must be positive, got {size}")
-    if rate <= 0:
-        raise ValueError(f"data rate must be positive, got {rate}")
-    return 8.0 * size / (rate * 1e6) + cfg.preamble_us * 1e-6
+    return 8.0 * size / (cfg.data_rate_mbps * 1e6) + cfg.preamble_us * 1e-6
 
 
 class ChannelTimeline:

@@ -168,8 +168,7 @@ class SimConfig:
         # a broadcast interval shorter than one frame's airtime only makes
         # BSMs that replace each other in the queue, and one that rounds to
         # 0 ns would never let the clock advance
-        airtime = tx_duration(self.bsm_size_bytes, self.channel.data_rate_mbps,
-                              self.channel)
+        airtime = tx_duration(self.bsm_size_bytes, self.channel)
         if self.delta_min_s < airtime:
             raise ConfigError(
                 f"delta_min_s={self.delta_min_s} is shorter than one "
@@ -364,19 +363,14 @@ class Simulation:
         self._rx_log: list = []   # decoded frames not yet in the pair table
         self._unposed: set = set()  # frames awaiting their pose
         self.vehicles = [
-            _Vehicle(i, ControllerState(
-                delta=cfg.delta_init_s, delta_min=cfg.delta_min_s,
-                delta_max=cfg.delta_max_s, beta=cfg.beta,
-                te_threshold=cfg.safety.te_threshold,
-                spread_lambda=cfg.spread_lambda),
-                aoi.PairRow(self.pairs, i))
+            _Vehicle(i, ControllerState(cfg.delta_init_s),
+                     aoi.PairRow(self.pairs, i))
             for i in range(self.n)]
         for i, v in enumerate(self.vehicles):
             v.mi_prev = self.states[i]
 
         self.active_txs: list[Frame] = []
-        self.tx_dur_s = tx_duration(cfg.bsm_size_bytes,
-                                    cfg.channel.data_rate_mbps, cfg.channel)
+        self.tx_dur_s = tx_duration(cfg.bsm_size_bytes, cfg.channel)
         self.tx_dur_ns = round(self.tx_dur_s * NS)
         self.timeline = ChannelTimeline(self.tx_dur_s)
         self.pdr = PdrCounters()
@@ -396,7 +390,6 @@ class Simulation:
             self._snap_arcs()
 
         self._heap: list = []
-        self._seq = 0
 
     # ------------------------------------------------------------- setup
 
@@ -417,8 +410,9 @@ class Simulation:
                     f"[0, {T}]")
 
     def _push(self, t_ns: int, kind: int, vid: int = -1) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t_ns, kind, vid, self._seq))
+        """At most one event of a kind is pending per vehicle (or per run,
+        ``vid == -1``), so no two pending events share a key."""
+        heapq.heappush(self._heap, (t_ns, kind, vid))
 
     def _refresh_arrays(self) -> None:
         xs = np.array([s.x for s in self.states])
@@ -448,7 +442,7 @@ class Simulation:
 
         heap = self._heap
         while heap:
-            t_ns, kind, vid, _ = heapq.heappop(heap)
+            t_ns, kind, vid = heapq.heappop(heap)
             if kind == EV_MOBILITY:
                 self._on_tick(t_ns)
             elif kind == EV_TX_END:
@@ -722,7 +716,7 @@ class Simulation:
         t_mi = cfg.t_mi_s
         own_now = self.states[v.idx]
         self_te = self_tracking_error(own_now, v.mi_prev, t_mi)
-        flag = assess_self_risk(self_te, v.ctrl)
+        flag = assess_self_risk(self_te, v.ctrl, cfg)
         v.risky_mis += flag
         v.mi_prev = own_now
 
@@ -742,9 +736,11 @@ class Simulation:
         elif cfg.protocol == "fixed10hz":
             delta, _ = fixed_rate(v.ctrl)
         elif cfg.protocol == "aoi":
-            delta, _ = aoi_rate_update(v.ctrl, aoi_v, delta_avg, congested)
+            delta, _ = aoi_rate_update(v.ctrl, cfg, aoi_v, delta_avg,
+                                       congested)
         else:
-            delta, _ = taoi_rate_update(v.ctrl, taoi_v, n_risky, congested)
+            delta, _ = taoi_rate_update(v.ctrl, cfg, taoi_v, n_risky,
+                                        congested)
 
         v.delta_sum += delta
         bin_lo = int(delta * 1000.0 // INTERVAL_BIN_MS)

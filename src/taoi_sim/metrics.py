@@ -114,15 +114,18 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
     return int(np.count_nonzero(risky)), dead, te
 
 
+PDR_BIN_WIDTH_M = 25.0   # width of the PDR distance bins
+
+
 @dataclass
 class PdrCounters:
-    """Packet-delivery bookkeeping, binned by transmitter-receiver distance.
+    """Packet-delivery bookkeeping, binned by transmitter-receiver distance
+    in bins of ``PDR_BIN_WIDTH_M``.
 
     Opportunities count every in-range receiver of every transmission;
     successes count the subset that decoded the frame.
     """
 
-    bin_width: float = 25.0
     successes: dict = field(default_factory=dict)      # bin index -> count
     opportunities: dict = field(default_factory=dict)  # bin index -> count
 
@@ -136,8 +139,8 @@ class PdrCounters:
         """Sorted (bin_lo, bin_hi, successes, opportunities) rows."""
         rows = []
         for idx in sorted(self.opportunities):
-            lo = idx * self.bin_width
-            rows.append((lo, lo + self.bin_width,
+            lo = idx * PDR_BIN_WIDTH_M
+            rows.append((lo, lo + PDR_BIN_WIDTH_M,
                          self.successes.get(idx, 0), self.opportunities[idx]))
         return rows
 
@@ -149,7 +152,7 @@ def pdr_record(counters: PdrCounters, distances, successes) -> PdrCounters:
     every in-range receiver of every transmission in the batch, one
     delivery opportunity each; ``successes`` holds the ascending positions
     in ``distances`` of the receivers that decoded their frame, a subset
-    of the in-range set. A distance d counts in bin ``d // bin_width``.
+    of the in-range set. A distance d counts in bin ``d // PDR_BIN_WIDTH_M``.
     """
     distances = np.asarray(distances, dtype=float)
     successes = np.asarray(successes, dtype=np.intp)
@@ -161,7 +164,7 @@ def pdr_record(counters: PdrCounters, distances, successes) -> PdrCounters:
                          f"receivers (or not ascending): {successes}")
     if k and distances.min() < 0:
         raise ValueError(f"negative distance: {distances.min()}")
-    bins = np.floor_divide(distances, counters.bin_width).astype(np.intp)
+    bins = np.floor_divide(distances, PDR_BIN_WIDTH_M).astype(np.intp)
     for table, counts in ((counters.opportunities, np.bincount(bins)),
                           (counters.successes, np.bincount(bins[successes]))):
         for idx in np.flatnonzero(counts).tolist():

@@ -228,10 +228,11 @@ class _Ring:
         del self.idx[pos]
 
     def leader(self, arc: float, skip: int):
-        """(gap, index) of the nearest vehicle strictly ahead on the ring
-        (co-located counts as gap 0), or (None, None) on an empty ring."""
+        """(gap, index) of the nearest vehicle at or ahead of ``arc`` on the
+        ring (co-located counts as gap 0), or (None, None) on an empty
+        ring."""
         n = len(self.arcs)
-        pos = bisect.bisect_right(self.arcs, arc)
+        pos = bisect.bisect_left(self.arcs, arc)
         for step in range(n):
             j = (pos + step) % n
             if self.idx[j] != skip:
@@ -239,8 +240,9 @@ class _Ring:
         return None, None
 
     def follower(self, arc: float, skip: int):
+        """The same for the nearest vehicle at or behind ``arc``."""
         n = len(self.arcs)
-        pos = bisect.bisect_left(self.arcs, arc) - 1
+        pos = bisect.bisect_right(self.arcs, arc) - 1
         for step in range(n):
             j = (pos - step) % n
             if self.idx[j] != skip:
@@ -256,8 +258,9 @@ def _achievable(speed: float, gap, leader_idx, speeds, params) -> float:
 
 def _lane_change_target(i, lanes, arcs, speeds, rings, params, road) -> int:
     """Lane giving the strictly best achievable speed, with safety gaps on
-    the target ring; ties go to the lower lane index; current lane wins
-    when nothing is strictly better."""
+    the target ring (a vehicle at the target arc itself always blocks);
+    ties go to the lower lane index; current lane wins when nothing is
+    strictly better."""
     l, a, v = lanes[i], arcs[i], speeds[i]
     gap, lead = rings[l].leader(a, i)
     best_gain = _achievable(v, gap, lead, speeds, params)
@@ -270,10 +273,10 @@ def _lane_change_target(i, lanes, arcs, speeds, rings, params, road) -> int:
             continue
         a_t = road.lane_remap(a, l, tgt)
         gf, leadt = rings[tgt].leader(a_t, i)
-        if leadt is not None and gf < params.min_gap:
+        if leadt is not None and (gf == 0.0 or gf < params.min_gap):
             continue
         gr, folt = rings[tgt].follower(a_t, i)
-        if folt is not None and gr < params.min_gap:
+        if folt is not None and (gr == 0.0 or gr < params.min_gap):
             continue
         ach = _achievable(v, gf, leadt, speeds, params)
         if ach > best_gain:

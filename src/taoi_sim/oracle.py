@@ -80,13 +80,16 @@ def _distance(a, b):
 
 @dataclass(frozen=True)
 class ScheduleProblem:
+    """A slotted-schedule problem. ``capacity``, ``slot_length`` and
+    ``te_threshold`` mirror the slotted mode's ``slot_capacity``,
+    ``slot_s`` and ``SafetyParams.te_threshold``; nothing else is
+    settable, and every capacity-feasible assignment is a candidate."""
+
     motions: tuple
     slots: int
     capacity: int = 1
     objective: str = "system_aoi"
     te_threshold: Fraction = Fraction(1, 2)
-    r_min: int = 0
-    r_max: int | None = None
     slot_length: Fraction = Fraction(1)
 
     def __post_init__(self):
@@ -101,9 +104,6 @@ class ScheduleProblem:
             raise ValueError("slot capacity must be at least 1")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        r_max = self.slots if self.r_max is None else self.r_max
-        if not 0 <= self.r_min <= r_max:
-            raise ValueError(f"bad rate bounds [{self.r_min}, {self.r_max}]")
         if self.slot_length <= 0:
             raise ValueError("slot length must be positive")
 
@@ -139,21 +139,16 @@ class ScheduleSolution:
 
 
 def normalize_assignment(problem: ScheduleProblem, assignment) -> tuple:
-    """Canonical form: one sorted tuple of transmitter indices per slot.
-    Accepts None / int / iterable entries. Rejects capacity violations,
-    unknown vehicles and duplicate transmitters in one slot."""
+    """Canonical form: one sorted tuple of transmitter indices per slot,
+    from a sequence of id sequences. Rejects capacity violations, unknown
+    vehicles and duplicate transmitters in one slot."""
     n = len(problem.motions)
     if len(assignment) != problem.slots:
         raise ValueError(
             f"assignment covers {len(assignment)} slots, problem has {problem.slots}")
     out = []
     for k, entry in enumerate(assignment):
-        if entry is None:
-            txs = ()
-        elif isinstance(entry, int):
-            txs = (entry,)
-        else:
-            txs = tuple(sorted(entry))
+        txs = tuple(sorted(entry))
         if len(set(txs)) != len(txs):
             raise ValueError(f"slot {k + 1}: duplicate transmitter")
         if len(txs) > problem.capacity:
@@ -259,11 +254,11 @@ def _slot_choices(n: int, capacity: int) -> list:
 
 
 def enumerate_optimal(problem: ScheduleProblem) -> ScheduleSolution:
-    """Exhaustive minimum of the problem's objective over all feasible
-    assignments. Ties resolve to the lexicographically smallest assignment
-    under the slot-choice order (idle < vehicle 0 < vehicle 1 < ...),
-    because iteration is in that order and only strict improvements
-    replace the incumbent."""
+    """Exhaustive minimum of the problem's objective over every assignment
+    within the slot capacity. Ties resolve to the lexicographically
+    smallest assignment under the slot-choice order (idle < vehicle 0 <
+    vehicle 1 < ...), because iteration is in that order and only strict
+    improvements replace the incumbent."""
     n = len(problem.motions)
     if problem.objective in ("system_aoi", "system_taoi") and n < 2:
         raise ValueError(f"{problem.objective} needs at least 2 vehicles")
@@ -272,21 +267,12 @@ def enumerate_optimal(problem: ScheduleProblem) -> ScheduleSolution:
     if total > MAX_SEARCH:
         raise ValueError(
             f"search space {total} exceeds the enumeration guard {MAX_SEARCH}")
-    r_max = problem.slots if problem.r_max is None else problem.r_max
     best = None
     for assignment in itertools.product(choices, repeat=problem.slots):
-        counts = [0] * n
-        for txs in assignment:
-            for v in txs:
-                counts[v] += 1
-        if any(c < problem.r_min or c > r_max for c in counts):
-            continue
         tables = replay_schedule(problem, assignment)
         value = tables.objective_value(problem.objective)
         if best is None or value < best[0]:
             best = (value, assignment, tables)
-    if best is None:
-        raise ValueError("rate bounds admit no feasible assignment")
     return ScheduleSolution(best[1], problem.objective, best[0], best[2])
 
 

@@ -18,13 +18,21 @@ Both adaptive policies take the congestion test as a flag that the caller
 decides once with ``is_congested``: vehicle AoI above twice the mean
 broadcast interval of the neighbors heard. Trend comparisons use a
 tolerance of ``EPS_CMP`` so float noise does not masquerade as a trend.
+
+The rules' constants are the run's: the step ``beta``, the interval bounds
+``delta_min_s``/``delta_max_s`` and the pull ``spread_lambda`` are read
+from the ``SimConfig`` each rule is given, and the self-TE threshold from
+its ``safety`` section. ``ControllerState`` holds per-vehicle memory only.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .engine import SimConfig
 
 EPS_CMP = 1e-9   # s, metric comparison tolerance
 
@@ -45,7 +53,8 @@ class Action(enum.Enum):
 
 @dataclass
 class ControllerState:
-    """Per-vehicle controller memory.
+    """Per-vehicle controller memory. ``delta`` starts at the config's
+    ``delta_init_s``; every constant of the rules lives in the config.
 
     ``omega`` holds the last directional probe (INCR or DECR); the trend
     rule repeats or flips it, so it must always be one of the two values
@@ -59,28 +68,16 @@ class ControllerState:
     comparison keeps the interval.
     """
 
-    delta: float = 0.1            # s, current broadcast interval
-    delta_min: float = 0.02       # s
-    delta_max: float = 1.0        # s
-    beta: float = 1.1             # multiplicative step, > 1
-    te_threshold: float = 0.5     # m, self-TE riskiness threshold
-    spread_lambda: float = 0.25   # AoI-policy pull toward the neighborhood mean
+    delta: float                  # s, current broadcast interval
     omega: Action = Action.INCR
     prev_taoi: Optional[float] = None
     prev_aoi: float = 0.0
     riskiness_flag: int = 1      # raised until the first self-assessment:
                                  # nobody can track a vehicle never heard from
 
-    def __post_init__(self):
-        if self.beta <= 1.0:
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
-        if not (0 < self.delta_min <= self.delta <= self.delta_max):
-            raise ValueError(
-                f"interval {self.delta} outside [{self.delta_min}, {self.delta_max}]")
 
-
-def clamp_interval(delta: float, state: ControllerState) -> float:
-    return min(max(delta, state.delta_min), state.delta_max)
+def clamp_interval(delta: float, cfg: SimConfig) -> float:
+    return min(max(delta, cfg.delta_min_s), cfg.delta_max_s)
 
 
 def is_congested(aoi_v: float, delta_avg: float) -> bool:
@@ -89,25 +86,26 @@ def is_congested(aoi_v: float, delta_avg: float) -> bool:
     return aoi_v > 2.0 * delta_avg
 
 
-def assess_self_risk(self_te: float, state: ControllerState) -> int:
+def assess_self_risk(self_te: float, state: ControllerState,
+                     cfg: SimConfig) -> int:
     """Raise the own riskiness flag when the vehicle's motion drifted at
     least the threshold from its constant-velocity prediction. The boundary
     counts as risky."""
     if self_te < 0:
         raise ValueError(f"negative self tracking error: {self_te}")
-    state.riskiness_flag = 1 if self_te >= state.te_threshold else 0
+    state.riskiness_flag = 1 if self_te >= cfg.safety.te_threshold else 0
     return state.riskiness_flag
 
 
-def _apply(state: ControllerState, action: Action) -> float:
+def _apply(state: ControllerState, cfg: SimConfig, action: Action) -> float:
     prev = state.delta
     if action is Action.INCR:
-        nd = prev * state.beta
+        nd = prev * cfg.beta
     elif action is Action.DECR:
-        nd = prev / state.beta
+        nd = prev / cfg.beta
     else:
         nd = prev
-    state.delta = clamp_interval(nd, state)
+    state.delta = clamp_interval(nd, cfg)
     if action is not Action.SAME:
         # omega carries the last directional probe only; SAME has no
         # complement, so recording it would dead-end the trend rule.
@@ -131,7 +129,7 @@ def fixed_rate(state: ControllerState) -> tuple[float, Action]:
     return state.delta, Action.SAME
 
 
-def taoi_rate_update(state: ControllerState, taoi_v,
+def taoi_rate_update(state: ControllerState, cfg: SimConfig, taoi_v,
                      risky_neighbor_count: int, congested: bool
                      ) -> tuple[float, Action]:
     """One tracked-age control step. Branches in precedence order:
@@ -154,20 +152,22 @@ def taoi_rate_update(state: ControllerState, taoi_v,
         action = Action.DECR
     else:
         action = _trend(state, taoi_v, state.prev_taoi)
-    delta = _apply(state, action)
+    delta = _apply(state, cfg, action)
     if taoi_v is not None:
         state.prev_taoi = taoi_v
     return delta, action
 
 
-def aoi_rate_update(state: ControllerState, aoi_v, delta_avg,
-                    congested: bool) -> tuple[float, Action]:
+def aoi_rate_update(state: ControllerState, cfg: SimConfig, aoi_v,
+                    delta_avg, congested: bool) -> tuple[float, Action]:
     """One AoI-driven control step (the flag-blind baseline).
 
     With no neighbors there is nothing to measure: the interval and all
-    memory stay untouched. Congestion backs off first; otherwise the AoI
-    trend against ``state.prev_aoi`` decides. After the action the interval is pulled spread_lambda
-    of the way toward the neighborhood mean interval, then clamped.
+    memory stay untouched, and ``delta_avg`` is None with ``aoi_v``.
+    Congestion backs off first; otherwise the AoI trend against
+    ``state.prev_aoi`` decides. After the action the interval is pulled
+    ``cfg.spread_lambda`` of the way toward the neighborhood mean interval
+    ``delta_avg``, then clamped.
     """
     if aoi_v is None:
         return state.delta, Action.SAME
@@ -175,10 +175,8 @@ def aoi_rate_update(state: ControllerState, aoi_v, delta_avg,
         action = Action.INCR
     else:
         action = _trend(state, aoi_v, state.prev_aoi)
-    delta = _apply(state, action)
-    if delta_avg is not None:
-        delta = clamp_interval(
-            delta + state.spread_lambda * (delta_avg - delta), state)
-        state.delta = delta
+    delta = _apply(state, cfg, action)
+    state.delta = clamp_interval(
+        delta + cfg.spread_lambda * (delta_avg - delta), cfg)
     state.prev_aoi = aoi_v
-    return delta, action
+    return state.delta, action

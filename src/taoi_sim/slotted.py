@@ -12,6 +12,7 @@ from . import aoi
 from .channel import Frame
 from .engine import EV_SLOT, NS, Simulation, _Vehicle
 from .metrics import sample_te_and_risk
+from .rate_control import ControllerState
 
 
 def slot_sample(table: aoi.PairTable, cells, t: float, slot: float):
@@ -41,10 +42,10 @@ class SlottedSimulation(Simulation):
         n = self.n
         cells = np.flatnonzero(~np.eye(n, dtype=bool))
         senders = cells % n
-        flag0 = 1
         aoi.record_from_bsm(self.pairs, cells,
                             (0.0, self._xs[senders], self._ys[senders], 0.0,
-                             0.0, flag0, self.cfg.delta_init_s), 0.0)
+                             0.0, ControllerState.riskiness_flag,
+                             self.cfg.delta_init_s), 0.0)
 
     def _push_first_events(self) -> None:
         self._push(self.slot_ns, EV_SLOT)

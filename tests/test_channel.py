@@ -181,21 +181,23 @@ class TestRxPower:
 
 class TestTxDuration:
     def test_default_bsm_on_air(self):
-        assert tx_duration(1000, 6.0, CFG) == pytest.approx(
+        assert CFG.data_rate_mbps == 6.0
+        assert tx_duration(1000, CFG) == pytest.approx(
             8.0 * 1000 / 6e6 + 40e-6)
 
     def test_round_millisecond_payload(self):
-        assert tx_duration(720, 6.0, CFG) == pytest.approx(1e-3, rel=1e-12)
+        assert tx_duration(720, CFG) == pytest.approx(1e-3, rel=1e-12)
 
     def test_preamble_charged_once(self):
-        slope = tx_duration(2000, 6.0, CFG) - tx_duration(1000, 6.0, CFG)
+        slope = tx_duration(2000, CFG) - tx_duration(1000, CFG)
         assert slope == pytest.approx(8.0 * 1000 / 6e6)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            tx_duration(0, 6.0, CFG)
-        with pytest.raises(ValueError):
-            tx_duration(1000, 0.0, CFG)
+            tx_duration(0, CFG)
+        # the channel refuses a rate tx_duration would divide by
+        with pytest.raises(ConfigError):
+            ChannelConfig(data_rate_mbps=0.0)
 
 
 class TestConfigValidation:

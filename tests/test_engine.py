@@ -356,7 +356,7 @@ class TestAiringRule:
             on_generation(t_ns, idx)
             generated[idx].append((t_ns, sim.vehicles[idx].queued))
             if extra_generation and idx == 0 and len(generated[0]) == 1:
-                start, = [t for t, kind, vid, _ in sim._heap
+                start, = [t for t, kind, vid in sim._heap
                           if kind == engine.EV_TX_START and vid == 0]
                 sim._push(start, engine.EV_GEN, 0)
 
@@ -722,6 +722,7 @@ class TestConfigGuards:
         # a 1 ns airtime vanishes beside a run of 2**24 s
         dict(duration_s=2.0 ** 24, bsm_size_bytes=1,
              channel=ChannelConfig(data_rate_mbps=8000.0, preamble_us=0.0)),
+        dict(delta_init_s=1.5),         # above delta_max_s
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)

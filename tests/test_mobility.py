@@ -56,7 +56,8 @@ def _reference_project(road, x, y, lane):
 
 
 class _ReferenceRing:
-    """Sorted same-lane arcs with scalar neighbor queries."""
+    """Sorted same-lane arcs with scalar neighbor queries; a vehicle at
+    exactly the query arc is its leader and its follower, at gap 0."""
 
     def __init__(self, perimeter):
         self.perimeter = perimeter
@@ -75,7 +76,7 @@ class _ReferenceRing:
 
     def leader(self, arc, skip):
         n = len(self.arcs)
-        pos = bisect.bisect_right(self.arcs, arc)
+        pos = bisect.bisect_left(self.arcs, arc)
         for step in range(n):
             j = (pos + step) % n
             if self.idx[j] != skip:
@@ -84,7 +85,7 @@ class _ReferenceRing:
 
     def follower(self, arc, skip):
         n = len(self.arcs)
-        pos = bisect.bisect_left(self.arcs, arc) - 1
+        pos = bisect.bisect_right(self.arcs, arc) - 1
         for step in range(n):
             j = (pos - step) % n
             if self.idx[j] != skip:
@@ -118,11 +119,12 @@ def _reference_krauss_step(states, params, road, dt, rng):
             if not 0 <= tgt < road.lanes:
                 continue
             a_t = road.lane_remap(a, l, tgt)
+            # an occupied target arc blocks, whatever min_gap is
             gf, leadt = rings[tgt].leader(a_t, i)
-            if leadt is not None and gf < params.min_gap:
+            if leadt is not None and (gf == 0.0 or gf < params.min_gap):
                 continue
             gr, folt = rings[tgt].follower(a_t, i)
-            if folt is not None and gr < params.min_gap:
+            if folt is not None and (gr == 0.0 or gr < params.min_gap):
                 continue
             ach = achievable(v, gf, leadt)
             if ach > best_gain:
@@ -411,15 +413,35 @@ class TestAgainstReference:
 
     def test_a_lane_change_onto_an_occupied_corner_arc(self):
         # lane_remap clamps vehicle 0's arc of 1 m onto lane 1's corner at
-        # arc 0, where vehicle 1 sits; neither neighbor query sees a
-        # vehicle at exactly the target arc, so the move goes ahead and
-        # the two share an arc for the speed update
+        # arc 0, where vehicle 1 sits; that vehicle is the target's leader
+        # and follower at gap 0, so vehicle 0 stays behind its slow leader
         states = [_veh(0, 1.0, 20.0, lane=0), _veh(1, 0.0, 10.0, lane=1),
                   _veh(2, 6.0, 0.0, lane=0), _veh(3, 500.0, 25.0, lane=1)]
         _roll_against_reference(states, KraussParams(), ROAD, 0.1, 1, 3)
         out = krauss_step(states, KraussParams(), ROAD, 0.1,
                           np.random.default_rng(1))
-        assert out[0].lane == 1
+        assert out[0].lane == 0
+
+    def test_no_lane_change_lands_on_an_occupied_arc_at_scale(
+            self, monkeypatch):
+        # 300 vehicles on the default road: remapped arcs near the corners
+        # of lane 2 collide with occupied corner arcs a few times per
+        # 1,000 ticks unless the target check sees co-located vehicles
+        onto_occupied = 0
+        insert = mobility._Ring.insert
+
+        def counting_insert(ring, arc, i):
+            nonlocal onto_occupied
+            onto_occupied += arc in ring.arcs
+            insert(ring, arc, i)
+
+        monkeypatch.setattr(mobility._Ring, "insert", counting_insert)
+        rng = np.random.default_rng(2)
+        params = KraussParams()
+        states = initial_states(ROAD, params, 300, rng)
+        for _ in range(1000):
+            states = krauss_step(states, params, ROAD, 0.1, rng)
+        assert onto_occupied == 0
 
     def test_imperfection_draws_go_in_id_order(self):
         # free road: each new speed is v + a dt less the vehicle's own draw

@@ -133,10 +133,6 @@ class TestReplayMechanics:
 
 
 class TestNormalizeAssignment:
-    def test_scalar_and_none_forms(self):
-        prob = toy_problem(slots=3)
-        assert normalize_assignment(prob, [0, None, 1]) == ((0,), (), (1,))
-
     def test_duplicate_transmitter_rejected(self):
         with pytest.raises(ValueError):
             normalize_assignment(toy_problem(slots=2), [(0, 0), (1,)])
@@ -181,23 +177,6 @@ class TestEnumeration:
                                             capacity=2))
         assert sol.value == 0
         assert sol.assignment == ((0, 1),) * 4
-
-    def test_rate_bounds_feasibility(self):
-        prob = toy_problem(slots=3)
-        prob = ScheduleProblem(prob.motions, slots=3, r_min=1, r_max=1)
-        sol = enumerate_optimal(prob)
-        counts = [sum(1 for slot in sol.assignment for v in slot if v == k)
-                  for k in (0, 1)]
-        assert counts == [1, 1]
-
-    def test_infeasible_bounds_rejected(self):
-        prob = ScheduleProblem(toy_problem().motions, slots=3, r_min=2)
-        with pytest.raises(ValueError):
-            enumerate_optimal(prob)  # 2 vehicles x 2 slots > 3 slot grants
-
-    def test_contradictory_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleProblem(toy_problem().motions, slots=3, r_min=2, r_max=1)
 
     @given(st.lists(st.sampled_from([(), (0,), (1,)]), min_size=4,
                     max_size=4))

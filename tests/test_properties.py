@@ -245,6 +245,11 @@ def test_random_small_configs_fail_up_front_or_run_soundly(files, flat,
     assert rep.negative_gap_events == 0
     for _, _, mean_te, samples in rep.te_pairs:
         assert mean_te >= 0.0 and samples > 0
+    # the adaptive rules clamp to the config's bounds; fixed10hz pins 100 ms
+    if cfg.protocol != "fixed10hz":
+        lo, hi = cfg.delta_min_s * 1000.0, cfg.delta_max_s * 1000.0
+        for _, _, delta_ms, *_ in rep.timeseries:
+            assert lo <= delta_ms <= hi
 
 
 @pytest.mark.parametrize("kw", INVALID)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taoi_sim.engine import SimConfig
 from taoi_sim.rate_control import (
     Action,
     ControllerState,
@@ -24,8 +25,11 @@ from taoi_sim.rate_control import (
 )
 
 
-def fresh(**kw) -> ControllerState:
-    return ControllerState(**kw)
+CFG = SimConfig()
+
+
+def fresh(delta: float = CFG.delta_init_s) -> ControllerState:
+    return ControllerState(delta)
 
 
 class TestAction:
@@ -41,16 +45,6 @@ class TestAction:
 
 
 class TestStateValidation:
-    def test_beta_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            fresh(beta=1.0)
-
-    def test_interval_must_start_inside_bounds(self):
-        with pytest.raises(ValueError):
-            fresh(delta=0.01)
-        with pytest.raises(ValueError):
-            fresh(delta=1.5)
-
     def test_cold_start_defaults(self):
         s = fresh()
         assert s.delta == 0.1
@@ -63,20 +57,20 @@ class TestStateValidation:
 class TestSelfRisk:
     def test_above_threshold_raises_the_flag(self):
         s = fresh()
-        assert assess_self_risk(0.51, s) == 1
+        assert assess_self_risk(0.51, s, CFG) == 1
         assert s.riskiness_flag == 1
 
     def test_below_threshold_clears_it(self):
         s = fresh()
-        assert assess_self_risk(0.0, s) == 0
+        assert assess_self_risk(0.0, s, CFG) == 0
         assert s.riskiness_flag == 0
 
     def test_boundary_counts_as_risky(self):
-        assert assess_self_risk(0.5, fresh()) == 1
+        assert assess_self_risk(0.5, fresh(), CFG) == 1
 
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError):
-            assess_self_risk(-0.01, fresh())
+            assess_self_risk(-0.01, fresh(), CFG)
 
 
 class TestFixedRate:
@@ -110,7 +104,7 @@ class TestTaoiBranches:
     def test_congestion_is_terminal_and_overrides_the_flag_hold(self):
         s = fresh()
         s.riskiness_flag = 0
-        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+        delta, action = taoi_rate_update(s, CFG, None, risky_neighbor_count=0,
                                          congested=True)
         assert action is Action.INCR
         assert delta == pytest.approx(0.11)
@@ -118,7 +112,7 @@ class TestTaoiBranches:
     def test_unflagged_uncongested_holds(self):
         s = fresh()
         s.riskiness_flag = 0
-        delta, action = taoi_rate_update(s, None, risky_neighbor_count=3,
+        delta, action = taoi_rate_update(s, CFG, None, risky_neighbor_count=3,
                                          congested=False)
         assert action is Action.SAME
         assert delta == 0.1
@@ -126,7 +120,7 @@ class TestTaoiBranches:
     def test_flagged_without_risky_neighbors_relaxes(self):
         s = fresh()
         s.riskiness_flag = 1
-        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+        delta, action = taoi_rate_update(s, CFG, None, risky_neighbor_count=0,
                                          congested=False)
         assert action is Action.DECR
         assert delta == pytest.approx(0.1 / 1.1)
@@ -137,7 +131,7 @@ class TestTaoiBranches:
         s.riskiness_flag = 1
         s.omega = Action.DECR
         s.prev_taoi = 0.30
-        delta, action = taoi_rate_update(s, 0.20, risky_neighbor_count=2,
+        delta, action = taoi_rate_update(s, CFG, 0.20, risky_neighbor_count=2,
                                          congested=False)
         assert action is Action.DECR
         assert delta == pytest.approx(0.1 / 1.1)
@@ -147,7 +141,7 @@ class TestTaoiBranches:
         s.riskiness_flag = 1
         s.omega = Action.DECR
         s.prev_taoi = 0.30
-        delta, action = taoi_rate_update(s, 0.40, risky_neighbor_count=2,
+        delta, action = taoi_rate_update(s, CFG, 0.40, risky_neighbor_count=2,
                                          congested=False)
         assert action is Action.INCR
         assert delta == pytest.approx(0.11)
@@ -156,20 +150,20 @@ class TestTaoiBranches:
         s = fresh()
         s.riskiness_flag = 1
         s.prev_taoi = 0.30
-        _, action = taoi_rate_update(s, 0.30 + 5e-10, risky_neighbor_count=2,
-                                     congested=False)
+        _, action = taoi_rate_update(s, CFG, 0.30 + 5e-10,
+                                     risky_neighbor_count=2, congested=False)
         assert action is Action.SAME
 
     def test_first_risky_episode_has_no_trend_yet(self):
         s = fresh()
         s.riskiness_flag = 1
-        delta, action = taoi_rate_update(s, 0.2, risky_neighbor_count=1,
+        delta, action = taoi_rate_update(s, CFG, 0.2, risky_neighbor_count=1,
                                          congested=False)
         assert action is Action.SAME
         assert delta == 0.1
         assert s.prev_taoi == 0.2
         # second episode has a reference point: improvement repeats omega
-        _, action = taoi_rate_update(s, 0.1, risky_neighbor_count=1,
+        _, action = taoi_rate_update(s, CFG, 0.1, risky_neighbor_count=1,
                                      congested=False)
         assert action is s.omega
 
@@ -178,13 +172,13 @@ class TestTaoiBranches:
         s.riskiness_flag = 1
         s.omega = Action.DECR
         s.prev_taoi = 0.30
-        taoi_rate_update(s, 0.30, risky_neighbor_count=2, congested=False)
+        taoi_rate_update(s, CFG, 0.30, risky_neighbor_count=2, congested=False)
         assert s.omega is Action.DECR
 
     def test_missing_measurements_hold(self):
         s = fresh()
         s.riskiness_flag = 0
-        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+        delta, action = taoi_rate_update(s, CFG, None, risky_neighbor_count=0,
                                          congested=False)
         assert (delta, action) == (0.1, Action.SAME)
 
@@ -192,9 +186,9 @@ class TestTaoiBranches:
         s = fresh()
         s.riskiness_flag = 1
         s.prev_taoi = 0.4
-        taoi_rate_update(s, None, risky_neighbor_count=0, congested=False)
+        taoi_rate_update(s, CFG, None, risky_neighbor_count=0, congested=False)
         assert s.prev_taoi == 0.4
-        taoi_rate_update(s, 0.25, risky_neighbor_count=1, congested=False)
+        taoi_rate_update(s, CFG, 0.25, risky_neighbor_count=1, congested=False)
         assert s.prev_taoi == 0.25
 
 
@@ -202,7 +196,7 @@ class TestClamping:
     def test_floor(self):
         s = fresh(delta=0.02)
         s.riskiness_flag = 1
-        delta, action = taoi_rate_update(s, None, risky_neighbor_count=0,
+        delta, action = taoi_rate_update(s, CFG, None, risky_neighbor_count=0,
                                          congested=False)
         assert action is Action.DECR
         assert delta == 0.02
@@ -212,20 +206,20 @@ class TestClamping:
         need = math.ceil(math.log(10.0) / math.log(1.1))
         assert need == 25
         steps = 0
-        while s.delta < s.delta_max and steps < 40:
-            taoi_rate_update(s, None, risky_neighbor_count=0, congested=True)
+        while s.delta < CFG.delta_max_s and steps < 40:
+            taoi_rate_update(s, CFG, None, risky_neighbor_count=0,
+                             congested=True)
             steps += 1
         assert steps <= need
-        assert s.delta == s.delta_max
+        assert s.delta == CFG.delta_max_s
         # further congestion pins at the cap
-        taoi_rate_update(s, None, risky_neighbor_count=0, congested=True)
-        assert s.delta == s.delta_max
+        taoi_rate_update(s, CFG, None, risky_neighbor_count=0, congested=True)
+        assert s.delta == CFG.delta_max_s
 
     def test_clamp_interval_bounds(self):
-        s = fresh()
-        assert clamp_interval(0.001, s) == s.delta_min
-        assert clamp_interval(5.0, s) == s.delta_max
-        assert clamp_interval(0.3, s) == 0.3
+        assert clamp_interval(0.001, CFG) == CFG.delta_min_s
+        assert clamp_interval(5.0, CFG) == CFG.delta_max_s
+        assert clamp_interval(0.3, CFG) == 0.3
 
 
 class TestFreezeInvariant:
@@ -234,7 +228,8 @@ class TestFreezeInvariant:
     def test_unflagged_uncongested_never_moves(self, delta, taoi_v, risky_n):
         s = fresh(delta=delta)
         s.riskiness_flag = 0
-        got, action = taoi_rate_update(s, taoi_v, risky_n, congested=False)
+        got, action = taoi_rate_update(s, CFG, taoi_v, risky_n,
+                                       congested=False)
         assert action is Action.SAME
         assert got == delta
 
@@ -244,7 +239,8 @@ class TestAoiBaseline:
         s = fresh()
         s.omega = Action.DECR
         s.prev_aoi = 0.3
-        delta, action = aoi_rate_update(s, 0.2, delta_avg=None,
+        # the post-action interval as the neighbors' mean: no pull
+        delta, action = aoi_rate_update(s, CFG, 0.2, delta_avg=0.1 / 1.1,
                                         congested=False)
         assert action is Action.DECR
         assert delta == pytest.approx(0.1 / 1.1)
@@ -252,7 +248,8 @@ class TestAoiBaseline:
     def test_congestion_beats_the_trend(self):
         s = fresh()
         s.prev_aoi = 0.6
-        delta, action = aoi_rate_update(s, 0.5, delta_avg=0.1, congested=True)
+        delta, action = aoi_rate_update(s, CFG, 0.5, delta_avg=0.1,
+                                        congested=True)
         assert action is Action.INCR
         # multiplicative step then the pull toward the neighborhood mean
         assert delta == pytest.approx(0.11 + 0.25 * (0.1 - 0.11))
@@ -260,7 +257,7 @@ class TestAoiBaseline:
     def test_spread_nudge_worked_example(self):
         s = fresh(delta=0.08)
         s.prev_aoi = 0.1
-        delta, action = aoi_rate_update(s, 0.1, delta_avg=0.12,
+        delta, action = aoi_rate_update(s, CFG, 0.1, delta_avg=0.12,
                                         congested=False)
         assert action is Action.SAME
         assert delta == pytest.approx(0.09)
@@ -269,7 +266,7 @@ class TestAoiBaseline:
         s = fresh()
         s.prev_aoi = 0.37
         s.omega = Action.DECR
-        delta, action = aoi_rate_update(s, None, delta_avg=None,
+        delta, action = aoi_rate_update(s, CFG, None, delta_avg=None,
                                         congested=False)
         assert (delta, action) == (0.1, Action.SAME)
         assert s.prev_aoi == 0.37
@@ -278,7 +275,7 @@ class TestAoiBaseline:
     def test_first_measurement_reads_as_degradation(self):
         # fresh memory is a zero baseline, so any positive age trends worse
         s = fresh()
-        delta, action = aoi_rate_update(s, 0.05, delta_avg=0.1,
+        delta, action = aoi_rate_update(s, CFG, 0.05, delta_avg=0.1,
                                         congested=False)
         assert action is Action.DECR
         assert s.prev_aoi == 0.05
@@ -286,8 +283,8 @@ class TestAoiBaseline:
     def test_nudge_respects_the_bounds(self):
         s = fresh(delta=0.98)
         s.prev_aoi = 0.1
-        delta, _ = aoi_rate_update(s, 0.1, delta_avg=1.0, congested=False)
-        assert delta <= s.delta_max
+        delta, _ = aoi_rate_update(s, CFG, 0.1, delta_avg=1.0, congested=False)
+        assert delta <= CFG.delta_max_s
 
 
 class TestDeterminism:
@@ -298,8 +295,8 @@ class TestDeterminism:
         a = fresh()
         a.riskiness_flag = flag
         b = dataclasses.replace(a)
-        ra = taoi_rate_update(a, taoi_v, risky_n, congested)
-        rb = taoi_rate_update(b, taoi_v, risky_n, congested)
+        ra = taoi_rate_update(a, CFG, taoi_v, risky_n, congested)
+        rb = taoi_rate_update(b, CFG, taoi_v, risky_n, congested)
         assert ra == rb
         assert (a.delta, a.omega, a.prev_taoi) == \
                (b.delta, b.omega, b.prev_taoi)
@@ -311,6 +308,6 @@ class TestDeterminism:
         s = fresh()
         for taoi_v, congested, risky_n, flag in steps:
             s.riskiness_flag = flag
-            delta, _ = taoi_rate_update(s, taoi_v, risky_n, congested)
-            assert s.delta_min <= delta <= s.delta_max
+            delta, _ = taoi_rate_update(s, CFG, taoi_v, risky_n, congested)
+            assert CFG.delta_min_s <= delta <= CFG.delta_max_s
             assert delta == s.delta
