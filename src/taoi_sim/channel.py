@@ -30,11 +30,19 @@ of consecutive frames that overlap nothing draws only own-signal
 samples, so the whole run takes them in one vector call when its first
 frame is decided; that consumes the stream exactly as the frames' own
 calls in a row would.
+
+An overlapped frame's scalar draws call numpy's C ``random_gamma`` on
+the run's own bit generator, through cffi's ABI mode: it is the function
+``Generator.gamma`` calls once per draw, so every sample and the
+generator state after it are the same, without numpy's per-call
+argument checks and lock. A run owns its generator, so nothing else
+draws from it meanwhile.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +50,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .metrics import Bsm
+
+try:
+    from ._random_c import ffi
+except ImportError as exc:
+    raise ImportError("taoi-sim needs the cffi package") from exc
 
 NS = 10 ** 9   # the event clock counts integer nanoseconds
 
@@ -306,6 +319,24 @@ def _decide_run(columns, cuts, rng, sensitivity: float) -> list:
     return [set(got[a:b]) for a, b in zip(split, split[1:])]
 
 
+@functools.cache
+def _random_gamma():
+    """numpy's C gamma sampler, by numpy's documented cffi route: the
+    Generator extension exports it. Loaded on first use, as importing
+    this package leaves numpy.random unloaded."""
+    return ffi.dlopen(np.random._generator.__file__).random_gamma
+
+
+def _gamma_sampler(rng):
+    """``(draw, handle)`` such that ``draw(handle, m, scale)`` is the next
+    ``rng.gamma(m, scale)``: numpy's C sampler on a ``Generator``'s bit
+    generator, or the ``gamma`` method of any other ``rng``."""
+    if isinstance(rng, np.random.Generator):
+        return _random_gamma(), ffi.cast(
+            "void *", rng.bit_generator.ctypes.bit_generator.value)
+    return type(rng).gamma, rng
+
+
 def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
                      cfg: ChannelConfig) -> set:
     """Decide which receivers decode a finished frame.
@@ -313,7 +344,9 @@ def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
     ``links`` are the frame's evaluated links from ``link_budgets`` and
     ``concurrent`` the frames that overlap it (see ``overlapping``), the
     same ones the links were built with. Each evaluated receiver takes one
-    unit-mean fading sample ``f = rng.gamma(m, 1.0 / m)`` and receives
+    unit-mean fading sample ``f = rng.gamma(m, 1.0 / m)`` (a ``Generator``
+    draws it as numpy's C ``random_gamma`` on its bit generator, the same
+    sample; any other ``rng`` through its own ``gamma``) and receives
     ``mean_dbm + 10 * log10(f)`` dBm. A receiver succeeds when that clears
     the sensitivity threshold and no overlapping frame reaches it at
     carrier-sense level, with the same link budget and a draw of its own
@@ -346,8 +379,9 @@ def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
     # the interferer budgets are inlined below: the loop runs once per
     # decoded receiver and overlapping frame, and each term keeps its
     # float order
+    draw, handle = _gamma_sampler(rng)
     sensitivity = cfg.rx_sensitivity_dbm
-    gamma, hypot, log10 = rng.gamma, math.hypot, math.log10
+    hypot, log10 = math.hypot, math.log10
     bin_of = bisect.bisect_right
     bounds = [bound for bound, _ in cfg.nakagami_bins]
     shapes = [(m, 1.0 / m) for _, m in cfg.nakagami_bins]
@@ -361,7 +395,7 @@ def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
             links.ids.tolist(), links.x.tolist(), links.y.tolist(),
             links.shape.tolist(), links.scale.tolist(),
             links.mean_dbm.tolist()):
-        if mean_dbm + 10.0 * log10(gamma(m, scale)) < sensitivity:
+        if mean_dbm + 10.0 * log10(draw(handle, m, scale)) < sensitivity:
             continue
         for cx, cy in interferers:
             d = hypot(x - cx, y - cy)
@@ -369,7 +403,7 @@ def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
                 continue
             m, scale = shapes[bin_of(bounds, d)]
             loss = ref + slope * log10(d) if d > 1.0 else ref
-            if tx_dbm - loss + 10.0 * log10(gamma(m, scale)) >= sense:
+            if tx_dbm - loss + 10.0 * log10(draw(handle, m, scale)) >= sense:
                 break
         else:
             got.add(r)

@@ -4,17 +4,23 @@ and the no-capture collision rule."""
 import bisect
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import taoi_sim
 from taoi_sim.channel import (
     NS,
     ChannelConfig,
     ChannelTimeline,
     Frame,
+    _gamma_sampler,
     csma_access,
     delivery_outcome,
     link_budgets,
@@ -701,3 +707,85 @@ class TestTimelineAgainstLinearScan:
             for s, e in slow.intervals:
                 for a, b in ((s, e), (e, e + 1.0), (s - 1.0, s)):
                     assert fast.first_overlap(a, b) == slow.first_overlap(a, b)
+
+
+# shape 0.5 is the smallest a config admits and numpy sends shape 1.0 to
+# its exponential sampler
+_gamma_args = st.tuples(
+    st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 20.0)),
+    st.floats(0.0, 1e3, exclude_min=True))
+_bit_generators = st.sampled_from([np.random.PCG64, np.random.Philox,
+                                   np.random.MT19937, np.random.SFC64])
+
+
+def _twins(kind, seed):
+    return (np.random.Generator(kind(seed)),
+            np.random.Generator(kind(seed)))
+
+
+def _assert_same_state(a, b):
+    # Philox and MT19937 keep array state
+    np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+
+
+def _c_draws(rng, args):
+    draw, handle = _gamma_sampler(rng)
+    return [draw(handle, m, s) for m, s in args]
+
+
+class TestCSampler:
+    """The scalar draws of overlapped frames call numpy's C sampler on
+    the generator's bit generator; ``Generator.gamma`` is the reference."""
+
+    @given(_bit_generators, st.integers(0, 2 ** 32 - 1),
+           st.lists(_gamma_args, min_size=1, max_size=50))
+    def test_same_samples_and_state_as_generator_gamma(self, kind, seed,
+                                                       args):
+        fast, ref = _twins(kind, seed)
+        assert _c_draws(fast, args) == [ref.gamma(m, s) for m, s in args]
+        _assert_same_state(fast, ref)
+
+    @given(_bit_generators, st.integers(0, 2 ** 32 - 1),
+           st.lists(_gamma_args, min_size=1, max_size=50),
+           st.lists(_gamma_args, min_size=1, max_size=50),
+           st.lists(_gamma_args, min_size=1, max_size=50))
+    def test_a_vector_call_between_scalar_draws(self, kind, seed, before,
+                                                run, after):
+        # the run path's one vector call, between two overlapped frames
+        fast, ref = _twins(kind, seed)
+        shapes, scales = map(np.array, zip(*run))
+        assert _c_draws(fast, before) == [ref.gamma(m, s) for m, s in before]
+        assert fast.gamma(shapes, scales).tolist() \
+            == ref.gamma(shapes, scales).tolist()
+        _assert_same_state(fast, ref)
+        assert _c_draws(fast, after) == [ref.gamma(m, s) for m, s in after]
+        _assert_same_state(fast, ref)
+
+    def test_any_other_rng_draws_through_its_own_gamma(self):
+        stub = _Gamma(0.25)
+        assert _c_draws(stub, [(3.0, 1.0 / 3.0), (1.0, 1.0)]) == [0.25, 0.25]
+        assert stub.calls == [(3.0, 1.0 / 3.0), (1.0, 1.0)]
+
+
+def _python(code):
+    src = str(Path(taoi_sim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+class TestImportFootprint:
+    def test_the_engine_loads_the_cffi_backend_without_cffi(self):
+        # cffi's cdef parser pulls in pycparser: megabytes of peak RSS and
+        # tens of milliseconds in every run's start-up
+        out = _python("import sys, taoi_sim.engine; print(sorted(m for m in "
+                      "('cffi', 'pycparser', '_cffi_backend') "
+                      "if m in sys.modules))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["['_cffi_backend']"]
+
+    def test_a_missing_cffi_fails_the_import_and_names_it(self):
+        out = _python("import sys; sys.modules['_cffi_backend'] = None; "
+                      "import taoi_sim")
+        assert out.returncode != 0
+        assert "needs the cffi package" in out.stderr
