@@ -85,6 +85,18 @@ class ChannelConfig:
         if self.data_rate_mbps <= 0:
             raise ConfigError("data rate must be positive")
 
+    @functools.cached_property
+    def nakagami_table(self) -> tuple:
+        """(bounds, shapes): the distance bounds of ``nakagami_bins`` and
+        the (m, 1/m) of every bin, ``nakagami_m_far``'s last. A link of
+        length d takes ``shapes[bisect_right(bounds, d)]``, the bin of the
+        first bound above d. Built once per config, on first use; an m of
+        0 gets an infinite 1/m here, and validation rejects it."""
+        ms = [m for _, m in self.nakagami_bins] + [self.nakagami_m_far]
+        with np.errstate(divide="ignore"):
+            scales = (1.0 / np.array(ms)).tolist()
+        return [bound for bound, _ in self.nakagami_bins], list(zip(ms, scales))
+
 
 class Frame:
     """A BSM from its generation, at ``t_ns``, to its decision. The next
@@ -253,8 +265,8 @@ def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
     or that overlaps one it sent. Each maximal run of consecutive frames
     that overlap nothing shares one ``_Run``; a lone one is a run of one.
 
-    A link of length d takes the shape of the first ``nakagami_bins``
-    bound above d (``nakagami_m_far`` beyond the last) and receives
+    A link of length d takes the shape of its ``nakagami_table`` bin
+    (``nakagami_m_far`` beyond the last bound) and receives
     ``tx_power - (reference_loss + (10 * exponent) * log10(max(d, 1)))``
     dBm before fading. Distances are ``math.hypot`` and logarithms
     ``math.log10``, mapped over the links, so each value is the one a
@@ -277,11 +289,9 @@ def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
     ev = np.flatnonzero((d <= cfg.max_reception_range_m)
                         & ~deaf[frame_of, rx])
     d, rx_ev = d[ev], rx[ev]
-    ms = [m for _, m in cfg.nakagami_bins] + [cfg.nakagami_m_far]
-    b = np.searchsorted([bound for bound, _ in cfg.nakagami_bins], d,
-                        side="right")
-    shape = np.array(ms)[b]
-    scale = np.array([1.0 / m for m in ms])[b]
+    bounds, shapes = cfg.nakagami_table
+    shape, scale = np.array(shapes).T[:, np.searchsorted(bounds, d,
+                                                         side="right")]
     lg = np.fromiter(map(math.log10, np.maximum(d, 1.0).tolist()), float,
                      len(d))
     mean_dbm = cfg.tx_power_dbm - (
@@ -308,10 +318,12 @@ def link_budgets(frames, frame_of, rx, xs, ys, cfg: ChannelConfig) -> list:
 def _decide_run(columns, cuts, rng, sensitivity: float) -> list:
     """The decoded set of every frame of a run: one fading call, one
     ``math.log10`` map and one threshold over all of the run's links,
-    split by frame."""
+    split by frame. The call is ``standard_gamma(m) * scale``, which is
+    how numpy computes ``gamma(m, scale)``, without its broadcasting of a
+    second array argument."""
     ids, _, _, shape, scale, mean_dbm = columns
     lo, hi = cuts[0], cuts[-1]
-    fade = rng.gamma(shape[lo:hi], scale[lo:hi])
+    fade = rng.standard_gamma(shape[lo:hi]) * scale[lo:hi]
     gain = np.fromiter(map(math.log10, fade.tolist()), float, hi - lo)
     ok = np.flatnonzero(mean_dbm[lo:hi] + 10.0 * gain >= sensitivity)
     got = ids[lo:hi][ok].tolist()
@@ -383,9 +395,7 @@ def delivery_outcome(tx: Frame, links: Links, concurrent, rng,
     sensitivity = cfg.rx_sensitivity_dbm
     hypot, log10 = math.hypot, math.log10
     bin_of = bisect.bisect_right
-    bounds = [bound for bound, _ in cfg.nakagami_bins]
-    shapes = [(m, 1.0 / m) for _, m in cfg.nakagami_bins]
-    shapes.append((cfg.nakagami_m_far, 1.0 / cfg.nakagami_m_far))
+    bounds, shapes = cfg.nakagami_table
     tx_dbm, ref = cfg.tx_power_dbm, cfg.reference_loss_db
     slope = 10.0 * cfg.path_loss_exponent
     cutoff, sense = cfg.max_reception_range_m, cfg.carrier_sense_dbm

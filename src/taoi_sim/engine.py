@@ -191,16 +191,16 @@ class SimConfig:
         if not safety.t_react >= 0:
             raise ConfigError(f"t_react must be >= 0, got {safety.t_react}")
         ch = self.channel
+        bounds, shapes = ch.nakagami_table
         # the m-distribution is defined for m >= 1/2 (Nakagami 1960); below
         # it the gamma draw can underflow to 0.0, whose log10 fails mid-run
-        for m in [m for _, m in ch.nakagami_bins] + [ch.nakagami_m_far]:
+        for m, _ in shapes:
             if not 0.5 <= m < math.inf:
                 raise ConfigError(
                     f"every Nakagami m must be at least 1/2 and finite, "
                     f"got {m}")
         # delivery_outcome bisects for the first bin whose bound exceeds
         # the distance, which needs the bounds strictly ascending
-        bounds = [bound for bound, _ in ch.nakagami_bins]
         if not all(math.isfinite(b) for b in bounds) or any(
                 lo >= hi for lo, hi in zip(bounds, bounds[1:])):
             raise ConfigError(f"nakagami_bins bounds must be finite and "
@@ -381,13 +381,9 @@ class Simulation:
         self.mi_count = 0   # measurement boundaries, the same for everyone
         self.trace_rows: list = []
 
-        # per-tick ground truth: arrays from _refresh_arrays, and under
-        # Krauss the arc and lane of every vehicle from _snap_arcs
-        self._arcs = self._lanes = None
+        # per-tick ground truth as arrays, from _refresh_arrays
         self._last_tick_ns = 0
         self._refresh_arrays()
-        if self.trace is None:
-            self._snap_arcs()
 
         self._heap: list = []
 
@@ -424,7 +420,6 @@ class Simulation:
         self._xs = xs
         self._ys = ys
         self._speeds = speeds
-        self._headings = headings
         self._vxs = speeds * np.cos(headings)
         self._vys = speeds * np.sin(headings)
 
@@ -471,15 +466,13 @@ class Simulation:
         # frames that ended since the last flush are decided before
         # anyone moves, where their receivers stood
         self._flush_receptions()
-        self._prev_arcs, self._prev_lanes = self._arcs, self._lanes
+        prev = self.states
         if self.trace is not None:
             self.states = self.trace.states_at(t_s)
         else:
-            self.states = krauss_step(self.states, self.cfg.krauss,
-                                      self.cfg.road, self.cfg.mobility_tick_s,
-                                      self.mob_rng)
-            self._snap_arcs()
-            self._check_gaps()
+            self.states = krauss_step(prev, self.cfg.krauss, self.cfg.road,
+                                      self.cfg.mobility_tick_s, self.mob_rng)
+            self._check_gaps(prev)
         self._refresh_arrays()
         self._last_tick_ns = t_ns
         if self.cfg.dump_trace_path is not None:
@@ -490,28 +483,28 @@ class Simulation:
         if t_ns + self.tick_ns <= self.T_ns:
             self._push(t_ns + self.tick_ns, EV_MOBILITY)
 
-    def _snap_arcs(self) -> None:
-        snap = self.cfg.road.snap
-        self._arcs = [snap(s.x, s.y, s.heading, s.lane) for s in self.states]
-        self._lanes = [s.lane for s in self.states]
-
-    def _check_gaps(self) -> None:
-        """Krauss safety audit: no same-lane follower may have closed past
-        its leader over the tick (unwrapped new gap stays non-negative)."""
-        prev_arcs, prev_lanes = self._prev_arcs, self._prev_lanes
+    def _check_gaps(self, prev) -> None:
+        """Krauss safety audit: no follower may have closed past its
+        leader in its lane over the tick (unwrapped new gap stays
+        non-negative). Each vehicle starts the tick where ``krauss_step``
+        moves it from: its previous arc, projected onto its new ring
+        (``lane_remap``) if it changed lane."""
+        road, states = self.cfg.road, self.states
+        start = [old.arc if old.lane == new.lane
+                 else road.lane_remap(old.arc, old.lane, new.lane)
+                 for old, new in zip(prev, states)]
         by_lane: dict[int, list] = {}
-        for i in range(self.n):
-            if prev_lanes[i] == self._lanes[i]:
-                by_lane.setdefault(self._lanes[i], []).append(i)
+        for i, s in enumerate(states):
+            by_lane.setdefault(s.lane, []).append(i)
         for lane, members in by_lane.items():
             if len(members) < 2:
                 continue
-            P = self.cfg.road.perimeter(lane)
-            members.sort(key=lambda i: prev_arcs[i])
+            P = road.perimeter(lane)
+            members.sort(key=start.__getitem__)
             for a, b in zip(members, members[1:] + members[:1]):
-                gap_old = (prev_arcs[b] - prev_arcs[a]) % P
-                disp_a = (self._arcs[a] - prev_arcs[a]) % P
-                disp_b = (self._arcs[b] - prev_arcs[b]) % P
+                gap_old = (start[b] - start[a]) % P
+                disp_a = (states[a].arc - start[a]) % P
+                disp_b = (states[b].arc - start[b]) % P
                 if gap_old + disp_b - disp_a < 0:
                     self.negative_gap_events += 1
 
@@ -615,10 +608,11 @@ class Simulation:
     def _pose_payloads(self, pending: list) -> None:
         """Fill in the pose of each payload at its generation instant, as
         nobody has moved since the last tick: one trace query, or one
-        vector pass of the same IEEE operations as a Krauss pose
-        (``RoadConfig.lane_pose``), with a payload generated at the tick
-        itself taking its state's own pose. The flush poses every BSM
-        generated since the last flush and not replaced in the queue."""
+        ``RoadConfig.lane_poses`` pass over each sender's carried arc
+        advanced at its speed. A Krauss state's pose is ``lane_poses`` of
+        its own arc, so a payload generated at the tick itself takes its
+        state's pose. The flush poses every BSM generated since the last
+        flush and not replaced in the queue."""
         idx = np.array([p.sender for p in pending], dtype=np.intp)
         if self.trace is not None:
             x, y, speed, heading, _ = self.trace.sample(
@@ -626,16 +620,11 @@ class Simulation:
         else:
             dt = ((np.array([p.t_ns for p in pending]) - self._last_tick_ns)
                   / NS)
-            road = self.cfg.road
-            lanes = np.array(self._lanes)[idx]
+            here = [self.states[p.sender] for p in pending]
             speed = self._speeds[idx]
-            perimeter = road.lane_columns[3][lanes]
-            arc = (np.array(self._arcs)[idx] + speed * dt) % perimeter
-            x, y, heading = road.lane_poses(arc, lanes)
-            still = dt == 0.0
-            x = np.where(still, self._xs[idx], x)
-            y = np.where(still, self._ys[idx], y)
-            heading = np.where(still, self._headings[idx], heading)
+            x, y, heading = self.cfg.road.lane_poses(
+                np.array([s.arc for s in here]) + speed * dt,
+                np.array([s.lane for s in here], dtype=np.intp))
         for p, px, py, pv, ph in zip(pending, x.tolist(), y.tolist(),
                                      speed.tolist(), heading.tolist()):
             p.x, p.y, p.speed, p.heading = px, py, pv, ph

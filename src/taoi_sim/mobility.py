@@ -4,9 +4,11 @@ Built-in mobility is Krauss car following with gap-based lane changes on a
 closed rectangular circuit. Lane k is its own rectangular ring, inset
 (k + 0.5) lane widths from the outer boundary and traversed counter
 clockwise from its bottom-left corner; a vehicle's position along the ring
-is a single arc coordinate and its heading is the side direction, jumping
-90 degrees when a step crosses a corner. Cross-lane reasoning projects a
-vehicle onto the neighbor ring by holding its along-side coordinate.
+is a single arc coordinate, which its state carries from tick to tick,
+and its pose is derived from that arc, never the other way round: the
+heading is the side direction, jumping 90 degrees when a step crosses a
+corner. Cross-lane reasoning projects a vehicle onto the neighbor ring by
+holding its along-side coordinate.
 
 Externally supplied trajectories arrive as CSV traces with uniform tick
 spacing and are linearly interpolated between samples.
@@ -28,7 +30,6 @@ from .errors import ConfigError, TraceError
 
 HALF_PI = math.pi / 2.0
 SIDE_HEADINGS = (0.0, HALF_PI, math.pi, 3.0 * HALF_PI)
-_SIDE_OF_HEADING = {h: k for k, h in enumerate(SIDE_HEADINGS)}
 
 TRACE_FIELDS = ("t", "vehicle_id", "x", "y", "speed", "heading", "lane")
 
@@ -41,6 +42,9 @@ class VehicleState:
     speed: float      # m/s, never negative
     heading: float    # rad
     lane: int
+    # position along the lane ring under Krauss, in [0, perimeter); None
+    # for a state replayed from a trace
+    arc: float | None = None
 
 
 @dataclass(frozen=True)
@@ -90,26 +94,11 @@ class RoadConfig:
     def perimeter(self, lane: int) -> float:
         return self.lane_geometry(lane)[3]
 
-    def lane_pose(self, arc: float, lane: int) -> tuple[float, float, float]:
-        """Map an arc coordinate on a lane ring to (x, y, heading)."""
-        d, long, short, perimeter = self.lane_geometry(lane)
-        s = arc % perimeter
-        if s < long:
-            return d + s, d, SIDE_HEADINGS[0]
-        s -= long
-        if s < short:
-            return self.length - d, d + s, SIDE_HEADINGS[1]
-        s -= short
-        if s < long:
-            return self.length - d - s, self.width - d, SIDE_HEADINGS[2]
-        s -= long
-        return d, self.width - d - s, SIDE_HEADINGS[3]
-
     def lane_poses(self, arcs, lanes) -> tuple:
-        """``lane_pose`` over arrays of arcs and lanes: (x, y, heading)
-        arrays, each element from the same IEEE operations in the same
-        order as the scalar call (``%``, then the chained side
-        subtractions), so bit for bit the same."""
+        """Map arc coordinates on lane rings to (x, y, heading) arrays:
+        each arc is reduced modulo its ring's perimeter and then walked
+        along the sides from the ring's start, one chained subtraction per
+        side passed."""
         d, long, short, perimeter = (c[lanes] for c in self.lane_columns)
         s0 = arcs % perimeter
         s1 = s0 - long
@@ -120,33 +109,6 @@ class RoadConfig:
         x = np.choose(side, (d + s0, self.length - d, self.length - d - s2, d))
         y = np.choose(side, (d, d + s1, self.width - d, self.width - d - s3))
         return x, y, np.array(SIDE_HEADINGS)[side]
-
-    def snap(self, x: float, y: float, heading: float, lane: int) -> float:
-        """Arc coordinate of a pose that ``lane_pose`` produced: the side
-        comes from the heading and the along-side coordinate is clamped to
-        it. A pose exactly on a corner belongs to the lower-numbered side
-        that meets there (side 0 at the start of the ring), so the result
-        equals the nearest point of the ring bit for bit."""
-        d, long, short, perimeter = self.lane_geometry(lane)
-        x1, y1 = self.length - d, self.width - d
-        side = _SIDE_OF_HEADING.get(heading)
-        if side is None:
-            raise ValueError(f"heading {heading} is not a side heading")
-        if side == 1 and y <= d:
-            side = 0
-        elif side == 2 and x >= x1:
-            side = 1
-        elif side == 3:
-            side = 0 if y <= d else 2 if y >= y1 else 3
-        if side == 0:
-            arc = min(max(x - d, 0.0), long)
-        elif side == 1:
-            arc = long + min(max(y - d, 0.0), short)
-        elif side == 2:
-            arc = long + short + min(max(x1 - x, 0.0), long)
-        else:
-            arc = 2.0 * long + short + min(max(y1 - y, 0.0), short)
-        return arc % perimeter
 
     def lane_remap(self, arc: float, lane_from: int, lane_to: int) -> float:
         """Project an arc coordinate onto another lane's ring by holding the
@@ -294,15 +256,18 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     speed update against current-tick leaders, then position advance along
     the (possibly new) lane ring. The rng supplies one imperfection draw
     per vehicle per tick, in id order, regardless of traffic layout, as
-    one ``rng.random(n)`` call.
+    one ``rng.random(n)`` call. Each vehicle moves from the arc its state
+    carries, so a state without one (a replayed state) is rejected.
     """
     if dt <= 0:
         raise ValueError(f"tick must be positive, got {dt}")
     n = len(states)
     lanes = [s.lane for s in states]
     speeds = [s.speed for s in states]
-    snap = road.snap
-    arcs = [snap(s.x, s.y, s.heading, s.lane) for s in states]
+    arcs = [s.arc for s in states]
+    if None in arcs:
+        raise ValueError(
+            f"vehicle {states[arcs.index(None)].id} carries no arc")
 
     rings = [_Ring(road.perimeter(l)) for l in range(road.lanes)]
     for i in range(n):
@@ -362,13 +327,18 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     v_new = v_des - params.imperfection_sigma * eta * params.max_accel * dt
     v_new = np.where(v_new > 0.0, v_new, 0.0)
     new_arcs = np.remainder(arc_a + v_new * dt, perimeter_a)
+    return _placed(road, [s.id for s in states], lanes, new_arcs,
+                   v_new.tolist())
 
-    out = []
-    for s, lane, arc, speed in zip(states, lanes, new_arcs.tolist(),
-                                   v_new.tolist()):
-        x, y, h = road.lane_pose(arc, lane)
-        out.append(VehicleState(s.id, x, y, speed, h, lane))
-    return out
+
+def _placed(road: RoadConfig, ids, lanes, arcs, speeds) -> list:
+    """Vehicle states at the given arcs, carrying them, posed by one
+    ``lane_poses`` call."""
+    arcs = np.asarray(arcs, dtype=float)
+    x, y, h = road.lane_poses(arcs, np.asarray(lanes, dtype=np.intp))
+    return [VehicleState(*row) for row in zip(
+        ids, x.tolist(), y.tolist(), speeds, h.tolist(), lanes,
+        arcs.tolist())]
 
 
 def initial_states(road: RoadConfig, params: KraussParams, n: int, rng
@@ -386,14 +356,10 @@ def initial_states(road: RoadConfig, params: KraussParams, n: int, rng
             raise ConfigError(
                 f"{cnt} vehicles do not fit lane {l} at min gap {params.min_gap}")
     lo = min(5.0, params.s_max)
-    out = []
-    for i in range(n):
-        lane = i % road.lanes
-        arc = (i / n) * road.perimeter(lane)
-        x, y, h = road.lane_pose(arc, lane)
-        out.append(VehicleState(i, x, y, float(rng.uniform(lo, params.s_max)),
-                                h, lane))
-    return out
+    lanes = [i % road.lanes for i in range(n)]
+    arcs = [(i / n) * road.perimeter(lane) for i, lane in enumerate(lanes)]
+    speeds = [float(rng.uniform(lo, params.s_max)) for _ in range(n)]
+    return _placed(road, range(n), lanes, arcs, speeds)
 
 
 class TrajectoryTable:

@@ -51,21 +51,22 @@ def _rx(vid, x, y=0.0):
 class _Gamma:
     """Fading stub: hands out a fixed sample, or the draws of a real
     generator, and records every (shape, scale) asked for and every
-    sample handed out. A vector call counts as its scalar calls in
-    order."""
+    sample handed out. A run's vector call ``standard_gamma(m) * (1 /
+    m)`` counts as its scalar calls ``gamma(m, 1 / m)`` in order, each
+    sample to within its last bits."""
 
     def __init__(self, value=1.0, rng=None):
         self.value, self.rng = value, rng
         self.calls, self.draws = [], []
 
     def gamma(self, shape, scale):
-        if np.ndim(shape):
-            return np.array([self.gamma(m, s) for m, s in
-                             zip(shape.tolist(), scale.tolist())], dtype=float)
         self.calls.append((shape, scale))
         f = self.value if self.rng is None else self.rng.gamma(shape, scale)
         self.draws.append(f)
         return f
+
+    def standard_gamma(self, shapes):
+        return np.array([self.gamma(m, 1.0 / m) * m for m in shapes.tolist()])
 
 
 def _links(batch, cfg):
@@ -755,7 +756,7 @@ class TestCSampler:
         fast, ref = _twins(kind, seed)
         shapes, scales = map(np.array, zip(*run))
         assert _c_draws(fast, before) == [ref.gamma(m, s) for m, s in before]
-        assert fast.gamma(shapes, scales).tolist() \
+        assert (fast.standard_gamma(shapes) * scales).tolist() \
             == ref.gamma(shapes, scales).tolist()
         _assert_same_state(fast, ref)
         assert _c_draws(fast, after) == [ref.gamma(m, s) for m, s in after]
@@ -765,6 +766,22 @@ class TestCSampler:
         stub = _Gamma(0.25)
         assert _c_draws(stub, [(3.0, 1.0 / 3.0), (1.0, 1.0)]) == [0.25, 0.25]
         assert stub.calls == [(3.0, 1.0 / 3.0), (1.0, 1.0)]
+
+
+class TestVectorDraw:
+    """A run of overlap-free frames draws ``standard_gamma(shapes) *
+    scales`` in one call; numpy computes ``gamma(m, scale)`` as ``scale *
+    standard_gamma(m)``, so the scalar ``Generator.gamma`` is the
+    reference."""
+
+    @given(_bit_generators, st.integers(0, 2 ** 32 - 1),
+           st.lists(_gamma_args, min_size=1, max_size=50))
+    def test_same_samples_and_state_as_scalar_gamma(self, kind, seed, args):
+        fast, ref = _twins(kind, seed)
+        shapes, scales = map(np.array, zip(*args))
+        assert (fast.standard_gamma(shapes) * scales).tolist() \
+            == [ref.gamma(m, s) for m, s in args]
+        _assert_same_state(fast, ref)
 
 
 def _python(code):

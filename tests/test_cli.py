@@ -164,8 +164,11 @@ class TestGoldenArtifacts:
 
     Only a declared contract change may update a digest here, in the
     change that declares it: a new draw order such as ROADMAP item 2's
-    keyed fading, another float reduction order, or a config key added to
-    or removed from the echo. Never update one just to get a pass."""
+    keyed fading, another float reduction order, the Krauss arc
+    bookkeeping (arcs carried by the states instead of re-derived from
+    their poses, which moved the last bits of ``te_pairs.csv`` in the
+    idealized and replay rows), or a config key added to or removed from
+    the echo. Never update one just to get a pass."""
 
     RUNS = {
         "fixed10hz": (dict(protocol="fixed10hz"), {
@@ -194,7 +197,7 @@ class TestGoldenArtifacts:
             "pdr_bins.csv": "3ea8acfdf2055f39c3655d16a7779a4a0cf375945b59da652209ff28f7ba68dd",
             "report.json": "e38466d727e2632878fa4c9e86edfd90a92db7c1b051facf78fa6ecadc158d20",
             "summary.csv": "0866a6699730cdc46c282f6b2a9487c5901f14495cfca4a6e23f17afa70542b2",
-            "te_pairs.csv": "552e0b13f69156b07b18c93f3e721469fbe90bc369f05ebaf77d640c851dea1d",
+            "te_pairs.csv": "300982020058bb0574ef60422a7d1366c3adee0a402827c0ddafe373a14e86db",
             "timeseries.csv": "6a13e8d001f64ef553b9d3ec282bd36852cf5c17e1d70ea8ac9182c50ea455a9",
         }),
         # each slot boundary falls 1-3 ns after a tick, so the slot's
@@ -213,7 +216,7 @@ class TestGoldenArtifacts:
             "pdr_bins.csv": "05ed68889536fcb3b8bbc84150a1e68b24ffc1480f02c5d9408b325869cd013c",
             "report.json": "aeac88a3496f0b66493f6cf6b77eb35f7863f1d3701927e8940de1f2dacd03c9",
             "summary.csv": "f565d55fb11fc82e208e5bf21e79e5f0e5238159217edfa1dae2298a828926d4",
-            "te_pairs.csv": "88fe66d623afff7957bb11c3d0faf536d9d5cfa92a20f86e993233de6b9a0997",
+            "te_pairs.csv": "2841cc4fee6fc169caa970c56ee482957f54f9cf620b95427b5b1328e8ca96f8",
             "timeseries.csv": "4899096f8f5a3a46a2411a03f9ec8447ef60ea291c26f65f55705a41db0710a4",
         }),
     }

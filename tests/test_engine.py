@@ -32,6 +32,7 @@ from taoi_sim.oracle import (
     replay_schedule,
     toy_problem,
 )
+from test_mobility import lane_pose
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,37 @@ class TestLifecycle:
         assert [p[:2] for p in rep.te_pairs] == [(0, 1), (1, 0)]
 
 
+class TestGapAudit:
+    """``_check_gaps`` over hand-set arcs on the default road. Vehicle 0
+    leaves lane 1 at arc 100, which ``lane_remap`` puts at arc 104 of
+    lane 0; vehicle 1 drives in lane 0 just ahead of that."""
+
+    @staticmethod
+    def _events(moves):
+        """Negative-gap events of one tick; ``moves``: one (lane before,
+        arc before, lane after, arc after) per vehicle."""
+        sim = Simulation(SimConfig(vehicle_count=len(moves), seed=0))
+        prev = [VehicleState(i, 0.0, 0.0, 10.0, 0.0, lane, arc)
+                for i, (lane, arc, _, _) in enumerate(moves)]
+        sim.states = [VehicleState(i, 0.0, 0.0, 10.0, 0.0, lane, arc)
+                      for i, (_, _, lane, arc) in enumerate(moves)]
+        sim._check_gaps(prev)
+        return sim.negative_gap_events
+
+    def test_the_lane_change_starts_at_the_remapped_arc(self):
+        assert RoadConfig().lane_remap(100.0, 1, 0) == 104.0
+
+    def test_a_lane_changer_that_lands_past_a_vehicle_counts(self):
+        # from arc 104, behind vehicle 1 at 106, to 110, ahead of it at 107
+        assert self._events([(1, 100.0, 0, 110.0), (0, 106.0, 0, 107.0)]) == 1
+
+    def test_a_lane_changer_that_stays_behind_counts_nothing(self):
+        assert self._events([(1, 100.0, 0, 105.0), (0, 106.0, 0, 107.0)]) == 0
+
+    def test_a_follower_that_passes_its_leader_counts(self):
+        assert self._events([(0, 100.0, 0, 110.0), (0, 106.0, 0, 107.0)]) == 1
+
+
 class TestMediumRecord:
     @pytest.mark.xfail(strict=True, reason=(
         "_on_tx_end keeps only frames with end > now in active_txs. At 1000 "
@@ -408,8 +440,8 @@ def _snapshot_bsm(sim, idx: int, t_ns: int) -> Bsm:
         if dt == 0.0:
             x, y = s.x, s.y
         else:
-            arc = (sim._arcs[idx] + speed * dt) % sim.cfg.road.perimeter(s.lane)
-            x, y, heading = sim.cfg.road.lane_pose(arc, s.lane)
+            arc = (s.arc + speed * dt) % sim.cfg.road.perimeter(s.lane)
+            x, y, heading = lane_pose(sim.cfg.road, arc, s.lane)
     ctrl = sim.vehicles[idx].ctrl
     return Bsm(idx, t_s, x, y, speed, heading, ctrl.riskiness_flag,
                ctrl.delta)
@@ -431,20 +463,17 @@ class TestPayloadPoses:
     def _assert_bulk_poses_match(placements, last_tick, generations):
         """``placements``: one (lane, arc, speed) per vehicle, the arc
         kept as given, not reduced; ``generations``: (offset ns from the
-        last tick, vehicle) pairs. Each state's pose sits an ulp off its
-        arc's, so a payload generated at the tick itself must take the
-        state's own pose."""
+        last tick, vehicle) pairs. Each state carries its arc and stands
+        at its pose, as a Krauss state does, so a payload generated at
+        the tick itself must take the state's own pose."""
         sim = Simulation(SimConfig(vehicle_count=len(placements),
                                    duration_s=100.0, seed=0))
         road = sim.cfg.road
         sim.states = []
         for i, (lane, arc, speed) in enumerate(placements):
-            x, y, heading = road.lane_pose(arc, lane)
-            x, y, heading = (math.nextafter(v, math.inf)
-                             for v in (x, y, heading))
-            sim.states.append(VehicleState(i, x, y, speed, heading, lane))
-        sim._arcs = [arc for _, arc, _ in placements]
-        sim._lanes = [lane for lane, _, _ in placements]
+            x, y, heading = lane_pose(road, arc, lane)
+            sim.states.append(VehicleState(i, x, y, speed, heading, lane,
+                                           arc))
         sim._refresh_arrays()
         sim._last_tick_ns = last_tick
         replaced = []

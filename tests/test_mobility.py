@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from taoi_sim import mobility
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.mobility import (
+    SIDE_HEADINGS,
     KraussParams,
     RoadConfig,
     TrajectoryTable,
@@ -26,15 +27,33 @@ from taoi_sim.mobility import (
 ROAD = RoadConfig()
 
 
+def lane_pose(road, arc, lane):
+    """Map an arc coordinate on a lane ring to (x, y, heading), one side
+    at a time: the scalar reference for ``RoadConfig.lane_poses``."""
+    d, long, short, perimeter = road.lane_geometry(lane)
+    s = arc % perimeter
+    if s < long:
+        return d + s, d, SIDE_HEADINGS[0]
+    s -= long
+    if s < short:
+        return road.length - d, d + s, SIDE_HEADINGS[1]
+    s -= short
+    if s < long:
+        return road.length - d - s, road.width - d, SIDE_HEADINGS[2]
+    s -= long
+    return d, road.width - d - s, SIDE_HEADINGS[3]
+
+
 def _veh(vid, arc, speed, lane=0, road=ROAD):
-    x, y, h = road.lane_pose(arc, lane)
-    return VehicleState(vid, x, y, speed, h, lane)
+    x, y, h = lane_pose(road, arc, lane)
+    return VehicleState(vid, x, y, speed, h, lane, arc)
 
 
 def _reference_project(road, x, y, lane):
     """Arc coordinate of the nearest point on the lane ring, corner points
-    resolving to the lowest-numbered adjacent side: the four-segment search
-    that ``RoadConfig.snap`` replaced, kept as its reference."""
+    resolving to the lowest-numbered adjacent side, by a four-segment
+    search: a reading of a pose's arc that does not rest on the arc a
+    state carries."""
     d = (lane + 0.5) * road.lane_width
     long, short = road.length - 2.0 * d, road.width - 2.0 * d
     x0, x1 = d, road.length - d
@@ -94,16 +113,17 @@ class _ReferenceRing:
 
 
 def _reference_krauss_step(states, params, road, dt, rng):
-    """The scalar ``krauss_step`` that the snapped, array form replaced,
-    kept as the draw-for-draw reference: arcs by nearest-point projection,
-    every lane-change target searched, one scalar imperfection draw per
-    vehicle in id order and a per-vehicle speed update."""
+    """The scalar ``krauss_step`` that the array form replaced, kept as
+    the draw-for-draw reference: arcs carried from state to state, every
+    lane-change target searched, one scalar imperfection draw per vehicle
+    in id order, a per-vehicle speed update and a scalar pose per
+    vehicle."""
     if dt <= 0:
         raise ValueError(f"tick must be positive, got {dt}")
     n = len(states)
     lanes = [s.lane for s in states]
     speeds = [s.speed for s in states]
-    arcs = [_reference_project(road, s.x, s.y, s.lane) for s in states]
+    arcs = [s.arc for s in states]
 
     def achievable(speed, gap, leader_idx):
         if leader_idx is None:
@@ -164,9 +184,9 @@ def _reference_krauss_step(states, params, road, dt, rng):
     out = []
     for i in range(n):
         na = (arcs[i] + new_speeds[i] * dt) % road.perimeter(lanes[i])
-        x, y, h = road.lane_pose(na, lanes[i])
+        x, y, h = lane_pose(road, na, lanes[i])
         out.append(VehicleState(states[i].id, x, y, new_speeds[i], h,
-                                lanes[i]))
+                                lanes[i], na))
     return out
 
 
@@ -227,6 +247,13 @@ class TestKraussStep:
         with pytest.raises(ValueError):
             krauss_step([_veh(0, 50.0, 10.0), _veh(1, 50.0, 10.0)],
                         KraussParams(), ROAD, 0.1, np.random.default_rng(0))
+
+    def test_a_state_without_an_arc_is_rejected(self):
+        # a replayed state carries no arc to move from
+        replayed = VehicleState(1, 500.0, 2.0, 10.0, 0.0, 0)
+        with pytest.raises(ValueError, match="vehicle 1 carries no arc"):
+            krauss_step([_veh(0, 50.0, 10.0), replayed], KraussParams(),
+                        ROAD, 0.1, np.random.default_rng(0))
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError):
@@ -456,9 +483,52 @@ class TestAgainstReference:
                 p.max_accel * 0.1
 
 
-# on the last three, some exact corners fall to the lower side only by the
-# corner rule: side offset plus clamped coordinate alone differs there
-SNAP_ROADS = [
+@st.composite
+def krauss_runs(draw):
+    """(road, n, seed, ticks): a random circuit of one to four lanes and
+    up to 400 vehicles that fit it at the default minimum gap."""
+    lanes = draw(st.integers(1, 4))
+    lane_width = draw(st.sampled_from([3.0, 3.3, 3.7, 4.0]))
+    fit = 2 * lanes * lane_width
+    road = RoadConfig(length=draw(st.floats(fit + 20.0, 1500.0)),
+                      width=draw(st.floats(fit + 10.0, 200.0)),
+                      lanes=lanes, lane_width=lane_width)
+    # round robin puts at most ceil(n / lanes) vehicles on any lane
+    per_lane = min(int(road.perimeter(l) // (2.0 * KraussParams().min_gap))
+                   for l in range(lanes))
+    n = draw(st.integers(1, min(400, per_lane * lanes)))
+    return road, n, draw(st.integers(0, 2 ** 32 - 1)), draw(
+        st.integers(1, 100))
+
+
+class TestKraussState:
+    @settings(max_examples=30, deadline=None)
+    @given(krauss_runs())
+    def test_arcs_stay_distinct_and_poses_follow_them(self, run):
+        # after every tick no two vehicles share a (lane, arc), and every
+        # pose is lane_poses of the carried (arc, lane), bit for bit
+        road, n, seed, ticks = run
+        params = KraussParams()
+        rng = np.random.default_rng(seed)
+        states = initial_states(road, params, n, rng)
+        changes = 0
+        for _ in range(ticks):
+            lanes = [s.lane for s in states]
+            states = krauss_step(states, params, road, 0.1, rng)
+            changes += sum(s.lane != lane for s, lane in zip(states, lanes))
+            assert len({(s.lane, s.arc) for s in states}) == n
+            want = road.lane_poses(np.array([s.arc for s in states]),
+                                   np.array([s.lane for s in states]))
+            got = ([s.x for s in states], [s.y for s in states],
+                   [s.heading for s in states])
+            for column, vector in zip(got, want):
+                assert _bits(column) == _bits(vector)
+        event(f"lane changes: {min(changes, 1)}")
+
+
+# roads of odd sizes, whose corners fall on arcs that are not round
+# numbers
+CORNER_ROADS = [
     RoadConfig(),
     RoadConfig(length=77.7, width=100.3, lanes=3, lane_width=3.3),
     RoadConfig(length=1000.1, width=57.9, lanes=3, lane_width=3.1),
@@ -470,44 +540,6 @@ def _ulp_steps(x, k):
     for _ in range(abs(k)):
         x = math.nextafter(x, math.copysign(math.inf, k))
     return x
-
-
-class TestSnap:
-    @pytest.mark.parametrize("road", SNAP_ROADS)
-    def test_corners_within_an_ulp(self, road):
-        for lane in range(road.lanes):
-            for corner in _corners(road, lane):
-                for k in (-1, 0, 1):
-                    arc = _ulp_steps(corner, k)
-                    if arc < 0.0:
-                        continue
-                    x, y, h = road.lane_pose(arc, lane)
-                    assert road.snap(x, y, h, lane) == \
-                        _reference_project(road, x, y, lane)
-
-    @settings(max_examples=300)
-    @given(st.data())
-    def test_snap_equals_projection_of_any_pose(self, data):
-        lanes = data.draw(st.integers(1, 3))
-        lane_width = data.draw(st.sampled_from([4.0, 3.7, 3.3, 0.1]))
-        fit = (2 * lanes - 1) * lane_width * 1.001
-        road = RoadConfig(length=data.draw(st.floats(fit, 2000.0)),
-                          width=data.draw(st.floats(fit, 500.0)),
-                          lanes=lanes, lane_width=lane_width)
-        lane = data.draw(st.integers(0, lanes - 1))
-        perimeter = road.perimeter(lane)
-        arc = data.draw(st.one_of(
-            st.floats(0.0, perimeter),
-            st.builds(_ulp_steps, st.sampled_from(_corners(road, lane)),
-                      st.integers(-3, 3)),
-            st.builds(lambda c, e: c + e, st.sampled_from(_corners(road, lane)),
-                      st.floats(-1e-6, 1e-6))))
-        x, y, h = road.lane_pose(arc, lane)
-        assert road.snap(x, y, h, lane) == _reference_project(road, x, y, lane)
-
-    def test_a_heading_off_the_sides_is_rejected(self):
-        with pytest.raises(ValueError):
-            ROAD.snap(100.0, 2.0, 0.1, 0)
 
 
 def _bits(values) -> list:
@@ -528,7 +560,7 @@ def _arcs(road, lane):
 
 def _assert_poses_match(road, arcs, lanes):
     got = road.lane_poses(np.array(arcs), np.array(lanes))
-    want = zip(*[road.lane_pose(arc, lane) for arc, lane in zip(arcs, lanes)])
+    want = zip(*[lane_pose(road, arc, lane) for arc, lane in zip(arcs, lanes)])
     for vector, scalar in zip(got, want):
         assert _bits(vector) == _bits(scalar)
 
@@ -537,13 +569,13 @@ class TestLanePoses:
     @settings(max_examples=300)
     @given(st.data())
     def test_vector_poses_equal_the_scalar_ones_bit_for_bit(self, data):
-        road = data.draw(st.sampled_from([ROAD, *SNAP_ROADS]))
+        road = data.draw(st.sampled_from([ROAD, *CORNER_ROADS]))
         lanes = data.draw(st.lists(st.integers(0, road.lanes - 1),
                                    min_size=1, max_size=12))
         arcs = [data.draw(_arcs(road, lane)) for lane in lanes]
         _assert_poses_match(road, arcs, lanes)
 
-    @pytest.mark.parametrize("road", [ROAD, *SNAP_ROADS])
+    @pytest.mark.parametrize("road", [ROAD, *CORNER_ROADS])
     def test_every_lane_corner_and_perimeter_multiple(self, road):
         arcs, lanes = [], []
         for lane in range(road.lanes):
@@ -575,6 +607,14 @@ class TestInitialStates:
             arcs.sort()
             assert all(b - a > 2.0 for a, b in zip(arcs, arcs[1:]))
 
+    def test_each_state_carries_the_arc_it_was_placed_at(self):
+        states = initial_states(ROAD, KraussParams(), 7,
+                                np.random.default_rng(5))
+        for s in states:
+            arc = (s.id / 7) * ROAD.perimeter(s.lane)
+            assert s.arc == arc
+            assert (s.x, s.y, s.heading) == lane_pose(ROAD, arc, s.lane)
+
     def test_overfull_road_rejected(self):
         road = RoadConfig(length=60.0, width=30.0, lanes=1)
         with pytest.raises(ConfigError):
@@ -597,14 +637,14 @@ class TestRoadGeometry:
     def test_pose_project_round_trip(self, arc):
         for lane in range(3):
             a = arc % ROAD.perimeter(lane)
-            x, y, _ = ROAD.lane_pose(a, lane)
+            x, y, _ = lane_pose(ROAD, a, lane)
             assert _reference_project(ROAD, x, y, lane) == pytest.approx(
                 a, abs=1e-9)
 
     def test_remap_keeps_the_lateral_neighbor_alongside(self):
-        x0, _, _ = ROAD.lane_pose(100.0, 0)
+        x0, _, _ = lane_pose(ROAD, 100.0, 0)
         arc1 = ROAD.lane_remap(100.0, 0, 1)
-        x1, y1, _ = ROAD.lane_pose(arc1, 1)
+        x1, y1, _ = lane_pose(ROAD, arc1, 1)
         assert x1 == pytest.approx(x0)
         assert y1 == pytest.approx(6.0)
 
