@@ -425,8 +425,13 @@ _HANDLERS = {
 
 
 def run_command(args) -> int:
-    """Dispatch one parsed command; SimError family maps to exit code 2."""
+    """Dispatch one parsed command; SimError family maps to exit code 2.
+    Artifacts are written after every run, so an ``--out`` whose nearest
+    existing part is a file fails before the first."""
     try:
+        out = Path(getattr(args, "out", "."))
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigError(f"--out {args.out!r} is a file or inside one")
         return _HANDLERS[args.cmd](args)
     except SimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ from .errors import ConfigError, TraceError, UndefinedValueError
 from .metrics import (PdrCounters, SafetyParams, pdr_record,
                       sample_te_and_risk, self_tracking_error)
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
-                       initial_states, krauss_step, load_trace, write_trace)
+                       VehicleState, initial_states, krauss_step, load_trace,
+                       write_trace)
 from .rate_control import (ControllerState, aoi_rate_update,
                            assess_self_risk, fixed_rate, is_congested,
                            taoi_rate_update)
@@ -118,12 +120,13 @@ class SimConfig:
             if val is not None and not isinstance(val, str):
                 raise ConfigError(
                     f"{name} must be a path string or null, got {val!r}")
-        # the trace is dumped after the run: a missing directory must fail
-        # before it
-        if (self.dump_trace_path is not None
-                and not Path(self.dump_trace_path).parent.is_dir()):
-            raise ConfigError(f"dump_trace_path {self.dump_trace_path!r} "
-                              f"is not in an existing directory")
+        # the trace is dumped after the run: a path in a missing directory
+        # or naming a directory must fail before it
+        dump = self.dump_trace_path
+        if dump is not None and (Path(dump).is_dir()
+                                 or not Path(dump).parent.is_dir()):
+            raise ConfigError(f"dump_trace_path {dump!r} names a directory "
+                              f"or is not in an existing one")
         for name in ("t_mi_s", "slot_s"):
             val = getattr(self, name)
             if val <= 0:
@@ -299,9 +302,8 @@ class _Vehicle:
     MAC, or the slot a request boarded in the slotted mode. The MAC is
     idle exactly when ``queued`` and ``airing`` are both None."""
 
-    __slots__ = ("idx", "ctrl", "records", "queued", "airing", "mi_prev",
-                 "generated", "dropped", "sent", "risky_mis", "congested_mis",
-                 "delta_sum")
+    __slots__ = ("idx", "ctrl", "records", "queued", "airing", "generated",
+                 "dropped", "sent", "risky_mis", "congested_mis", "delta_sum")
 
     def __init__(self, idx: int, ctrl: ControllerState, records: aoi.PairRow):
         self.idx = idx
@@ -309,7 +311,6 @@ class _Vehicle:
         self.records = records   # this receiver's row of the pair table
         self.queued = None       # the one frame (or slot) not yet on the air
         self.airing = None       # the frame on the air
-        self.mi_prev = None      # own state at the previous MI boundary
         self.generated = 0
         self.dropped = 0
         self.sent = 0
@@ -320,6 +321,14 @@ class _Vehicle:
 
 def _stream(seed: int, stream_id: int):
     return np.random.default_rng(np.random.SeedSequence([seed, stream_id]))
+
+
+def _columns(states) -> tuple:
+    """The x, y, speed, heading, lane and arc arrays of the states that
+    ``initial_states`` or ``krauss_step`` returned: the one place the
+    engine reads ``VehicleState`` fields."""
+    return tuple(map(np.array, zip(*map(attrgetter(
+        "x", "y", "speed", "heading", "lane", "arc"), states))))
 
 
 class Simulation:
@@ -348,10 +357,10 @@ class Simulation:
         if cfg.trace_path is not None:
             self.trace = load_trace(cfg.trace_path)
             self._check_trace_coverage()
-            self.states = self.trace.states_at(0.0)
+            truth = self.trace.sample(np.arange(self.n), np.zeros(self.n))
         else:
-            self.states = initial_states(cfg.road, cfg.krauss, self.n,
-                                         init_rng)
+            truth = _columns(initial_states(cfg.road, cfg.krauss, self.n,
+                                            init_rng))
         # generation phase jitter, drawn in id order for every mode so the
         # init stream stays aligned across protocol comparisons
         self.gen_phase_ns = [
@@ -366,8 +375,6 @@ class Simulation:
             _Vehicle(i, ControllerState(cfg.delta_init_s),
                      aoi.PairRow(self.pairs, i))
             for i in range(self.n)]
-        for i, v in enumerate(self.vehicles):
-            v.mi_prev = self.states[i]
 
         self.active_txs: list[Frame] = []
         self.tx_dur_s = tx_duration(cfg.bsm_size_bytes, cfg.channel)
@@ -381,45 +388,45 @@ class Simulation:
         self.mi_count = 0   # measurement boundaries, the same for everyone
         self.trace_rows: list = []
 
-        # per-tick ground truth as arrays, from _refresh_arrays
+        # ground truth from _refresh_arrays, and its x, y, speed, heading
+        # at the last MI boundary
         self._last_tick_ns = 0
-        self._refresh_arrays()
+        self._refresh_arrays(*truth)
+        self._mi_prev = truth[:4]
 
         self._heap: list = []
 
     # ------------------------------------------------------------- setup
 
     def _check_trace_coverage(self) -> None:
-        have = set(self.trace.vehicles())
-        want = set(range(self.n))
-        if have != want:
+        trace = self.trace
+        if not np.array_equal(trace.ids, np.arange(self.n)):
             raise ConfigError(
-                f"trace vehicles {sorted(have)} do not match vehicle_count "
-                f"{self.n} (need ids 0..{self.n - 1})")
+                f"trace vehicles {trace.ids.tolist()} do not match "
+                f"vehicle_count {self.n} (need ids 0..{self.n - 1})")
         # the run reads every vehicle at 0 and at instants up to T_ns
         T = self.T_ns / NS
-        for vid in range(self.n):
-            lo, hi = self.trace.span(vid)
-            if lo > 0.0 or hi < T:
-                raise TraceError(
-                    f"vehicle {vid} trace span [{lo}, {hi}] does not cover "
-                    f"[0, {T}]")
+        lo, hi = trace.t[trace.offsets[:-1]], trace.t[trace.offsets[1:] - 1]
+        short = np.flatnonzero((lo > 0.0) | (hi < T))
+        if len(short):
+            vid = int(short[0])
+            raise TraceError(
+                f"vehicle {vid} trace span [{float(lo[vid])}, "
+                f"{float(hi[vid])}] does not cover [0, {T}]")
 
     def _push(self, t_ns: int, kind: int, vid: int = -1) -> None:
         """At most one event of a kind is pending per vehicle (or per run,
         ``vid == -1``), so no two pending events share a key."""
         heapq.heappush(self._heap, (t_ns, kind, vid))
 
-    def _refresh_arrays(self) -> None:
-        xs = np.array([s.x for s in self.states])
-        ys = np.array([s.y for s in self.states])
-        speeds = np.array([s.speed for s in self.states])
-        headings = np.array([s.heading for s in self.states])
+    def _refresh_arrays(self, xs, ys, speeds, headings, lanes,
+                        arcs=None) -> None:
+        """Hold one tick's ground truth, arrays indexed by vehicle id (no
+        ``arcs`` in a replay), and the distances and velocities it gives."""
+        self._xs, self._ys, self._speeds = xs, ys, speeds
+        self._headings, self._lanes, self._arcs = headings, lanes, arcs
         self._dist = np.hypot(xs[:, None] - xs[None, :],
                               ys[:, None] - ys[None, :])
-        self._xs = xs
-        self._ys = ys
-        self._speeds = speeds
         self._vxs = speeds * np.cos(headings)
         self._vys = speeds * np.sin(headings)
 
@@ -466,14 +473,19 @@ class Simulation:
         # frames that ended since the last flush are decided before
         # anyone moves, where their receivers stood
         self._flush_receptions()
-        prev = self.states
         if self.trace is not None:
-            self.states = self.trace.states_at(t_s)
+            self._refresh_arrays(*self.trace.sample(
+                np.arange(self.n), np.full(self.n, t_s)))
         else:
-            self.states = krauss_step(prev, self.cfg.krauss, self.cfg.road,
-                                      self.cfg.mobility_tick_s, self.mob_rng)
-            self._check_gaps(prev)
-        self._refresh_arrays()
+            cfg, arcs, lanes = self.cfg, self._arcs, self._lanes
+            states = [VehicleState(*row) for row in zip(
+                range(self.n), *(c.tolist() for c in (
+                    self._xs, self._ys, self._speeds, self._headings, lanes,
+                    arcs)))]
+            self._refresh_arrays(*_columns(krauss_step(
+                states, cfg.krauss, cfg.road, cfg.mobility_tick_s,
+                self.mob_rng)))
+            self._check_gaps(arcs, lanes)
         self._last_tick_ns = t_ns
         if self.cfg.dump_trace_path is not None:
             self._record_trace_rows(t_s)
@@ -483,42 +495,40 @@ class Simulation:
         if t_ns + self.tick_ns <= self.T_ns:
             self._push(t_ns + self.tick_ns, EV_MOBILITY)
 
-    def _check_gaps(self, prev) -> None:
+    def _check_gaps(self, old_arcs, old_lanes) -> None:
         """Krauss safety audit: no follower may have closed past its
         leader in its lane over the tick (unwrapped new gap stays
         non-negative). Each vehicle starts the tick where ``krauss_step``
         moves it from: its previous arc, projected onto its new ring
         (``lane_remap``) if it changed lane."""
-        road, states = self.cfg.road, self.states
-        start = [old.arc if old.lane == new.lane
-                 else road.lane_remap(old.arc, old.lane, new.lane)
-                 for old, new in zip(prev, states)]
-        by_lane: dict[int, list] = {}
-        for i, s in enumerate(states):
-            by_lane.setdefault(s.lane, []).append(i)
-        for lane, members in by_lane.items():
-            if len(members) < 2:
-                continue
-            P = road.perimeter(lane)
-            members.sort(key=start.__getitem__)
-            for a, b in zip(members, members[1:] + members[:1]):
-                gap_old = (start[b] - start[a]) % P
-                disp_a = (states[a].arc - start[a]) % P
-                disp_b = (states[b].arc - start[b]) % P
-                if gap_old + disp_b - disp_a < 0:
-                    self.negative_gap_events += 1
+        road, lanes, n = self.cfg.road, self._lanes, self.n
+        start = old_arcs.copy()
+        for i in np.flatnonzero(old_lanes != lanes).tolist():
+            start[i] = road.lane_remap(start[i], old_lanes[i], lanes[i])
+        # each vehicle's leader is the next start on its new ring, ties in
+        # id order, wrapping round; a vehicle alone on its ring leads itself
+        order = np.lexsort((start, lanes))
+        ring, after = lanes[order], np.roll(order, -1)
+        leader = np.empty(n, dtype=np.intp)
+        leader[order] = np.where(ring == lanes[after], after,
+                                 order[np.searchsorted(ring, ring)])
+        perimeter = road.lane_columns[3][lanes]
+        gap_old = (start[leader] - start) % perimeter
+        disp = (self._arcs - start) % perimeter
+        self.negative_gap_events += int(np.count_nonzero(
+            (gap_old + disp[leader] - disp < 0) & (leader != np.arange(n))))
 
     def _record_trace_rows(self, t_s: float) -> None:
-        for s in self.states:
-            self.trace_rows.append((t_s, s.id, s.x, s.y, s.speed, s.heading,
-                                    s.lane))
+        self.trace_rows.extend(zip([t_s] * self.n, range(self.n), *(
+            c.tolist() for c in (self._xs, self._ys, self._speeds,
+                                 self._headings, self._lanes))))
 
     def _sample_te_and_risk(self, t_s: float) -> None:
         """Per-tick tracking error for every live record, collision risk
         for in-range pairs, and reception-timeout eviction."""
         cfg = self.cfg
         self._flush_receptions()
-        risk, dead, _ = sample_te_and_risk(
+        risk, dead = sample_te_and_risk(
             self.pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
             self._speeds, self._dist, cfg.channel.range_m, cfg.safety,
             t_s - cfg.neighbor_timeout_s)
@@ -609,9 +619,9 @@ class Simulation:
         """Fill in the pose of each payload at its generation instant, as
         nobody has moved since the last tick: one trace query, or one
         ``RoadConfig.lane_poses`` pass over each sender's carried arc
-        advanced at its speed. A Krauss state's pose is ``lane_poses`` of
-        its own arc, so a payload generated at the tick itself takes its
-        state's pose. The flush poses every BSM generated since the last
+        advanced at its speed. A Krauss vehicle's pose is ``lane_poses``
+        of its own arc, so a payload generated at the tick itself takes
+        the tick's pose. The flush poses every BSM generated since the last
         flush and not replaced in the queue."""
         idx = np.array([p.sender for p in pending], dtype=np.intp)
         if self.trace is not None:
@@ -620,11 +630,9 @@ class Simulation:
         else:
             dt = ((np.array([p.t_ns for p in pending]) - self._last_tick_ns)
                   / NS)
-            here = [self.states[p.sender] for p in pending]
             speed = self._speeds[idx]
             x, y, heading = self.cfg.road.lane_poses(
-                np.array([s.arc for s in here]) + speed * dt,
-                np.array([s.lane for s in here], dtype=np.intp))
+                self._arcs[idx] + speed * dt, self._lanes[idx])
         for p, px, py, pv, ph in zip(pending, x.tolist(), y.tolist(),
                                      speed.tolist(), heading.tolist()):
             p.x, p.y, p.speed, p.heading = px, py, pv, ph
@@ -687,27 +695,28 @@ class Simulation:
         gated = pairs.taoi_mi[heard].tolist()
         intervals = pairs.interval[heard].tolist()
         in_range = (self._dist.ravel()[heard] <= cfg.channel.range_m).tolist()
+        self_te = self_tracking_error(self._xs, self._ys, self._mi_prev, t_mi)
+        self._mi_prev = self._xs, self._ys, self._speeds, self._headings
         self.mi_count += 1
         for v in self.vehicles:
             lo, hi = bounds[v.idx], bounds[v.idx + 1]
-            self._control_step(v, t_s, first_boundary, areas[lo:hi],
-                               gated[lo:hi], intervals[lo:hi], in_range[lo:hi])
+            self._control_step(v, t_s, first_boundary, self_te[v.idx],
+                               areas[lo:hi], gated[lo:hi], intervals[lo:hi],
+                               in_range[lo:hi])
         aoi.reset_window(pairs)
         if t_ns + self.t_mi_ns <= self.T_ns:
             self._push(t_ns + self.t_mi_ns, EV_MEASUREMENT)
 
     def _control_step(self, v: _Vehicle, t_s: float, first_boundary: bool,
-                      areas, gated, intervals, in_range) -> None:
+                      self_te: float, areas, gated, intervals,
+                      in_range) -> None:
         """One vehicle's self-risk assessment and rate update from the
         window areas, gated areas, broadcast intervals and in-range flags
         of the senders it heard, in the order it opened their records."""
         cfg = self.cfg
         t_mi = cfg.t_mi_s
-        own_now = self.states[v.idx]
-        self_te = self_tracking_error(own_now, v.mi_prev, t_mi)
         flag = assess_self_risk(self_te, v.ctrl, cfg)
         v.risky_mis += flag
-        v.mi_prev = own_now
 
         if areas:
             aoi_v = aoi.vehicle_aoi(areas, t_mi)

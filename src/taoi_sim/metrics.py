@@ -47,16 +47,18 @@ class SafetyParams:
     te_threshold: float = 0.5      # m, self-TE level that flags a vehicle risky
 
 
-def self_tracking_error(own_now, own_prev, t_mi: float) -> float:
-    """How far the vehicle's own motion drifted from the constant-velocity
-    prediction neighbors would have made from its state one measurement
-    interval ago. States must belong to the same vehicle."""
-    if own_now.id != own_prev.id:
-        raise ValueError(
-            f"self-TE across different vehicles: {own_now.id} vs {own_prev.id}")
-    ex = own_prev.x + own_prev.speed * math.cos(own_prev.heading) * t_mi
-    ey = own_prev.y + own_prev.speed * math.sin(own_prev.heading) * t_mi
-    return math.hypot(own_now.x - ex, own_now.y - ey)
+def self_tracking_error(x, y, prev, t_mi: float) -> list:
+    """Every vehicle's self tracking error: how far its own motion drifted
+    from the constant-velocity prediction neighbors would have made from
+    its (x, y, speed, heading) arrays ``prev`` one measurement interval
+    ago, to its positions ``x`` and ``y`` now. ``math.cos``, ``sin`` and
+    ``hypot`` are mapped, as numpy's can differ in the last bit, so each
+    value is the scalar formula's bit for bit."""
+    px, py, speed, heading = prev
+    k, heading = len(px), heading.tolist()
+    ex = px + speed * np.fromiter(map(math.cos, heading), float, k) * t_mi
+    ey = py + speed * np.fromiter(map(math.sin, heading), float, k) * t_mi
+    return list(map(math.hypot, (x - ex).tolist(), (y - ey).tolist()))
 
 
 def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
@@ -83,10 +85,8 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
     a single IEEE operation per pair, so the samples are the ones a
     per-record loop computes.
 
-    Returns (risk count, cells past ``evict_before`` or None, samples):
-    the stale cells are not sampled, and the caller evicts them; the
-    samples are the tracking errors of the other live cells, in cell
-    order.
+    Returns (risk count, cells past ``evict_before`` or None): the stale
+    cells are not sampled, and the caller evicts them.
     """
     cells = np.flatnonzero(table.live)
     dead = None
@@ -96,7 +96,7 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
         cells = cells[~stale]
     k = len(cells)
     if not k:
-        return 0, dead, np.empty(0)
+        return 0, dead
     rcv, snd = np.divmod(cells, table.n)
     dtg = t - table.gen_time[cells]
     dx = xs[snd] - (table.bx[cells] + table.bvx[cells] * dtg)
@@ -111,7 +111,7 @@ def sample_te_and_risk(table, t: float, xs, ys, vxs, vys, speeds, dist,
     floor = params.rel_speed_floor
     thr = params.t_react + speeds / params.decel
     risky = te[near] / np.where(rel > floor, rel, floor) > thr[rcv]
-    return int(np.count_nonzero(risky)), dead, te
+    return int(np.count_nonzero(risky)), dead
 
 
 PDR_BIN_WIDTH_M = 25.0   # width of the PDR distance bins

@@ -382,18 +382,11 @@ class TrajectoryTable:
                                 np.diff(offsets))
                       + np.searchsorted(self._times, t))
 
-    def vehicles(self) -> list:
-        return self.ids.tolist()
-
     def _rows(self, vid: int) -> tuple[int, int]:
         k = int(np.searchsorted(self.ids, vid))
         if k == len(self.ids) or self.ids[k] != vid:
             raise ValueError(f"unknown vehicle id {vid}")
         return int(self.offsets[k]), int(self.offsets[k + 1])
-
-    def span(self, vid: int) -> tuple[float, float]:
-        lo, hi = self._rows(vid)
-        return float(self.t[lo]), float(self.t[hi - 1])
 
     def state_at(self, vid: int, t: float) -> VehicleState:
         """One vehicle's state at time t: the reference for ``sample``."""
@@ -447,14 +440,6 @@ class TrajectoryTable:
 
         return (lerp(self.x), lerp(self.y), lerp(self.speed), self.heading[k],
                 self.lane[k])
-
-    def states_at(self, t: float) -> list:
-        """Every vehicle's state at time t, in id order, from one
-        ``sample`` query."""
-        columns = self.sample(self.ids, np.full(len(self.ids), t))
-        return [VehicleState(vid, x, y, speed, heading, lane)
-                for vid, x, y, speed, heading, lane in zip(
-                    self.ids.tolist(), *(c.tolist() for c in columns))]
 
 
 _TRACE_DTYPE = np.dtype([(name, "i8" if name in ("vehicle_id", "lane")

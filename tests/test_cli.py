@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from taoi_sim import cli
 from taoi_sim.cli import emit_reports, main, parse_config, run_dir_name
 from taoi_sim.engine import SimConfig, run_simulation
 from taoi_sim.errors import ConfigError
@@ -350,6 +351,26 @@ class TestBadInput:
         # only after it
         self._assert_rejected_up_front(
             tmp_path, capsys, {key: str(tmp_path / "missing" / "t.csv")})
+
+    def test_dump_trace_path_naming_a_directory(self, tmp_path, capsys):
+        self._assert_rejected_up_front(tmp_path, capsys,
+                                       {"dump_trace_path": str(tmp_path)})
+
+    @pytest.mark.parametrize("cmd", ["run", "sweep"])
+    def test_out_naming_an_existing_file(self, tmp_path, capsys, monkeypatch,
+                                         cmd):
+        # the artifacts are written after every run: the file in their
+        # way must stop the command before the first
+        monkeypatch.setattr(cli, "run_simulation", None)
+        out = tmp_path / "taken"
+        out.write_text("mine")
+        rc = _exit_code([cmd, "--config", write_config(tmp_path, **SMALL),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert out.read_text() == "mine"
 
     @pytest.mark.parametrize("first,last", [(5e-10, 1.0), (0.0, 1.0 - 5e-10)],
                              ids=["starts_after_zero", "ends_before_the_end"])

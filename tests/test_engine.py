@@ -24,8 +24,7 @@ from taoi_sim.channel import ChannelConfig
 from taoi_sim.engine import NS, SimConfig, Simulation, run_simulation
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.metrics import Bsm, SafetyParams
-from taoi_sim.mobility import (KraussParams, RoadConfig, VehicleState,
-                               write_trace)
+from taoi_sim.mobility import KraussParams, RoadConfig, write_trace
 from taoi_sim.oracle import (
     ALTERNATING_SCHEDULE,
     SINGLE_SHOT_SCHEDULE,
@@ -104,9 +103,12 @@ class TestOracleEquivalence:
         sweep, slot_sample = slotted.sample_te_and_risk, slotted.slot_sample
 
         def spy_sweep(table, *args, **kwargs):
+            # each sample is what the sweep adds to its cell's running sum:
+            # the toy values are exact in binary, so the difference is too
             cells = np.flatnonzero(table.live)
+            before = table.te_sum[cells]
             result = sweep(table, *args, **kwargs)
-            record("te", cells, result[2])
+            record("te", cells, table.te_sum[cells] - before)
             return result
 
         def spy_slot_sample(table, cells, t, slot):
@@ -183,6 +185,16 @@ class TestLifecycle:
                                      dump_trace_path=str(out)))
             dumps[protocol] = out.read_bytes()
         assert dumps["aoi"] == dumps["taoi"]
+
+    def test_a_replay_dumps_the_trace_it_replays(self, tmp_path):
+        # a replay holds the trace's columns as its ground truth, so its
+        # own dump is the Krauss run's dump byte for byte
+        base = dict(vehicle_count=12, duration_s=3.0, seed=1)
+        krauss, replay = tmp_path / "krauss.csv", tmp_path / "replay.csv"
+        run_simulation(SimConfig(**base, dump_trace_path=str(krauss)))
+        run_simulation(SimConfig(**base, trace_path=str(krauss),
+                                 dump_trace_path=str(replay)))
+        assert replay.read_bytes() == krauss.read_bytes()
 
     def test_measurement_cadence(self):
         rep = run_simulation(SimConfig(vehicle_count=8, duration_s=3.0,
@@ -274,11 +286,10 @@ class TestGapAudit:
         """Negative-gap events of one tick; ``moves``: one (lane before,
         arc before, lane after, arc after) per vehicle."""
         sim = Simulation(SimConfig(vehicle_count=len(moves), seed=0))
-        prev = [VehicleState(i, 0.0, 0.0, 10.0, 0.0, lane, arc)
-                for i, (lane, arc, _, _) in enumerate(moves)]
-        sim.states = [VehicleState(i, 0.0, 0.0, 10.0, 0.0, lane, arc)
-                      for i, (_, _, lane, arc) in enumerate(moves)]
-        sim._check_gaps(prev)
+        old_lanes, old_arcs, lanes, arcs = (np.array(c) for c in zip(*moves))
+        zero = np.zeros(len(moves))
+        sim._refresh_arrays(zero, zero, zero + 10.0, zero, lanes, arcs)
+        sim._check_gaps(old_arcs, old_lanes)
         return sim.negative_gap_events
 
     def test_the_lane_change_starts_at_the_remapped_arc(self):
@@ -293,6 +304,42 @@ class TestGapAudit:
 
     def test_a_follower_that_passes_its_leader_counts(self):
         assert self._events([(0, 100.0, 0, 110.0), (0, 106.0, 0, 107.0)]) == 1
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 60.0),
+                              st.integers(-1, 1), st.floats(-10.0, 30.0)),
+                    min_size=2, max_size=12))
+    def test_every_tick_counts_like_the_scalar_audit(self, draws):
+        # arcs bunched near the start of each ring, so that vehicles pass
+        # each other, tie and wrap round; lane moves of at most one lane
+        road = RoadConfig()
+        moves = []
+        for lane, arc, move, step in draws:
+            new = min(max(lane + move, 0), road.lanes - 1)
+            moves.append((lane, arc, new,
+                          (arc + step) % road.perimeter(new)))
+        assert self._events(moves) == scalar_gap_events(road, moves)
+
+
+def scalar_gap_events(road, moves) -> int:
+    """The gap audit one lane and one follower at a time: the reference
+    for ``Simulation._check_gaps``. ``moves`` as in ``TestGapAudit``."""
+    start = [arc if old == new else road.lane_remap(arc, old, new)
+             for old, arc, new, _ in moves]
+    by_lane: dict = {}
+    for i, (_, _, lane, _) in enumerate(moves):
+        by_lane.setdefault(lane, []).append(i)
+    events = 0
+    for lane, members in by_lane.items():
+        if len(members) < 2:
+            continue
+        P = road.perimeter(lane)
+        members.sort(key=start.__getitem__)
+        for a, b in zip(members, members[1:] + members[:1]):
+            gap_old = (start[b] - start[a]) % P
+            disp_a = (moves[a][3] - start[a]) % P
+            disp_b = (moves[b][3] - start[b]) % P
+            events += gap_old + disp_b - disp_a < 0
+    return events
 
 
 class TestMediumRecord:
@@ -435,13 +482,13 @@ def _snapshot_bsm(sim, idx: int, t_ns: int) -> Bsm:
         x, y, speed, heading = s.x, s.y, s.speed, s.heading
     else:
         dt = (t_ns - sim._last_tick_ns) / NS
-        s = sim.states[idx]
-        speed, heading = s.speed, s.heading
+        speed, heading = sim._speeds[idx], sim._headings[idx]
+        lane = int(sim._lanes[idx])
         if dt == 0.0:
-            x, y = s.x, s.y
+            x, y = sim._xs[idx], sim._ys[idx]
         else:
-            arc = (s.arc + speed * dt) % sim.cfg.road.perimeter(s.lane)
-            x, y, heading = lane_pose(sim.cfg.road, arc, s.lane)
+            arc = (sim._arcs[idx] + speed * dt) % sim.cfg.road.perimeter(lane)
+            x, y, heading = lane_pose(sim.cfg.road, arc, lane)
     ctrl = sim.vehicles[idx].ctrl
     return Bsm(idx, t_s, x, y, speed, heading, ctrl.riskiness_flag,
                ctrl.delta)
@@ -463,18 +510,16 @@ class TestPayloadPoses:
     def _assert_bulk_poses_match(placements, last_tick, generations):
         """``placements``: one (lane, arc, speed) per vehicle, the arc
         kept as given, not reduced; ``generations``: (offset ns from the
-        last tick, vehicle) pairs. Each state carries its arc and stands
-        at its pose, as a Krauss state does, so a payload generated at
-        the tick itself must take the state's own pose."""
+        last tick, vehicle) pairs. Each vehicle carries its arc and
+        stands at its pose, as under Krauss, so a payload generated at
+        the tick itself must take the tick's own pose."""
         sim = Simulation(SimConfig(vehicle_count=len(placements),
                                    duration_s=100.0, seed=0))
         road = sim.cfg.road
-        sim.states = []
-        for i, (lane, arc, speed) in enumerate(placements):
-            x, y, heading = lane_pose(road, arc, lane)
-            sim.states.append(VehicleState(i, x, y, speed, heading, lane,
-                                           arc))
-        sim._refresh_arrays()
+        truth = [(*lane_pose(road, arc, lane), speed, lane, arc)
+                 for lane, arc, speed in placements]
+        x, y, heading, speed, lane, arc = (np.array(c) for c in zip(*truth))
+        sim._refresh_arrays(x, y, speed, heading, lane, arc)
         sim._last_tick_ns = last_tick
         replaced = []
         for offset, idx in sorted(generations):

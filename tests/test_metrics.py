@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taoi_sim import aoi, engine
+from taoi_sim import aoi, engine, mobility
 from taoi_sim.errors import UndefinedValueError
 from taoi_sim.metrics import (
     Bsm,
@@ -23,7 +23,6 @@ from taoi_sim.metrics import (
     sample_te_and_risk,
     self_tracking_error,
 )
-from taoi_sim.mobility import VehicleState
 
 PARAMS = SafetyParams()
 RANGE_M = 150.0
@@ -41,8 +40,7 @@ def _record(bsm):
 def _sweep(rec, t, truth_xy, sender_v=(0.0, 0.0), receiver_v=(0.0, 0.0),
            receiver_speed=0.0, distance=10.0, evict_before=-math.inf):
     """Receiver 0 holding one record of sender 1, whose true position at t
-    is ``truth_xy``. Returns (risk count, evicted cells or None, tracking
-    error samples)."""
+    is ``truth_xy``. Returns (risk count, evicted cells or None)."""
     xs, ys = np.array([0.0, truth_xy[0]]), np.array([0.0, truth_xy[1]])
     vxs = np.array([receiver_v[0], sender_v[0]])
     vys = np.array([receiver_v[1], sender_v[1]])
@@ -53,8 +51,15 @@ def _sweep(rec, t, truth_xy, sender_v=(0.0, 0.0), receiver_v=(0.0, 0.0),
 
 
 def _te(bsm, t, truth_xy):
-    _, _, samples = _sweep(_record(bsm), t, truth_xy)
-    return samples[0]
+    return _sample(_record(bsm), t, truth_xy)
+
+
+def _sample(rec, t, truth_xy):
+    """The tracking error a fresh record's first sweep samples, read from
+    its running sum."""
+    _sweep(rec, t, truth_xy)
+    assert rec.te_count[1] == 1
+    return rec.te_sum[1]
 
 
 def _at(x, y):
@@ -65,7 +70,7 @@ def _at(x, y):
 def _risk(te, rel, receiver_speed=0.0, distance=10.0):
     """Risk flag for a pair with exactly the given tracking error and
     relative speed; the receiver drives along +y at ``receiver_speed``."""
-    risk, _, _ = _sweep(_at(0.0, 0.0), 1.0, (te, 0.0),
+    risk, _ = _sweep(_at(0.0, 0.0), 1.0, (te, 0.0),
                      sender_v=(rel, receiver_speed),
                      receiver_v=(0.0, receiver_speed),
                      receiver_speed=receiver_speed, distance=distance)
@@ -98,22 +103,18 @@ class TestEstimatePosition:
 
 class TestTrackingError:
     def test_euclidean_gap(self):
-        _, _, samples = _sweep(_at(0.0, 0.0), 2.0, (0.0, 4.0))
-        assert samples.tolist() == [4.0]
+        assert _sample(_at(0.0, 0.0), 2.0, (0.0, 4.0)) == 4.0
 
     def test_along_track_offset(self):
-        _, _, samples = _sweep(_at(0.0, 8.0), 3.0, (0.0, 9.0))
-        assert samples.tolist() == [1.0]
+        assert _sample(_at(0.0, 8.0), 3.0, (0.0, 9.0)) == 1.0
 
     def test_zero_on_perfect_estimate(self):
-        _, _, samples = _sweep(_at(3.0, 4.0), 1.0, (3.0, 4.0))
-        assert samples.tolist() == [0.0]
+        assert _sample(_at(3.0, 4.0), 1.0, (3.0, 4.0)) == 0.0
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
            st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_never_negative(self, x, y, ex, ey):
-        _, _, samples = _sweep(_at(ex, ey), 1.0, (x, y))
-        assert samples[0] >= 0.0
+        assert _sample(_at(ex, ey), 1.0, (x, y)) >= 0.0
 
 
 class TestAverageTrackingError:
@@ -138,8 +139,8 @@ class TestAverageTrackingError:
         # a record past its reception timeout takes no sample and is handed
         # back for eviction, so its mean error never gets a value
         rec = _at(0.0, 0.0)
-        risk, dead, samples = _sweep(rec, 6.0, (50.0, 0.0), evict_before=1.0)
-        assert (risk, dead.tolist(), samples.tolist()) == (0, [1], [])
+        risk, dead = _sweep(rec, 6.0, (50.0, 0.0), evict_before=1.0)
+        assert (risk, dead.tolist()) == (0, [1])
         assert rec.te_count[1] == 0 and rec.te_sum[1] == 0.0
 
 
@@ -147,9 +148,9 @@ class TestAverageTrackingError:
         # a record heard exactly at the eviction boundary is still sampled;
         # one heard any earlier is evicted
         rec = _at(0.0, 0.0)
-        _, dead, _ = _sweep(rec, 6.0, (3.0, 4.0), evict_before=0.0)
+        _, dead = _sweep(rec, 6.0, (3.0, 4.0), evict_before=0.0)
         assert dead is None and rec.te_count[1] == 1
-        _, dead, _ = _sweep(rec, 6.0, (3.0, 4.0),
+        _, dead = _sweep(rec, 6.0, (3.0, 4.0),
                          evict_before=math.nextafter(0.0, 1.0))
         assert dead.tolist() == [1] and rec.te_count[1] == 1
 
@@ -168,40 +169,69 @@ class TestAverageTrackingError:
         aoi.record_from_bsm(table, cells, snapshot, 1.0)
         xs, ys = g.uniform(-500, 500, n), g.uniform(-500, 500, n)
         zero = np.zeros(n)
-        _, _, samples = sample_te_and_risk(table, 1.5, xs, ys, zero, zero,
-                                           zero, np.zeros((n, n)), RANGE_M,
-                                           PARAMS)
-        for c, got in zip(cells.tolist(), samples.tolist()):
+        sample_te_and_risk(table, 1.5, xs, ys, zero, zero, zero,
+                           np.zeros((n, n)), RANGE_M, PARAMS)
+        for c in cells.tolist():
             r, u = divmod(c, n)
             dtg = 1.5 - table.gen_time[c]
             te = math.hypot(xs[u] - (table.bx[c] + table.bvx[c] * dtg),
                             ys[u] - (table.by[c] + table.bvy[c] * dtg))
-            assert got == te and table.te_sum[c] == te
+            assert table.te_sum[c] == te
+
+
+def scalar_self_te(now, prev, t_mi: float) -> float:
+    """One vehicle's self tracking error from its (x, y) now and its (x, y,
+    speed, heading) one interval ago: the reference for
+    ``self_tracking_error``."""
+    x, y = now
+    px, py, speed, heading = prev
+    ex = px + speed * math.cos(heading) * t_mi
+    ey = py + speed * math.sin(heading) * t_mi
+    return math.hypot(x - ex, y - ey)
+
+
+def _self_te(now, prev, t_mi):
+    """``self_tracking_error`` of one vehicle."""
+    x, y = (np.array([v]) for v in now)
+    return self_tracking_error(
+        x, y, tuple(np.array([v]) for v in prev), t_mi)[0]
 
 
 class TestSelfTrackingError:
     def test_constant_velocity_is_exact(self):
-        prev = VehicleState(3, 0.0, 0.0, 12.0, 0.0, 0)
-        now = VehicleState(3, 12.0, 0.0, 12.0, 0.0, 0)
-        assert self_tracking_error(now, prev, 1.0) == pytest.approx(0.0, abs=1e-12)
+        err = _self_te((12.0, 0.0), (0.0, 0.0, 12.0, 0.0), 1.0)
+        assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_acceleration(self):
         # y = t*t: predicting from (t=1, y=1, v=2) lands at 3, truth is 4
-        prev = VehicleState(4, 0.0, 1.0, 2.0, math.pi / 2, 0)
-        now = VehicleState(4, 0.0, 4.0, 4.0, math.pi / 2, 0)
-        assert self_tracking_error(now, prev, 1.0) == pytest.approx(1.0)
+        err = _self_te((0.0, 4.0), (0.0, 1.0, 2.0, math.pi / 2), 1.0)
+        assert err == pytest.approx(1.0)
 
     def test_right_angle_turn(self):
-        prev = VehicleState(5, 0.0, 0.0, 10.0, 0.0, 0)
-        now = VehicleState(5, 0.0, 10.0, 10.0, math.pi / 2, 0)
-        err = self_tracking_error(now, prev, 1.0)
+        err = _self_te((0.0, 10.0), (0.0, 0.0, 10.0, 0.0), 1.0)
         assert err == pytest.approx(10.0 * math.sqrt(2.0))
 
-    def test_identity_mismatch_rejected(self):
-        prev = VehicleState(0, 0.0, 0.0, 1.0, 0.0, 0)
-        now = VehicleState(1, 1.0, 0.0, 1.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            self_tracking_error(now, prev, 1.0)
+    @given(st.data())
+    def test_every_vehicle_matches_the_scalar_reference(self, data):
+        # bit for bit, with headings at and one ulp beside the side
+        # headings, where numpy's cos and sin can differ from math's
+        n = data.draw(st.integers(1, 40))
+        sides = [h for side in mobility.SIDE_HEADINGS for h in (
+            math.nextafter(side, -math.inf), side,
+            math.nextafter(side, math.inf))]
+        heading = st.one_of(st.sampled_from(sides),
+                            st.floats(-10.0, 10.0))
+        pos = st.floats(-1e4, 1e4)
+        columns = [[data.draw(draw) for _ in range(n)] for draw in (
+            pos, pos, pos, pos, st.floats(0.0, 40.0), heading)]
+        x, y, *prev = columns
+        t_mi = data.draw(st.sampled_from([0.1, 0.5, 1.0, 1.0 / 3.0]))
+        got = self_tracking_error(np.array(x), np.array(y),
+                                  tuple(np.array(c) for c in prev), t_mi)
+        want = [scalar_self_te(now, p, t_mi)
+                for now, p in zip(zip(x, y), zip(*prev))]
+        assert np.array(got).view(np.int64).tolist() == \
+            np.array(want).view(np.int64).tolist()
 
 
 class TestDeltaTtc:

@@ -669,8 +669,8 @@ class TestTraceIo:
                    "0.000,0,0.0,2.0,10.0,0.0,0\n"
                    "0.100,0,1.0,2.0,10.0,0.0,0\n")
         table = load_trace(p)
-        assert table.vehicles() == [0]
-        assert table.span(0) == (0.0, pytest.approx(0.1))
+        assert table.ids.tolist() == [0]
+        assert table.t.tolist() == [0.0, pytest.approx(0.1)]
 
     def test_midpoint_interpolation(self, tmp_path):
         p = _write(tmp_path / "t.csv",
@@ -758,7 +758,7 @@ class TestTraceIo:
         p = tmp_path / "rt.csv"
         write_trace(p, rows)
         table = load_trace(p)
-        assert table.vehicles() == [0, 1]
+        assert table.ids.tolist() == [0, 1]
         want = sorted(((vid, float(f"{t:.3f}"), x, y, speed, heading, lane)
                        for t, vid, x, y, speed, heading, lane in rows),
                       key=lambda r: r[:2])
@@ -1017,9 +1017,9 @@ class TestTraceReaders:
             np.array(c, dtype=mobility._TRACE_DTYPE[name])
             for name, c in zip(mobility.TRACE_FIELDS, zip(*samples))))
         queries = []
-        for vid in table.vehicles():
-            lo, hi = table.span(vid)
+        for vid in table.ids.tolist():
             ts = table.t[table.offsets[vid]:table.offsets[vid + 1]].tolist()
+            lo, hi = ts[0], ts[-1]
             inside = ts + [(a + b) / 2.0 for a, b in zip(ts, ts[1:])]
             inside += [data.draw(st.floats(lo, hi)) for _ in range(3)]
             for t in ts:

@@ -77,7 +77,8 @@ KEYS = {
                  max_size=30),
         _values([0, 1], [[0.5]], [[True]], 5)),
     "trace_path": (_values("fits", "other"), _values("missing", 5)),
-    "dump_trace_path": (_values("dump"), _values("missing", ["out.csv"])),
+    "dump_trace_path": (_values("dump"),
+                        _values("missing", "directory", ["out.csv"])),
     "road_length": (_values(1000.0, 500.0, 200.0),
                     _values(0.0, -1.0, 1e-12, 1e12)),
     "road_width": (_values(100.0, 50.0, 30.0),
@@ -178,12 +179,14 @@ def files(tmp_path_factory):
 def _resolve_paths(flat: dict, root) -> dict:
     """Replace the path placeholders by files: ``fits`` is the trace of
     the drawn vehicle count, ``other`` one of a different count and
-    ``missing`` a file in a directory that does not exist."""
+    ``missing`` a file in a directory that does not exist and
+    ``directory`` an existing directory."""
     n = flat.get("vehicle_count")
     n = n if isinstance(n, int) and 2 <= n <= MAX_VEHICLES else 2
     names = {"fits": f"trace_{n}.csv",
              "other": f"trace_{n % (MAX_VEHICLES - 1) + 2}.csv",
-             "dump": "dump.csv", "missing": "missing/file.csv"}
+             "dump": "dump.csv", "missing": "missing/file.csv",
+             "directory": "."}
     out = dict(flat)
     for key in ("trace_path", "dump_trace_path"):
         if isinstance(out.get(key), str):
