@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .metrics import Bsm
 
 try:
@@ -76,14 +75,6 @@ class ChannelConfig:
     nakagami_m_far: float = 1.0
     range_m: float = 150.0                 # application neighbor range
     max_reception_range_m: float = 300.0   # hard evaluation cutoff
-
-    def __post_init__(self):
-        if self.path_loss_exponent <= 0:
-            raise ConfigError("path loss exponent must be positive")
-        if self.cw < 1:
-            raise ConfigError("contention window must be at least 1")
-        if self.data_rate_mbps <= 0:
-            raise ConfigError("data rate must be positive")
 
     @functools.cached_property
     def nakagami_table(self) -> tuple:

@@ -30,10 +30,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .engine import (PROTOCOLS, ROW_SETS, RunReport, SimConfig,
-                     run_simulation)
+                     check_trace_coverage, run_simulation)
 from .errors import ConfigError, SimError
 from .metrics import SafetyParams
-from .mobility import KraussParams, RoadConfig
+from .mobility import KraussParams, RoadConfig, load_trace
 from .channel import ChannelConfig
 from .oracle import (ALTERNATING_SCHEDULE, MAX_SLOTS, OBJECTIVES,
                      SINGLE_SHOT_SCHEDULE, TABLE_ALTERNATING,
@@ -184,7 +184,6 @@ def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.validate()
     report = run_simulation(cfg)
     emit_reports([report], args.out)
     print(f"{report.protocol} n={report.n_vehicles} seed={report.seed}: "
@@ -236,6 +235,11 @@ def _cmd_sweep(args) -> int:
                for count in args.densities for seed in args.seeds]
     for cfg in configs:
         cfg.validate()
+    # validate loads no trace: check the runs' one trace at every density
+    if base.trace_path is not None:
+        trace = load_trace(base.trace_path)
+        for count in args.densities:
+            check_trace_coverage(trace, count, base.duration_s)
     logger.info("sweep: %d runs, %d job(s)", len(configs), args.jobs)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

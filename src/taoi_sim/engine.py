@@ -95,14 +95,24 @@ class SimConfig:
     safety: SafetyParams = field(default_factory=SafetyParams)
 
     def validate(self) -> None:
-        for section in (self, self.road, self.krauss, self.channel,
-                        self.safety):
-            _check_numbers(section)
+        """The one judge of a config's values, its sections' included."""
+        ch, road, krauss, safety = (self.channel, self.road, self.krauss,
+                                    self.safety)
+        # JSON can deliver NaN, Infinity and 4.5 to any field: every float
+        # must be finite and every int-annotated field an integer
+        for section in (self, road, krauss, ch, safety):
+            for f in fields(section):
+                val = getattr(section, f.name)
+                if isinstance(val, float) and not math.isfinite(val):
+                    raise ConfigError(f"{f.name} must be finite, got {val}")
+                if f.type in ("int", int) and (
+                        isinstance(val, bool)
+                        or not isinstance(val, numbers.Integral)):
+                    raise ConfigError(
+                        f"{f.name} must be an integer, got {val!r}")
         if self.vehicle_count < 2:
             raise ConfigError(
                 f"vehicle_count must be at least 2, got {self.vehicle_count}")
-        if self.duration_s < 0:
-            raise ConfigError(f"duration_s must be >= 0, got {self.duration_s}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, "
                               f"got {self.protocol!r}")
@@ -113,8 +123,6 @@ class SimConfig:
         if round(self.mobility_tick_s * NS) < 1:
             raise ConfigError(f"mobility_tick_s must be at least 1 ns, got "
                               f"{self.mobility_tick_s}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("trace_path", "dump_trace_path"):
             val = getattr(self, name)
             if val is not None and not isinstance(val, str):
@@ -127,10 +135,61 @@ class SimConfig:
                                  or not Path(dump).parent.is_dir()):
             raise ConfigError(f"dump_trace_path {dump!r} names a directory "
                               f"or is not in an existing one")
-        for name in ("t_mi_s", "slot_s"):
-            val = getattr(self, name)
-            if val <= 0:
+        for section, name in (
+                (self, "duration_s"), (self, "seed"),
+                # a negative arbitration gap grants the medium before the
+                # request and never lets the clock advance; a negative
+                # preamble makes the airtime negative
+                (ch, "aifs_us"), (ch, "preamble_us"),
+                (krauss, "min_gap"), (safety, "t_react")):
+            val = getattr(section, name)
+            if not val >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {val}")
+        for section, name in (
+                (self, "t_mi_s"), (self, "slot_s"),
+                (self, "neighbor_timeout_s"),
+                # a backoff slot that is not positive counts down without
+                # time passing, or divides by zero; a range that is not
+                # positive evaluates no receiver, so every PDR is undefined
+                (ch, "slot_time_us"), (ch, "range_m"),
+                (ch, "max_reception_range_m"), (ch, "data_rate_mbps"),
+                (ch, "path_loss_exponent"), (road, "lane_width"),
+                (krauss, "max_accel"), (krauss, "max_decel"),
+                (krauss, "s_max"),
+                # v_safe divides by (v_leader + v_follower) / (2 b) + tau,
+                # which a zero reaction time lets vanish for two stopped
+                # vehicles
+                (krauss, "driver_reaction"),
+                # the risk metric divides by decel and rel_speed_floor: a
+                # zero must fail here, not mid-run as a ZeroDivisionError,
+                # and a negative one would run on silently
+                (safety, "decel"), (safety, "rel_speed_floor")):
+            val = getattr(section, name)
+            if not val > 0:
                 raise ConfigError(f"{name} must be positive, got {val}")
+        for section, name in ((self, "slot_capacity"),
+                              (self, "bsm_size_bytes"), (ch, "cw"),
+                              (road, "lanes")):
+            val = getattr(section, name)
+            if val < 1:
+                raise ConfigError(f"{name} must be at least 1, got {val}")
+        if not 0.0 <= krauss.imperfection_sigma <= 1.0:
+            raise ConfigError(f"imperfection_sigma must be in [0, 1], got "
+                              f"{krauss.imperfection_sigma}")
+        # the innermost ring must keep positive side lengths
+        if (2 * road.lanes - 1) * road.lane_width >= min(road.length,
+                                                         road.width):
+            raise ConfigError(
+                f"{road.lanes} lanes of {road.lane_width} m do not fit a "
+                f"{road.length} x {road.width} m circuit")
+        # Krauss spreads the fleet round-robin over the lanes and evenly
+        # along each, two min gaps apart at least; a replay places nobody
+        n = self.vehicle_count if self.trace_path is None else 0
+        for lane in range(min(road.lanes, n)):
+            k = len(range(lane, n, road.lanes))   # the lane's vehicles
+            if k > 1 and road.perimeter(lane) / k < 2.0 * krauss.min_gap:
+                raise ConfigError(f"{k} vehicles do not fit lane {lane} "
+                                  f"at min gap {krauss.min_gap}")
         # only the slotted mode reads slot_s. A step of 0 ticks would never
         # let the clock advance
         slotted = self.channel_mode == "idealized_slotted"
@@ -148,30 +207,10 @@ class SimConfig:
                 f"{self.delta_min_s}, {self.delta_init_s}, {self.delta_max_s}")
         if self.beta <= 1.0:
             raise ConfigError(f"beta must exceed 1, got {self.beta}")
-        if self.neighbor_timeout_s <= 0:
-            raise ConfigError("neighbor_timeout_s must be positive")
-        if self.slot_capacity < 1:
-            raise ConfigError("slot_capacity must be at least 1")
-        if self.bsm_size_bytes < 1:
-            raise ConfigError("bsm_size_bytes must be at least 1")
-        # a negative arbitration gap grants the medium before the request
-        # and never lets the clock advance; a negative preamble makes the
-        # airtime negative
-        for name in ("aifs_us", "preamble_us"):
-            val = getattr(self.channel, name)
-            if val < 0:
-                raise ConfigError(f"{name} must be >= 0, got {val}")
-        # a backoff slot that is not positive counts down without time
-        # passing, or divides by zero; a range that is not positive
-        # evaluates no receiver, so every PDR is undefined
-        for name in ("slot_time_us", "range_m", "max_reception_range_m"):
-            val = getattr(self.channel, name)
-            if not val > 0:
-                raise ConfigError(f"{name} must be positive, got {val}")
         # a broadcast interval shorter than one frame's airtime only makes
         # BSMs that replace each other in the queue, and one that rounds to
         # 0 ns would never let the clock advance
-        airtime = tx_duration(self.bsm_size_bytes, self.channel)
+        airtime = tx_duration(self.bsm_size_bytes, ch)
         if self.delta_min_s < airtime:
             raise ConfigError(
                 f"delta_min_s={self.delta_min_s} is shorter than one "
@@ -182,18 +221,6 @@ class SimConfig:
                 or self.duration_s + airtime == self.duration_s):
             raise ConfigError(f"airtime {airtime} s is below 1 ns or "
                               f"vanishes beside duration_s={self.duration_s}")
-        # the risk metric divides by decel and rel_speed_floor: a zero must
-        # fail here, not mid-run as a ZeroDivisionError, and a negative one
-        # would run on silently
-        safety = self.safety
-        if not safety.decel > 0:
-            raise ConfigError(f"decel must be positive, got {safety.decel}")
-        if not safety.rel_speed_floor > 0:
-            raise ConfigError(f"rel_speed_floor must be positive, got "
-                              f"{safety.rel_speed_floor}")
-        if not safety.t_react >= 0:
-            raise ConfigError(f"t_react must be >= 0, got {safety.t_react}")
-        ch = self.channel
         bounds, shapes = ch.nakagami_table
         # the m-distribution is defined for m >= 1/2 (Nakagami 1960); below
         # it the gamma draw can underflow to 0.0, whose log10 fails mid-run
@@ -242,17 +269,22 @@ class SimConfig:
                         f"forced_schedule slot {k + 1} lists a vehicle twice")
 
 
-def _check_numbers(section) -> None:
-    """Every float of a config section must be finite and every
-    int-annotated field an integer: JSON can deliver NaN, Infinity and
-    4.5 to any of them."""
-    for f in fields(section):
-        val = getattr(section, f.name)
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ConfigError(f"{f.name} must be finite, got {val}")
-        if f.type in ("int", int) and (
-                isinstance(val, bool) or not isinstance(val, numbers.Integral)):
-            raise ConfigError(f"{f.name} must be an integer, got {val!r}")
+def check_trace_coverage(trace: TrajectoryTable, n: int, duration_s: float
+                         ) -> None:
+    """Refuse a trace unless it holds exactly vehicles 0..n-1, each from 0
+    to the run's end on the ns grid: the run reads everyone at both."""
+    if not np.array_equal(trace.ids, np.arange(n)):
+        raise ConfigError(
+            f"trace vehicles {trace.ids.tolist()} do not match "
+            f"vehicle_count {n} (need ids 0..{n - 1})")
+    T = round(duration_s * NS) / NS
+    lo, hi = trace.t[trace.offsets[:-1]], trace.t[trace.offsets[1:] - 1]
+    short = np.flatnonzero((lo > 0.0) | (hi < T))
+    if len(short):
+        vid = int(short[0])
+        raise TraceError(
+            f"vehicle {vid} trace span [{float(lo[vid])}, "
+            f"{float(hi[vid])}] does not cover [0, {T}]")
 
 
 # the row sets too bulky for report.json: each goes to a CSV of its own,
@@ -356,7 +388,7 @@ class Simulation:
         self.trace: TrajectoryTable | None = None
         if cfg.trace_path is not None:
             self.trace = load_trace(cfg.trace_path)
-            self._check_trace_coverage()
+            check_trace_coverage(self.trace, self.n, cfg.duration_s)
             truth = self.trace.sample(np.arange(self.n), np.zeros(self.n))
         else:
             truth = _columns(initial_states(cfg.road, cfg.krauss, self.n,
@@ -397,22 +429,6 @@ class Simulation:
         self._heap: list = []
 
     # ------------------------------------------------------------- setup
-
-    def _check_trace_coverage(self) -> None:
-        trace = self.trace
-        if not np.array_equal(trace.ids, np.arange(self.n)):
-            raise ConfigError(
-                f"trace vehicles {trace.ids.tolist()} do not match "
-                f"vehicle_count {self.n} (need ids 0..{self.n - 1})")
-        # the run reads every vehicle at 0 and at instants up to T_ns
-        T = self.T_ns / NS
-        lo, hi = trace.t[trace.offsets[:-1]], trace.t[trace.offsets[1:] - 1]
-        short = np.flatnonzero((lo > 0.0) | (hi < T))
-        if len(short):
-            vid = int(short[0])
-            raise TraceError(
-                f"vehicle {vid} trace span [{float(lo[vid])}, "
-                f"{float(hi[vid])}] does not cover [0, {T}]")
 
     def _push(self, t_ns: int, kind: int, vid: int = -1) -> None:
         """At most one event of a kind is pending per vehicle (or per run,

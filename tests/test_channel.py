@@ -27,7 +27,6 @@ from taoi_sim.channel import (
     overlapping,
     tx_duration,
 )
-from taoi_sim.errors import ConfigError
 from taoi_sim.mobility import VehicleState
 
 CFG = ChannelConfig()
@@ -202,23 +201,6 @@ class TestTxDuration:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             tx_duration(0, CFG)
-        # the channel refuses a rate tx_duration would divide by
-        with pytest.raises(ConfigError):
-            ChannelConfig(data_rate_mbps=0.0)
-
-
-class TestConfigValidation:
-    def test_bad_exponent(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(path_loss_exponent=0.0)
-
-    def test_bad_contention_window(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(cw=0)
-
-    def test_bad_data_rate(self):
-        with pytest.raises(ConfigError):
-            ChannelConfig(data_rate_mbps=-1.0)
 
 
 class TestTimeline:

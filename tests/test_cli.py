@@ -295,6 +295,41 @@ class TestSweepCommand:
         assert rc == 2
         capsys.readouterr()
 
+    def test_a_density_that_does_not_fit_the_road_fails_up_front(
+            self, tmp_path, capsys, monkeypatch):
+        # 200 vehicles put 67 on the outer 244 m ring of a 100 x 30 m road
+        cfg = write_config(tmp_path, vehicle_count=30, duration_s=1.0,
+                           road_length=100.0, road_width=30.0)
+        self._assert_no_run(tmp_path, capsys, monkeypatch, [
+            "--config", cfg, "--protocols", "fixed10hz,taoi",
+            "--densities", "30,200", "--seeds", "1"])
+
+    def test_a_density_the_trace_does_not_hold_fails_up_front(
+            self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        run_simulation(SimConfig(vehicle_count=4, duration_s=1.0, seed=1,
+                                 dump_trace_path=str(trace)))
+        cfg = write_config(tmp_path, vehicle_count=4, duration_s=1.0,
+                           trace_path=str(trace))
+        self._assert_no_run(tmp_path, capsys, monkeypatch, [
+            "--config", cfg, "--protocols", "aoi", "--densities", "4,5",
+            "--seeds", "1,2"])
+
+    @staticmethod
+    def _assert_no_run(tmp_path, capsys, monkeypatch, sweep_args):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return run_simulation(cfg)
+
+        monkeypatch.setattr(cli, "run_simulation", counted)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *sweep_args, "--out", str(out)])
+        assert "error:" in capsys.readouterr().err
+        assert (rc, len(calls)) == (2, 0)
+        assert not out.exists()
+
 
 def _exit_code(argv) -> int:
     """main's return code, or the code argparse exits with."""

@@ -196,6 +196,20 @@ class TestLifecycle:
                                  dump_trace_path=str(replay)))
         assert replay.read_bytes() == krauss.read_bytes()
 
+    @pytest.mark.parametrize("kw", [
+        dict(mobility_tick_s=0.0005, t_mi_s=0.1, duration_s=0.3),
+        dict(mobility_tick_s=1 / 3, t_mi_s=1 / 3, duration_s=0.999999999),
+    ], ids=["half_ms_tick", "third_s_tick"])
+    def test_a_dump_at_any_tick_replays(self, tmp_path, kw):
+        # t is dumped on the nanosecond grid: written to the millisecond, a
+        # 0.5 ms tick gave duplicate timestamps and a 1/3 s tick uneven ones
+        base = dict(vehicle_count=4, seed=1, **kw)
+        krauss, replay = tmp_path / "krauss.csv", tmp_path / "replay.csv"
+        run_simulation(SimConfig(**base, dump_trace_path=str(krauss)))
+        run_simulation(SimConfig(**base, trace_path=str(krauss),
+                                 dump_trace_path=str(replay)))
+        assert replay.read_bytes() == krauss.read_bytes()
+
     def test_measurement_cadence(self):
         rep = run_simulation(SimConfig(vehicle_count=8, duration_s=3.0,
                                        protocol="taoi", seed=3))
@@ -797,12 +811,35 @@ class TestConfigGuards:
         dict(duration_s=2.0 ** 24, bsm_size_bytes=1,
              channel=ChannelConfig(data_rate_mbps=8000.0, preamble_us=0.0)),
         dict(delta_init_s=1.5),         # above delta_max_s
+        # the sections are plain records, judged by validate alone
+        dict(channel=ChannelConfig(data_rate_mbps=0.0)),
+        dict(channel=ChannelConfig(data_rate_mbps=-1.0)),
+        dict(channel=ChannelConfig(path_loss_exponent=0.0)),
+        dict(channel=ChannelConfig(cw=0)),
+        dict(road=RoadConfig(lanes=0)),
+        dict(road=RoadConfig(length=10.0, width=10.0, lanes=3,
+                             lane_width=4.0)),
+        dict(krauss=KraussParams(max_decel=0.0)),
+        dict(krauss=KraussParams(imperfection_sigma=1.5)),
+        dict(krauss=KraussParams(min_gap=-1.0)),
+        dict(krauss=KraussParams(driver_reaction=0.0)),
+        # fleets that do not fit their lanes: 40 vehicles 4.1 m apart on
+        # one 164 m ring, and 67 on the outer ring of a 100 x 30 m road,
+        # both under two 2.5 m min gaps
+        dict(vehicle_count=40, road=RoadConfig(length=60.0, width=30.0,
+                                               lanes=1)),
+        dict(vehicle_count=200, road=RoadConfig(length=100.0, width=30.0)),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)
         base.update(kw)
         with pytest.raises(ConfigError):
             SimConfig(**base).validate()
+
+    def test_a_replay_places_no_fleet_on_the_road(self):
+        # the fleet-fit rule judges where Krauss starts the vehicles
+        SimConfig(vehicle_count=40, trace_path="replay.csv",
+                  road=RoadConfig(length=60.0, width=30.0, lanes=1)).validate()
 
     def test_a_half_nakagami_shape_runs(self):
         # m = 1/2 is the m-distribution's least shape, and a valid one

@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from taoi_sim import mobility
-from taoi_sim.errors import ConfigError, TraceError
+from taoi_sim.errors import TraceError
 from taoi_sim.mobility import (
     SIDE_HEADINGS,
     KraussParams,
@@ -615,15 +615,6 @@ class TestInitialStates:
             assert s.arc == arc
             assert (s.x, s.y, s.heading) == lane_pose(ROAD, arc, s.lane)
 
-    def test_overfull_road_rejected(self):
-        road = RoadConfig(length=60.0, width=30.0, lanes=1)
-        with pytest.raises(ConfigError):
-            initial_states(road, KraussParams(), 40, np.random.default_rng(0))
-
-    def test_empty_fleet_rejected(self):
-        with pytest.raises(ConfigError):
-            initial_states(ROAD, KraussParams(), 0, np.random.default_rng(0))
-
 
 class TestRoadGeometry:
     def test_lane_zero_dimensions(self):
@@ -647,12 +638,6 @@ class TestRoadGeometry:
         x1, y1, _ = lane_pose(ROAD, arc1, 1)
         assert x1 == pytest.approx(x0)
         assert y1 == pytest.approx(6.0)
-
-    def test_degenerate_configs_rejected(self):
-        with pytest.raises(ConfigError):
-            RoadConfig(lanes=0)
-        with pytest.raises(ConfigError):
-            RoadConfig(length=10.0, width=10.0, lanes=3, lane_width=4.0)
 
 
 HEADER = "t,vehicle_id,x,y,speed,heading,lane\n"
@@ -748,8 +733,8 @@ class TestTraceIo:
 
     def test_write_then_load_round_trip(self, tmp_path):
         # values whose shortest repr is long, signed zero, a subnormal and
-        # one near the top of the range come back exactly; t is written
-        # with millisecond precision
+        # one near the top of the range come back exactly; t is written on
+        # the nanosecond grid
         awkward = (-0.0, 5e-324, 0.1 + 0.2, -1.0 / 3.0, 1e300)
         rows = [(k * 0.1, vid, 10.0 * vid + k + awkward[k] * 1e-300,
                  awkward[k], 15.0 + awkward[(k + 1) % 5] * 1e-300,
@@ -759,7 +744,7 @@ class TestTraceIo:
         write_trace(p, rows)
         table = load_trace(p)
         assert table.ids.tolist() == [0, 1]
-        want = sorted(((vid, float(f"{t:.3f}"), x, y, speed, heading, lane)
+        want = sorted(((vid, round(t, 9), x, y, speed, heading, lane)
                        for t, vid, x, y, speed, heading, lane in rows),
                       key=lambda r: r[:2])
         got = list(zip(np.repeat(table.ids, np.diff(table.offsets)).tolist(),
@@ -768,7 +753,7 @@ class TestTraceIo:
                        table.lane.tolist()))
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
         t, vid, *pose, lane = rows[3 * 2 + 1]
-        s = table.state_at(vid, float(f"{t:.3f}"))
+        s = table.state_at(vid, round(t, 9))
         assert _bits([s.x, s.y, s.speed, s.heading]) == _bits(pose)
 
 

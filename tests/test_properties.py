@@ -1,11 +1,11 @@
 """Run invariants over random small configurations, over every config key.
 
 Every drawn config either fails before the run with a ``SimError`` (in
-``validate()``, or in building the ``Simulation`` for a trace that does
-not fit the run or vehicles that do not fit their lanes) or runs to
-completion with its report sound: frames conserved, gated age within
-plain age, PDR a ratio, no overlapping vehicles, and per-vehicle counts
-that add up.
+``validate()``, or in building the ``Simulation`` for a trace that is
+missing or does not fit the run, the one thing ``validate()`` does not
+judge) or runs to completion with its report sound: frames conserved,
+gated age within plain age, PDR a ratio, no overlapping vehicles, and
+per-vehicle counts that add up.
 
 The strategy draws every key of ``cli.FLAT_KEYS``. Each key keeps its
 default or takes one of a few values a small run can take; on top of
@@ -229,10 +229,17 @@ def test_random_small_configs_fail_up_front_or_run_soundly(files, flat,
         else:
             cfg = _build(flat)
             cfg.validate()
-        sim = Simulation(cfg)
     except SimError as exc:
         note(f"rejected: {exc}")
         event("rejected")
+        return
+    try:
+        sim = Simulation(cfg)
+    except SimError as exc:
+        # validate judges everything but the trace, which it does not load
+        assert cfg.trace_path is not None, exc
+        note(f"rejected trace: {exc}")
+        event("rejected trace")
         return
     event(f"ran {cfg.channel_mode}")
     if cfg.delta_min_s < 0.002:
