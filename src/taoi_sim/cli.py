@@ -24,6 +24,7 @@ import dataclasses
 import difflib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -235,6 +236,10 @@ def _cmd_sweep(args) -> int:
                for count in args.densities for seed in args.seeds]
     for cfg in configs:
         cfg.validate()
+    # every run would write its trace to the one path, the last one winning
+    if base.dump_trace_path is not None and len(configs) > 1:
+        raise ConfigError(f"dump_trace_path {base.dump_trace_path!r} cannot "
+                          f"hold the traces of {len(configs)} runs")
     # validate loads no trace: check the runs' one trace at every density
     if base.trace_path is not None:
         trace = load_trace(base.trace_path)
@@ -373,16 +378,20 @@ def _distinct(items: list, text: str) -> list:
     return items
 
 
-def _slot_count(text: str) -> int:
-    """argparse type of the oracle's horizon: 1 to MAX_SLOTS slots."""
-    try:
-        slots = int(text)
-    except ValueError:
-        slots = 0
-    if not 1 <= slots <= MAX_SLOTS:
-        raise argparse.ArgumentTypeError(
-            f"expected a slot count from 1 to {MAX_SLOTS}, got {text!r}")
-    return slots
+def _count(most: float = math.inf):
+    """argparse type of a count from 1 to ``most``."""
+    bounds = "of at least 1" if most == math.inf else f"from 1 to {most}"
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            count = 0
+        if not 1 <= count <= most:
+            raise argparse.ArgumentTypeError(
+                f"expected a count {bounds}, got {text!r}")
+        return count
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,13 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list of vehicle counts")
     p.add_argument("--seeds", type=_int_list, default="0",
                    help="comma list of seeds")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_count(), default=1,
                    help="concurrent runs (processes)")
     p.add_argument("--out", default="sweep", help="artifact directory")
 
     p = sub.add_parser("oracle",
                        help="enumerate the optimal small-problem schedule")
-    p.add_argument("--slots", type=_slot_count, default=6)
+    p.add_argument("--slots", type=_count(MAX_SLOTS), default=6)
     p.add_argument("--objective", choices=OBJECTIVES, default="system_aoi")
 
     sub.add_parser("reproduce-tables",

@@ -21,7 +21,8 @@ import heapq
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict
+import sys
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -36,8 +37,7 @@ from .errors import ConfigError, TraceError, UndefinedValueError
 from .metrics import (PdrCounters, SafetyParams, pdr_record,
                       sample_te_and_risk, self_tracking_error)
 from .mobility import (KraussParams, RoadConfig, TrajectoryTable,
-                       VehicleState, initial_states, krauss_step, load_trace,
-                       write_trace)
+                       initial_states, krauss_step, load_trace, write_trace)
 from .rate_control import (ControllerState, aoi_rate_update,
                            assess_self_risk, fixed_rate, is_congested,
                            taoi_rate_update)
@@ -98,18 +98,38 @@ class SimConfig:
         """The one judge of a config's values, its sections' included."""
         ch, road, krauss, safety = (self.channel, self.road, self.krauss,
                                     self.safety)
-        # JSON can deliver NaN, Infinity and 4.5 to any field: every float
-        # must be finite and every int-annotated field an integer
-        for section in (self, road, krauss, ch, safety):
+        # JSON can deliver NaN, 4.5, "20", true, null and [1] to any field:
+        # each section field must hold its section, every float-annotated
+        # field a finite number and every int-annotated field an integer
+        sections = [self]
+        for section in sections:
             for f in fields(section):
                 val = getattr(section, f.name)
-                if isinstance(val, float) and not math.isfinite(val):
+                if f.default_factory is not MISSING:  # a section, by class
+                    if not isinstance(val, f.default_factory):
+                        raise ConfigError(
+                            f"{f.name} must be a "
+                            f"{f.default_factory.__name__}, got {val!r}")
+                    sections.append(val)
+                floating = f.type in ("float", float)
+                if floating and not _is_number(val):
+                    raise ConfigError(f"{f.name} must be a number, got {val!r}")
+                # NaN, the infinities and an int too large for a float fail
+                if (floating or isinstance(val, float)) and not (
+                        abs(val) <= sys.float_info.max):
                     raise ConfigError(f"{f.name} must be finite, got {val}")
                 if f.type in ("int", int) and (
                         isinstance(val, bool)
                         or not isinstance(val, numbers.Integral)):
                     raise ConfigError(
                         f"{f.name} must be an integer, got {val!r}")
+                # nakagami_table unpacks the bins into floats
+                if f.name == "nakagami_bins" and not (
+                        isinstance(val, (list, tuple)) and all(
+                            isinstance(pair, (list, tuple)) and len(pair) == 2
+                            and all(map(_is_number, pair)) for pair in val)):
+                    raise ConfigError(f"nakagami_bins must be (bound, m) "
+                                      f"pairs of numbers, got {val!r}")
         if self.vehicle_count < 2:
             raise ConfigError(
                 f"vehicle_count must be at least 2, got {self.vehicle_count}")
@@ -182,8 +202,11 @@ class SimConfig:
             raise ConfigError(
                 f"{road.lanes} lanes of {road.lane_width} m do not fit a "
                 f"{road.length} x {road.width} m circuit")
-        # Krauss spreads the fleet round-robin over the lanes and evenly
-        # along each, two min gaps apart at least; a replay places nobody
+        # Krauss starts vehicle i of n on lane i % lanes, at fraction i / n
+        # of its ring. The rule asks each lane's perimeter per vehicle to
+        # be two min gaps at least: that bounds the mean start gap, not the
+        # smallest, which can be far smaller where a ring wraps round. A
+        # replay places nobody
         n = self.vehicle_count if self.trace_path is None else 0
         for lane in range(min(road.lanes, n)):
             k = len(range(lane, n, road.lanes))   # the lane's vehicles
@@ -267,6 +290,13 @@ class SimConfig:
                 if len(set(entry)) < len(entry):
                     raise ConfigError(
                         f"forced_schedule slot {k + 1} lists a vehicle twice")
+
+
+def _is_number(val) -> bool:
+    """A real number, and not a bool (JSON's true would run as 1)."""
+    # a float first: the abstract class check costs ten times as much
+    return type(val) is float or (isinstance(val, numbers.Real)
+                                  and not isinstance(val, bool))
 
 
 def check_trace_coverage(trace: TrajectoryTable, n: int, duration_s: float
@@ -385,14 +415,17 @@ class Simulation:
         self.fading_rng = _stream(cfg.seed, STREAM_FADING)
         self.backoff_rng = _stream(cfg.seed, STREAM_BACKOFF)
 
+        # the states the next krauss_step takes as they are; none in a replay
         self.trace: TrajectoryTable | None = None
+        self._states: list | None = None
         if cfg.trace_path is not None:
             self.trace = load_trace(cfg.trace_path)
             check_trace_coverage(self.trace, self.n, cfg.duration_s)
             truth = self.trace.sample(np.arange(self.n), np.zeros(self.n))
         else:
-            truth = _columns(initial_states(cfg.road, cfg.krauss, self.n,
-                                            init_rng))
+            self._states = initial_states(cfg.road, cfg.krauss, self.n,
+                                          init_rng)
+            truth = _columns(self._states)
         # generation phase jitter, drawn in id order for every mode so the
         # init stream stays aligned across protocol comparisons
         self.gen_phase_ns = [
@@ -494,13 +527,9 @@ class Simulation:
                 np.arange(self.n), np.full(self.n, t_s)))
         else:
             cfg, arcs, lanes = self.cfg, self._arcs, self._lanes
-            states = [VehicleState(*row) for row in zip(
-                range(self.n), *(c.tolist() for c in (
-                    self._xs, self._ys, self._speeds, self._headings, lanes,
-                    arcs)))]
-            self._refresh_arrays(*_columns(krauss_step(
-                states, cfg.krauss, cfg.road, cfg.mobility_tick_s,
-                self.mob_rng)))
+            self._states = krauss_step(self._states, cfg.krauss, cfg.road,
+                                       cfg.mobility_tick_s, self.mob_rng)
+            self._refresh_arrays(*_columns(self._states))
             self._check_gaps(arcs, lanes)
         self._last_tick_ns = t_ns
         if self.cfg.dump_trace_path is not None:

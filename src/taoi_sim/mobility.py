@@ -267,30 +267,19 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     eta = np.empty(n)
     eta[order] = rng.random(n)
 
-    # each vehicle's leader on its sorted ring: the first arc strictly
-    # ahead (bisect_right), wrapping round; a co-located vehicle is
-    # reached only when nobody else is on the ring
+    # each vehicle's leader is its successor on its sorted ring, wrapping
+    # round. No ring holds a tie: the check above rejects co-located
+    # vehicles and _lane_change_target vetoes a landing on an occupied
+    # arc. A vehicle alone on its ring leads itself and drives free
+    lead = np.empty(n, dtype=np.intp)
+    for ring in rings:
+        if ring.idx:
+            lead[ring.idx] = ring.idx[1:] + ring.idx[:1]
+    led = lead != np.arange(n)
     arc_a = np.array(arcs)
     speed_a = np.array(speeds)
-    perimeter_a = np.empty(n)
-    lead = np.zeros(n, dtype=np.intp)
-    gap = np.zeros(n)
-    led = np.zeros(n, dtype=bool)
-    for ring in rings:
-        m = len(ring.idx)
-        if not m:
-            continue
-        idx = np.array(ring.idx)
-        perimeter_a[idx] = ring.perimeter
-        if m < 2:
-            continue
-        ring_arcs = np.array(ring.arcs)
-        pos = np.searchsorted(ring_arcs, ring_arcs, side="right") % m
-        own = np.arange(m)
-        pos = np.where(pos == own, (own + 1) % m, pos)
-        lead[idx] = idx[pos]
-        gap[idx] = np.remainder(ring_arcs[pos] - ring_arcs, ring.perimeter)
-        led[idx] = True
+    perimeter_a = road.lane_columns[3][lanes]
+    gap = np.remainder(arc_a[lead] - arc_a, perimeter_a)
 
     # min(v + a dt, s_max, v_safe) less the imperfection, floored at 0, in
     # the scalar expression order; where() keeps min's and max's choice

@@ -315,6 +315,16 @@ class TestSweepCommand:
             "--config", cfg, "--protocols", "aoi", "--densities", "4,5",
             "--seeds", "1,2"])
 
+    def test_a_trace_dump_for_two_runs_fails_up_front(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # each run would overwrite the last one's dump
+        cfg = write_config(tmp_path, vehicle_count=4, duration_s=1.0,
+                           dump_trace_path=str(tmp_path / "dump.csv"))
+        self._assert_no_run(tmp_path, capsys, monkeypatch, [
+            "--config", cfg, "--protocols", "taoi", "--densities", "4,6",
+            "--seeds", "1"])
+        assert not (tmp_path / "dump.csv").exists()
+
     @staticmethod
     def _assert_no_run(tmp_path, capsys, monkeypatch, sweep_args):
         calls = []
@@ -367,6 +377,7 @@ class TestBadInput:
         ({"nakagami_m_far": 0.003}, None),
         ({"bsm_size_bytes": 1, "data_rate_mbps": 1e12, "preamble_us": 0},
          None),
+        ({}, ["--jobs", "0"]),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
@@ -375,7 +386,7 @@ class TestBadInput:
             "negative_ranges", "flat_forced_schedule", "flat_nakagami_bins",
             "string_nakagami_bins", "repeated_seed", "repeated_density",
             "repeated_protocol", "nakagami_below_half",
-            "airtime_below_a_nanosecond"])
+            "airtime_below_a_nanosecond", "no_jobs"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         self._assert_rejected_up_front(tmp_path, capsys, config, sweep_args)

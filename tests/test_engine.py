@@ -11,6 +11,7 @@ import ast
 import bisect
 import dataclasses
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from taoi_sim import aoi, engine, slotted
 from taoi_sim.channel import ChannelConfig
+from taoi_sim.cli import parse_config
 from taoi_sim.engine import NS, SimConfig, Simulation, run_simulation
 from taoi_sim.errors import ConfigError, TraceError
 from taoi_sim.metrics import Bsm, SafetyParams
@@ -829,12 +831,38 @@ class TestConfigGuards:
         dict(vehicle_count=40, road=RoadConfig(length=60.0, width=30.0,
                                                lanes=1)),
         dict(vehicle_count=200, road=RoadConfig(length=100.0, width=30.0)),
+        # values of the wrong type, which validate raised as a raw
+        # TypeError or ValueError
+        dict(duration_s="5"),
+        dict(channel=ChannelConfig(nakagami_bins=((80.0,),))),
+        dict(channel=ChannelConfig(nakagami_bins=((80.0, "3"),))),
+        dict(road=None),
     ])
     def test_invalid_configs_rejected(self, kw):
         base = dict(vehicle_count=2, duration_s=1.0)
         base.update(kw)
         with pytest.raises(ConfigError):
             SimConfig(**base).validate()
+
+    @pytest.mark.parametrize("kw", [
+        # a UFuncNoLoopError mid-run
+        dict(tx_power_dbm="20"),
+        # TypeErrors mid-run
+        dict(te_threshold="0.5"),
+        dict(reference_loss_db=None),
+        dict(spread_lambda="x"),
+        # ran to completion with a system AoI of 0
+        dict(rx_sensitivity_dbm=[1]),
+        # ran as a 1 s run
+        dict(duration_s=True),
+    ])
+    def test_a_float_key_that_is_no_number_fails_up_front(self, tmp_path,
+                                                          kw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"vehicle_count": 4, "duration_s": 2.0,
+                                    "protocol": "aoi", **kw}))
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            parse_config(path)
 
     def test_a_replay_places_no_fleet_on_the_road(self):
         # the fleet-fit rule judges where Krauss starts the vehicles

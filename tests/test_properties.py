@@ -11,16 +11,18 @@ The strategy draws every key of ``cli.FLAT_KEYS``. Each key keeps its
 default or takes one of a few values a small run can take; on top of
 that, about one draw in four sets one key to an edge value (0, -1,
 1e-12, 1e12, a fraction where an integer belongs, a Nakagami shape below
-1/2, ...), and about one in five breaks the config in one of the
-``INVALID`` ways. Edge values that would make a valid run large (a
-billion vehicles, a nanosecond tick, a run of 1e12 s) are not drawn: at
-most 8 vehicles run for at most 3 s, ticks are at least 50 ms and
-broadcast intervals at least 1 ms, which is valid only for frames that
-air in less: 0.31 ms for 200 bytes, 1.37 ms for 1000 and 40 ms for 30 kB.
+1/2, a string, null, true or a list where a float belongs, ...), and
+about one in five breaks the config in one of the ``INVALID`` ways.
+Edge values that would make a valid run large (a billion vehicles, a
+nanosecond tick, a run of 1e12 s) are not drawn: at most 8 vehicles run
+for at most 3 s, ticks are at least 50 ms and broadcast intervals at
+least 1 ms, which is valid only for frames that air in less: 0.31 ms
+for 200 bytes, 1.37 ms for 1000 and 40 ms for 30 kB.
 Part of the examples are written to a JSON file and loaded with
 ``cli.parse_config``, the rest are built in Python.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -128,6 +130,19 @@ KEYS = {
     "te_threshold": (_values(0.5, 0.1, 5.0),
                      _values(0.0, -1.0, 1e-12, 1e12)),
 }
+
+
+def _annotation(key: str) -> str:
+    section, attr = cli.FLAT_KEYS[key]
+    cls = cli._SECTIONS[section] if section else SimConfig
+    return next(f.type for f in dataclasses.fields(cls) if f.name == attr)
+
+
+# the keys of float-annotated fields, and the values of other JSON types
+# that their edge draw may also take
+FLOAT_KEYS = {key for key in cli.FLAT_KEYS if _annotation(key) == "float"}
+NOT_NUMBERS = _values("1.0", None, True, [1.0])
+
 # drawn in every example: the defaults of 150 vehicles and 100 s make no
 # small run, and the seed, protocol and channel shape every run
 ALWAYS = ("vehicle_count", "duration_s", "seed", "protocol", "channel_mode")
@@ -155,7 +170,8 @@ def flat_configs(draw):
                                for _ in range(3))))
     if not draw(st.integers(0, 3)):
         key = draw(st.sampled_from(sorted(KEYS)))
-        flat[key] = draw(KEYS[key][1])
+        edges = KEYS[key][1]
+        flat[key] = draw(edges | NOT_NUMBERS if key in FLOAT_KEYS else edges)
         event(f"edge {key}")
     if not draw(st.integers(0, 4)):
         flat.update(draw(st.sampled_from(INVALID)))
