@@ -11,9 +11,11 @@ Subcommands:
   analytical example and diffs every cell against the embedded expected
   values, exiting nonzero on any mismatch.
 
-Configs are flat JSON objects; every key maps onto one field of the
-nested config dataclasses (road_*/channel/driver/safety constants share
-one namespace). ``TAOI_SIM_LOG`` sets the log level.
+Configs are flat JSON objects over one key space, ``engine.FLAT_KEYS``:
+each key sets one field of ``SimConfig`` or of one of its sections (road
+fields carry a ``road_`` prefix). ``SimConfig.from_flat`` builds the
+config and ``SimConfig.validate`` judges it, each message naming the
+flat key. ``TAOI_SIM_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import difflib
 import json
 import logging
 import math
@@ -33,9 +34,7 @@ from pathlib import Path
 from .engine import (PROTOCOLS, ROW_SETS, RunReport, SimConfig,
                      check_trace_coverage, run_simulation)
 from .errors import ConfigError, SimError
-from .metrics import SafetyParams
-from .mobility import KraussParams, RoadConfig, load_trace
-from .channel import ChannelConfig
+from .mobility import load_trace
 from .oracle import (ALTERNATING_SCHEDULE, MAX_SLOTS, OBJECTIVES,
                      SINGLE_SHOT_SCHEDULE, TABLE_ALTERNATING,
                      TABLE_SINGLE_SHOT, enumerate_optimal, reference_rows,
@@ -43,49 +42,13 @@ from .oracle import (ALTERNATING_SCHEDULE, MAX_SLOTS, OBJECTIVES,
 
 logger = logging.getLogger("taoi_sim.cli")
 
-_SECTIONS = {
-    "road": RoadConfig,
-    "krauss": KraussParams,
-    "channel": ChannelConfig,
-    "safety": SafetyParams,
-}
-
-
-def _flat_keys() -> dict:
-    """One flat config namespace over SimConfig and its nested sections.
-    Road fields carry a road_ prefix; the other sections' field names are
-    already distinct."""
-    table = {}
-    for f in dataclasses.fields(SimConfig):
-        if f.name not in _SECTIONS:
-            table[f.name] = ("", f.name)
-    for f in dataclasses.fields(RoadConfig):
-        table["road_" + f.name] = ("road", f.name)
-    for section in ("krauss", "channel", "safety"):
-        for f in dataclasses.fields(_SECTIONS[section]):
-            if f.name in table:
-                raise AssertionError(f"config key collision: {f.name}")
-            table[f.name] = (section, f.name)
-    return table
-
-
-FLAT_KEYS = _flat_keys()
-
-
-def _coerce(key: str, value):
-    # JSON has no tuples; the two structured keys arrive as nested lists
-    if key == "forced_schedule" and value is not None:
-        return tuple(tuple(entry) for entry in value)
-    if key == "nakagami_bins":
-        return tuple((float(cut), float(m)) for cut, m in value)
-    return value
-
 
 def parse_config(path) -> SimConfig:
     """Load a flat JSON config into a validated SimConfig.
 
-    Absent keys keep the built-in defaults; unknown keys fail with the
-    offending name (and the closest valid key, when one is plausible).
+    The keys are ``engine.FLAT_KEYS``; absent keys keep the built-in
+    defaults, and an unknown key fails with its name (and the closest
+    valid key, when one is plausible).
     """
     try:
         raw = Path(path).read_text()
@@ -97,24 +60,10 @@ def parse_config(path) -> SimConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: root must be a JSON object")
-
-    kwargs: dict = {}
-    nested: dict = {name: {} for name in _SECTIONS}
     try:
-        for key, value in data.items():
-            if key not in FLAT_KEYS:
-                near = difflib.get_close_matches(key, FLAT_KEYS, n=1)
-                hint = f" (did you mean {near[0]!r}?)" if near else ""
-                raise ConfigError(f"unknown config key {key!r}{hint}")
-            section, attr = FLAT_KEYS[key]
-            # the structured keys' coercion fails on malformed JSON values
-            (nested[section] if section else kwargs)[attr] = _coerce(key, value)
-        for name, cls in _SECTIONS.items():
-            if nested[name]:
-                kwargs[name] = cls(**nested[name])
-        cfg = SimConfig(**kwargs)
+        cfg = SimConfig.from_flat(data)
         cfg.validate()
-    except (ConfigError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     logger.info("effective config: %s",
                 json.dumps(dataclasses.asdict(cfg), sort_keys=True))

@@ -17,6 +17,7 @@ subclass in ``slotted``, which replaces all of that with zero-delay slots.
 
 from __future__ import annotations
 
+import difflib
 import heapq
 import logging
 import math
@@ -94,42 +95,69 @@ class SimConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     safety: SafetyParams = field(default_factory=SafetyParams)
 
+    @classmethod
+    def from_flat(cls, flat: dict) -> SimConfig:
+        """The config that a flat config (``FLAT_KEYS`` to values) sets,
+        every other value at its default. JSON has no tuples: a list for
+        ``forced_schedule`` or ``nakagami_bins``, and each list in it,
+        becomes a tuple. Only an unknown key fails here; ``validate``
+        judges the values."""
+        kwargs, nested = {}, {}
+        for key, value in flat.items():
+            if key not in FLAT_KEYS:
+                near = difflib.get_close_matches(key, FLAT_KEYS, n=1)
+                hint = f" (did you mean {near[0]!r}?)" if near else ""
+                raise ConfigError(f"unknown config key {key!r}{hint}")
+            part, f = FLAT_KEYS[key]
+            if key in ("forced_schedule", "nakagami_bins") and isinstance(
+                    value, list):
+                value = tuple(tuple(v) if isinstance(v, list) else v
+                              for v in value)
+            (kwargs if part is None else nested.setdefault(part, {}))[
+                f.name] = value
+        for part, values in nested.items():
+            kwargs[part.name] = part.default_factory(**values)
+        return cls(**kwargs)
+
     def validate(self) -> None:
-        """The one judge of a config's values, its sections' included."""
-        ch, road, krauss, safety = (self.channel, self.road, self.krauss,
-                                    self.safety)
-        # JSON can deliver NaN, 4.5, "20", true, null and [1] to any field:
+        """The one judge of a config's values, its sections' included.
+        Each message names a value by its flat key."""
+        # JSON can deliver NaN, 4.5, "20", true, null and [1] to any key:
         # each section field must hold its section, every float-annotated
-        # field a finite number and every int-annotated field an integer
-        sections = [self]
-        for section in sections:
-            for f in fields(section):
-                val = getattr(section, f.name)
-                if f.default_factory is not MISSING:  # a section, by class
-                    if not isinstance(val, f.default_factory):
-                        raise ConfigError(
-                            f"{f.name} must be a "
-                            f"{f.default_factory.__name__}, got {val!r}")
-                    sections.append(val)
-                floating = f.type in ("float", float)
-                if floating and not _is_number(val):
-                    raise ConfigError(f"{f.name} must be a number, got {val!r}")
-                # NaN, the infinities and an int too large for a float fail
-                if (floating or isinstance(val, float)) and not (
-                        abs(val) <= sys.float_info.max):
-                    raise ConfigError(f"{f.name} must be finite, got {val}")
-                if f.type in ("int", int) and (
-                        isinstance(val, bool)
-                        or not isinstance(val, numbers.Integral)):
-                    raise ConfigError(
-                        f"{f.name} must be an integer, got {val!r}")
-                # nakagami_table unpacks the bins into floats
-                if f.name == "nakagami_bins" and not (
-                        isinstance(val, (list, tuple)) and all(
-                            isinstance(pair, (list, tuple)) and len(pair) == 2
-                            and all(map(_is_number, pair)) for pair in val)):
-                    raise ConfigError(f"nakagami_bins must be (bound, m) "
-                                      f"pairs of numbers, got {val!r}")
+        # key a finite number and every int-annotated key an integer
+        flat = {}
+        for key, (part, f) in FLAT_KEYS.items():
+            holder = self if part is None else getattr(self, part.name)
+            if part is not None and not isinstance(holder,
+                                                   part.default_factory):
+                raise ConfigError(
+                    f"{part.name} must be a "
+                    f"{part.default_factory.__name__}, got {holder!r}")
+            val = flat[key] = getattr(holder, f.name)
+            floating = f.type in ("float", float)
+            if floating and not _is_number(val):
+                raise ConfigError(f"{key} must be a number, got {val!r}")
+            # NaN, the infinities and an int too large for a float fail
+            if (floating or isinstance(val, float)) and not (
+                    abs(val) <= sys.float_info.max):
+                raise ConfigError(f"{key} must be finite, got {val}")
+            counting = f.type in ("int", int)
+            if counting and (isinstance(val, bool)
+                             or not isinstance(val, numbers.Integral)):
+                raise ConfigError(f"{key} must be an integer, got {val!r}")
+            # numpy sizes arrays and draws in 64 bits; SeedSequence takes
+            # a seed of any size
+            if counting and key != "seed" and val > 2 ** 63 - 1:
+                raise ConfigError(
+                    f"{key} must be at most 2**63 - 1, got {val}")
+            # nakagami_table unpacks each bin into a bound and an m
+            if key == "nakagami_bins" and not (
+                    isinstance(val, (list, tuple)) and all(
+                        isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(map(_is_number, pair)) for pair in val)):
+                raise ConfigError(f"nakagami_bins must be (bound, m) "
+                                  f"pairs of numbers, got {val!r}")
+        # a top-level key names its field: the rules read it off self
         if self.vehicle_count < 2:
             raise ConfigError(
                 f"vehicle_count must be at least 2, got {self.vehicle_count}")
@@ -143,11 +171,10 @@ class SimConfig:
         if round(self.mobility_tick_s * NS) < 1:
             raise ConfigError(f"mobility_tick_s must be at least 1 ns, got "
                               f"{self.mobility_tick_s}")
-        for name in ("trace_path", "dump_trace_path"):
-            val = getattr(self, name)
-            if val is not None and not isinstance(val, str):
+        for key in ("trace_path", "dump_trace_path"):
+            if flat[key] is not None and not isinstance(flat[key], str):
                 raise ConfigError(
-                    f"{name} must be a path string or null, got {val!r}")
+                    f"{key} must be a path string or null, got {flat[key]!r}")
         # the trace is dumped after the run: a path in a missing directory
         # or naming a directory must fail before it
         dump = self.dump_trace_path
@@ -155,84 +182,79 @@ class SimConfig:
                                  or not Path(dump).parent.is_dir()):
             raise ConfigError(f"dump_trace_path {dump!r} names a directory "
                               f"or is not in an existing one")
-        for section, name in (
-                (self, "duration_s"), (self, "seed"),
+        for key in (
+                "duration_s", "seed",
                 # a negative arbitration gap grants the medium before the
                 # request and never lets the clock advance; a negative
                 # preamble makes the airtime negative
-                (ch, "aifs_us"), (ch, "preamble_us"),
-                (krauss, "min_gap"), (safety, "t_react")):
-            val = getattr(section, name)
-            if not val >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {val}")
-        for section, name in (
-                (self, "t_mi_s"), (self, "slot_s"),
-                (self, "neighbor_timeout_s"),
+                "aifs_us", "preamble_us", "min_gap", "t_react"):
+            if not flat[key] >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {flat[key]}")
+        for key in (
+                "t_mi_s", "slot_s", "neighbor_timeout_s",
                 # a backoff slot that is not positive counts down without
                 # time passing, or divides by zero; a range that is not
                 # positive evaluates no receiver, so every PDR is undefined
-                (ch, "slot_time_us"), (ch, "range_m"),
-                (ch, "max_reception_range_m"), (ch, "data_rate_mbps"),
-                (ch, "path_loss_exponent"), (road, "lane_width"),
-                (krauss, "max_accel"), (krauss, "max_decel"),
-                (krauss, "s_max"),
+                "slot_time_us", "range_m", "max_reception_range_m",
+                "data_rate_mbps", "path_loss_exponent", "road_lane_width",
+                "max_accel", "max_decel", "s_max",
                 # v_safe divides by (v_leader + v_follower) / (2 b) + tau,
                 # which a zero reaction time lets vanish for two stopped
                 # vehicles
-                (krauss, "driver_reaction"),
+                "driver_reaction",
                 # the risk metric divides by decel and rel_speed_floor: a
                 # zero must fail here, not mid-run as a ZeroDivisionError,
                 # and a negative one would run on silently
-                (safety, "decel"), (safety, "rel_speed_floor")):
-            val = getattr(section, name)
-            if not val > 0:
-                raise ConfigError(f"{name} must be positive, got {val}")
-        for section, name in ((self, "slot_capacity"),
-                              (self, "bsm_size_bytes"), (ch, "cw"),
-                              (road, "lanes")):
-            val = getattr(section, name)
-            if val < 1:
-                raise ConfigError(f"{name} must be at least 1, got {val}")
-        if not 0.0 <= krauss.imperfection_sigma <= 1.0:
+                "decel", "rel_speed_floor"):
+            if not flat[key] > 0:
+                raise ConfigError(f"{key} must be positive, got {flat[key]}")
+        for key in ("slot_capacity", "bsm_size_bytes", "cw", "road_lanes"):
+            if flat[key] < 1:
+                raise ConfigError(f"{key} must be at least 1, got {flat[key]}")
+        if not 0.0 <= flat["imperfection_sigma"] <= 1.0:
             raise ConfigError(f"imperfection_sigma must be in [0, 1], got "
-                              f"{krauss.imperfection_sigma}")
+                              f"{flat['imperfection_sigma']}")
         # the innermost ring must keep positive side lengths
-        if (2 * road.lanes - 1) * road.lane_width >= min(road.length,
-                                                         road.width):
+        lanes, lane_width = flat["road_lanes"], flat["road_lane_width"]
+        if (2 * lanes - 1) * lane_width >= min(flat["road_length"],
+                                               flat["road_width"]):
             raise ConfigError(
-                f"{road.lanes} lanes of {road.lane_width} m do not fit a "
-                f"{road.length} x {road.width} m circuit")
+                f"road_lanes={lanes} of road_lane_width={lane_width} do not "
+                f"fit road_length={flat['road_length']} x "
+                f"road_width={flat['road_width']}")
         # Krauss starts vehicle i of n on lane i % lanes, at fraction i / n
         # of its ring. The rule asks each lane's perimeter per vehicle to
         # be two min gaps at least: that bounds the mean start gap, not the
         # smallest, which can be far smaller where a ring wraps round. A
         # replay places nobody
         n = self.vehicle_count if self.trace_path is None else 0
-        for lane in range(min(road.lanes, n)):
-            k = len(range(lane, n, road.lanes))   # the lane's vehicles
-            if k > 1 and road.perimeter(lane) / k < 2.0 * krauss.min_gap:
-                raise ConfigError(f"{k} vehicles do not fit lane {lane} "
-                                  f"at min gap {krauss.min_gap}")
+        min_gap = flat["min_gap"]
+        for lane in range(min(lanes, n)):
+            k = len(range(lane, n, lanes))   # the lane's vehicles
+            if k > 1 and self.road.perimeter(lane) / k < 2.0 * min_gap:
+                raise ConfigError(
+                    f"vehicle_count={n} puts {k} vehicles on lane {lane}, "
+                    f"too many for min_gap={min_gap}")
         # only the slotted mode reads slot_s. A step of 0 ticks would never
         # let the clock advance
         slotted = self.channel_mode == "idealized_slotted"
-        for name in ("t_mi_s", "slot_s") if slotted else ("t_mi_s",):
-            val = getattr(self, name)
-            ratio = val / self.mobility_tick_s
+        for key in ("t_mi_s", "slot_s") if slotted else ("t_mi_s",):
+            ratio = flat[key] / self.mobility_tick_s
             if (not math.isfinite(ratio) or round(ratio) < 1
                     or abs(ratio - round(ratio)) > 1e-9):
                 raise ConfigError(
-                    f"{name}={val} must be an integer multiple (at least 1) "
-                    f"of mobility_tick_s={self.mobility_tick_s}")
+                    f"{key}={flat[key]} must be an integer multiple (at "
+                    f"least 1) of mobility_tick_s={self.mobility_tick_s}")
         if not 0 < self.delta_min_s <= self.delta_init_s <= self.delta_max_s:
             raise ConfigError(
-                f"need 0 < delta_min <= delta_init <= delta_max, got "
+                f"need 0 < delta_min_s <= delta_init_s <= delta_max_s, got "
                 f"{self.delta_min_s}, {self.delta_init_s}, {self.delta_max_s}")
         if self.beta <= 1.0:
             raise ConfigError(f"beta must exceed 1, got {self.beta}")
         # a broadcast interval shorter than one frame's airtime only makes
         # BSMs that replace each other in the queue, and one that rounds to
         # 0 ns would never let the clock advance
+        ch = self.channel
         airtime = tx_duration(self.bsm_size_bytes, ch)
         if self.delta_min_s < airtime:
             raise ConfigError(
@@ -242,27 +264,29 @@ class SimConfig:
         # seconds at every instant of the run
         if (round(airtime * NS) < 1
                 or self.duration_s + airtime == self.duration_s):
-            raise ConfigError(f"airtime {airtime} s is below 1 ns or "
-                              f"vanishes beside duration_s={self.duration_s}")
+            raise ConfigError(
+                f"bsm_size_bytes={self.bsm_size_bytes} airs for {airtime} s "
+                f"at data_rate_mbps={ch.data_rate_mbps}: below 1 ns, or "
+                f"nothing beside duration_s={self.duration_s}")
         bounds, shapes = ch.nakagami_table
         # the m-distribution is defined for m >= 1/2 (Nakagami 1960); below
         # it the gamma draw can underflow to 0.0, whose log10 fails mid-run
         for m, _ in shapes:
             if not 0.5 <= m < math.inf:
                 raise ConfigError(
-                    f"every Nakagami m must be at least 1/2 and finite, "
-                    f"got {m}")
+                    f"every Nakagami m in nakagami_bins and nakagami_m_far "
+                    f"must be at least 1/2 and finite, got {m}")
         # delivery_outcome bisects for the first bin whose bound exceeds
         # the distance, which needs the bounds strictly ascending
         if not all(math.isfinite(b) for b in bounds) or any(
                 lo >= hi for lo, hi in zip(bounds, bounds[1:])):
             raise ConfigError(f"nakagami_bins bounds must be finite and "
                               f"strictly ascending, got {bounds}")
-        if ch.range_m > ch.max_reception_range_m:
+        if flat["range_m"] > flat["max_reception_range_m"]:
             raise ConfigError(
-                f"range_m={ch.range_m} exceeds max_reception_range_m="
-                f"{ch.max_reception_range_m}: receivers between the two "
-                f"would never be evaluated")
+                f"range_m={flat['range_m']} exceeds max_reception_range_m="
+                f"{flat['max_reception_range_m']}: receivers between the "
+                f"two would never be evaluated")
         if self.forced_schedule is not None:
             if not slotted:
                 raise ConfigError("forced_schedule requires idealized_slotted mode")
@@ -292,6 +316,26 @@ class SimConfig:
                         f"forced_schedule slot {k + 1} lists a vehicle twice")
 
 
+def _flat_keys() -> dict:
+    """The flat config keys, each mapped to its (section, field): the
+    section is the SimConfig field with a default_factory that holds it,
+    None for SimConfig's own. Road keys carry a road_ prefix."""
+    table = {}
+    for part in fields(SimConfig):
+        if part.default_factory is MISSING:
+            table[part.name] = (None, part)
+            continue
+        prefix = "road_" if part.name == "road" else ""
+        for f in fields(part.default_factory):
+            if prefix + f.name in table:
+                raise AssertionError(f"config key collision: {f.name}")
+            table[prefix + f.name] = (part, f)
+    return table
+
+
+FLAT_KEYS = _flat_keys()
+
+
 def _is_number(val) -> bool:
     """A real number, and not a bool (JSON's true would run as 1)."""
     # a float first: the abstract class check costs ten times as much
@@ -303,7 +347,8 @@ def check_trace_coverage(trace: TrajectoryTable, n: int, duration_s: float
                          ) -> None:
     """Refuse a trace unless it holds exactly vehicles 0..n-1, each from 0
     to the run's end on the ns grid: the run reads everyone at both."""
-    if not np.array_equal(trace.ids, np.arange(n)):
+    # the count first: a huge n must not allocate its whole range
+    if len(trace.ids) != n or not np.array_equal(trace.ids, np.arange(n)):
         raise ConfigError(
             f"trace vehicles {trace.ids.tolist()} do not match "
             f"vehicle_count {n} (need ids 0..{n - 1})")

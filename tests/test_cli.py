@@ -20,6 +20,14 @@ def write_config(tmp_path, name="cfg.json", **kw):
     return str(path)
 
 
+# nakagami_bins that are no (bound, m) pairs of numbers, which validate
+# judges alone
+BAD_BINS = [{"nakagami_bins": [["80", 3]]}, {"nakagami_bins": [[True, 3]]},
+            {"nakagami_bins": [[80, 3, 5]]}, {"nakagami_bins": None}]
+BAD_BIN_IDS = ["string_bin_bound", "bool_bin_bound", "bin_triple",
+               "null_nakagami_bins"]
+
+
 class TestParseConfig:
     def test_empty_object_yields_documented_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -52,13 +60,23 @@ class TestParseConfig:
                                     {"vehicle_count": 1},
                                     {"forced_schedule": [0, 1]},
                                     {"nakagami_bins": [1, 2]},
-                                    {"nakagami_bins": "ab"}],
+                                    {"nakagami_bins": "ab"},
+                                    *BAD_BINS,
+                                    {"road_length": "100"},
+                                    {"road_width": "100"},
+                                    {"road_lanes": 1.5},
+                                    {"road_lane_width": -1}],
                              ids=["section_check", "road_check", "validate",
                                   "flat_forced_schedule", "flat_nakagami_bins",
-                                  "string_nakagami_bins"])
+                                  "string_nakagami_bins", *BAD_BIN_IDS,
+                                  "string_road_length", "string_road_width",
+                                  "fractional_road_lanes",
+                                  "negative_road_lane_width"])
     def test_a_rejected_value_names_the_file(self, tmp_path, kw):
+        # then the value, by the flat key the file writes
         path = write_config(tmp_path, **kw)
-        with pytest.raises(ConfigError, match=f"^config {re.escape(path)}: "):
+        with pytest.raises(ConfigError, match=(
+                f"^config {re.escape(path)}: {next(iter(kw))} ")):
             parse_config(path)
 
     def test_single_vehicle_rejected(self, tmp_path):
@@ -69,6 +87,11 @@ class TestParseConfig:
         cfg = parse_config(write_config(
             tmp_path, nakagami_bins=[[50.0, 3.0], [150.0, 1.5]]))
         assert cfg.channel.nakagami_bins == ((50.0, 3.0), (150.0, 1.5))
+        # the builder turns lists into tuples and nothing else: integers
+        # stay as written, as every float key's do
+        cfg = parse_config(write_config(tmp_path, nakagami_bins=[[50, 3]]))
+        assert cfg.channel.nakagami_bins == ((50, 3),)
+        assert type(cfg.channel.nakagami_bins[0][0]) is int
 
     def test_forced_schedule_requires_the_idealized_channel(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -378,6 +401,11 @@ class TestBadInput:
         ({"bsm_size_bytes": 1, "data_rate_mbps": 1e12, "preamble_us": 0},
          None),
         ({}, ["--jobs", "0"]),
+        *((bins, None) for bins in BAD_BINS),
+        # a raw OverflowError in validate, and a ValueError from the
+        # backoff draw mid-run
+        ({"vehicle_count": 10 ** 30}, None),
+        ({"vehicle_count": 20, "duration_s": 2.0, "cw": 10 ** 30}, None),
     ], ids=["nan_duration", "fractional_vehicle_count", "range_beyond_cutoff",
             "descending_nakagami_bins", "removed_queue_key",
             "bad_density_list", "bad_seed_list", "density_below_two",
@@ -386,7 +414,8 @@ class TestBadInput:
             "negative_ranges", "flat_forced_schedule", "flat_nakagami_bins",
             "string_nakagami_bins", "repeated_seed", "repeated_density",
             "repeated_protocol", "nakagami_below_half",
-            "airtime_below_a_nanosecond", "no_jobs"])
+            "airtime_below_a_nanosecond", "no_jobs", *BAD_BIN_IDS,
+            "vehicle_count_beyond_64_bits", "cw_beyond_64_bits"])
     def test_exits_2_with_a_message_and_no_traceback(self, tmp_path, capsys,
                                                       config, sweep_args):
         self._assert_rejected_up_front(tmp_path, capsys, config, sweep_args)

@@ -911,7 +911,7 @@ class TestConfigGuards:
                       "mobility.py": {"params": KraussParams},
                       "metrics.py": {"params": SafetyParams}}
         by_name = {cls.__name__: cls for cls in sections}
-        checks = {"validate", "_check_numbers", "__post_init__"}
+        checks = {"validate", "__post_init__"}
         read = set()
 
         def walk(node, names, owner):
@@ -944,6 +944,14 @@ class TestConfigGuards:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(vehicle_count=4, duration_s=5.0,
                                      trace_path=braking_trace))
+
+    def test_a_replay_count_beyond_any_array_fails_on_the_count(
+            self, braking_trace):
+        # comparing ids with np.arange(n) raised a raw "array is too big";
+        # a count numpy could allocate would be allocated before failing
+        with pytest.raises(ConfigError, match="do not match vehicle_count"):
+            Simulation(SimConfig(vehicle_count=2 ** 62, duration_s=5.0,
+                                 trace_path=braking_trace))
 
     @pytest.mark.parametrize("first,last", [(5e-10, 1.0), (0.0, 1.0 - 5e-10)],
                              ids=["starts_after_zero", "ends_before_the_end"])

@@ -7,22 +7,24 @@ judge) or runs to completion with its report sound: frames conserved,
 gated age within plain age, PDR a ratio, no overlapping vehicles, and
 per-vehicle counts that add up.
 
-The strategy draws every key of ``cli.FLAT_KEYS``. Each key keeps its
-default or takes one of a few values a small run can take; on top of
-that, about one draw in four sets one key to an edge value (0, -1,
-1e-12, 1e12, a fraction where an integer belongs, a Nakagami shape below
-1/2, a string, null, true or a list where a float belongs, ...), and
+The strategy draws every key of the engine's one key map,
+``engine.FLAT_KEYS``. Each key keeps its default or takes one of a few
+values a small run can take; on top of that, about one draw in four sets
+one key to an edge value (0, -1, 1e-12, 1e12, a fraction where an
+integer belongs, a count beyond 64 bits, a Nakagami shape below 1/2, a
+string, null, true or a list where a float belongs, ...), and
 about one in five breaks the config in one of the ``INVALID`` ways.
 Edge values that would make a valid run large (a billion vehicles, a
-nanosecond tick, a run of 1e12 s) are not drawn: at most 8 vehicles run
+nanosecond tick, a run of 1e12 s) are not drawn; 2**62 vehicles are, as
+no road fits them and no trace holds them. At most 8 vehicles run
 for at most 3 s, ticks are at least 50 ms and broadcast intervals at
 least 1 ms, which is valid only for frames that air in less: 0.31 ms
 for 200 bytes, 1.37 ms for 1000 and 40 ms for 30 kB.
 Part of the examples are written to a JSON file and loaded with
-``cli.parse_config``, the rest are built in Python.
+``cli.parse_config``, the rest are built in Python with
+``SimConfig.from_flat``, the builder ``parse_config`` calls.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -30,7 +32,8 @@ from hypothesis import event, given, note, settings
 from hypothesis import strategies as st
 
 from taoi_sim import cli
-from taoi_sim.engine import CHANNEL_MODES, PROTOCOLS, SimConfig, Simulation
+from taoi_sim.engine import (CHANNEL_MODES, FLAT_KEYS, PROTOCOLS, SimConfig,
+                             Simulation)
 from taoi_sim.errors import ConfigError, SimError
 from taoi_sim.mobility import write_trace
 
@@ -56,7 +59,8 @@ def _values(*vals):
 
 # every flat key: (the values a small run takes, edge values)
 KEYS = {
-    "vehicle_count": (st.integers(2, MAX_VEHICLES), _values(1, 0, -1, 4.5)),
+    "vehicle_count": (st.integers(2, MAX_VEHICLES),
+                      _values(1, 0, -1, 4.5, 2 ** 62, 10 ** 30)),
     "duration_s": (st.floats(0.0, TRACE_S), _values(-1.0, 1e-12)),
     "seed": (st.integers(0, 2 ** 16), _values(-1, 1.5)),
     "protocol": (st.sampled_from(PROTOCOLS), _values("laplace")),
@@ -108,7 +112,8 @@ KEYS = {
     "carrier_sense_dbm": (_values(-102.0, -95.0), _values(0.0, 1e12, -1e12)),
     "slot_time_us": (_values(13.0, 9.0), _values(0.0, -1.0, 1e-12, 1e12)),
     "aifs_us": (_values(58.0, 34.0, 0.0), _values(-1.0, 1e-12, 1e12)),
-    "cw": (_values(15, 7, 1, 1023), _values(0, -1, 2.5, 10 ** 12)),
+    "cw": (_values(15, 7, 1, 1023),
+           _values(0, -1, 2.5, 10 ** 12, 2 ** 62, 10 ** 30)),
     "preamble_us": (_values(40.0, 0.0, 20.0), _values(-1.0, 1e-12, 1e12)),
     "nakagami_bins": (
         st.sets(_values(20.0, 80.0, 150.0, 200.0, 350.0), max_size=3).flatmap(
@@ -132,15 +137,9 @@ KEYS = {
 }
 
 
-def _annotation(key: str) -> str:
-    section, attr = cli.FLAT_KEYS[key]
-    cls = cli._SECTIONS[section] if section else SimConfig
-    return next(f.type for f in dataclasses.fields(cls) if f.name == attr)
-
-
 # the keys of float-annotated fields, and the values of other JSON types
 # that their edge draw may also take
-FLOAT_KEYS = {key for key in cli.FLAT_KEYS if _annotation(key) == "float"}
+FLOAT_KEYS = {key for key, (_, f) in FLAT_KEYS.items() if f.type == "float"}
 NOT_NUMBERS = _values("1.0", None, True, [1.0])
 
 # drawn in every example: the defaults of 150 vehicles and 100 s make no
@@ -210,25 +209,8 @@ def _resolve_paths(flat: dict, root) -> dict:
     return out
 
 
-def _build(flat: dict) -> SimConfig:
-    """The SimConfig of a flat config, built in Python as ``parse_config``
-    routes the keys, with tuples where JSON has lists."""
-    kwargs, nested = {}, {name: {} for name in cli._SECTIONS}
-    for key, value in flat.items():
-        section, attr = cli.FLAT_KEYS[key]
-        if key in ("forced_schedule", "nakagami_bins") and isinstance(
-                value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v
-                          for v in value)
-        (nested[section] if section else kwargs)[attr] = value
-    for name, cls in cli._SECTIONS.items():
-        if nested[name]:
-            kwargs[name] = cls(**nested[name])
-    return SimConfig(**kwargs)
-
-
 def test_the_strategy_draws_every_config_key():
-    assert set(KEYS) == set(cli.FLAT_KEYS)
+    assert set(KEYS) == set(FLAT_KEYS)
 
 
 @settings(max_examples=300)
@@ -243,7 +225,7 @@ def test_random_small_configs_fail_up_front_or_run_soundly(files, flat,
             path.write_text(json.dumps(flat))
             cfg = cli.parse_config(path)
         else:
-            cfg = _build(flat)
+            cfg = SimConfig.from_flat(flat)
             cfg.validate()
     except SimError as exc:
         note(f"rejected: {exc}")
@@ -281,4 +263,4 @@ def test_random_small_configs_fail_up_front_or_run_soundly(files, flat,
 @pytest.mark.parametrize("kw", INVALID)
 def test_the_invalid_draws_are_rejected(kw):
     with pytest.raises(ConfigError):
-        _build(kw).validate()
+        SimConfig.from_flat(kw).validate()
