@@ -150,13 +150,16 @@ class SimConfig:
             if counting and key != "seed" and val > 2 ** 63 - 1:
                 raise ConfigError(
                     f"{key} must be at most 2**63 - 1, got {val}")
-            # nakagami_table unpacks each bin into a bound and an m
+            # nakagami_table unpacks each bin into a bound and an m, and
+            # each number must pass the float keys' rule
             if key == "nakagami_bins" and not (
                     isinstance(val, (list, tuple)) and all(
                         isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(map(_is_number, pair)) for pair in val)):
+                        and all(_is_number(v)
+                                and abs(v) <= sys.float_info.max
+                                for v in pair) for pair in val)):
                 raise ConfigError(f"nakagami_bins must be (bound, m) "
-                                  f"pairs of numbers, got {val!r}")
+                                  f"pairs of finite numbers, got {val!r}")
         # a top-level key names its field: the rules read it off self
         if self.vehicle_count < 2:
             raise ConfigError(
@@ -272,16 +275,15 @@ class SimConfig:
         # the m-distribution is defined for m >= 1/2 (Nakagami 1960); below
         # it the gamma draw can underflow to 0.0, whose log10 fails mid-run
         for m, _ in shapes:
-            if not 0.5 <= m < math.inf:
+            if m < 0.5:
                 raise ConfigError(
                     f"every Nakagami m in nakagami_bins and nakagami_m_far "
-                    f"must be at least 1/2 and finite, got {m}")
+                    f"must be at least 1/2, got {m}")
         # delivery_outcome bisects for the first bin whose bound exceeds
         # the distance, which needs the bounds strictly ascending
-        if not all(math.isfinite(b) for b in bounds) or any(
-                lo >= hi for lo, hi in zip(bounds, bounds[1:])):
-            raise ConfigError(f"nakagami_bins bounds must be finite and "
-                              f"strictly ascending, got {bounds}")
+        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+            raise ConfigError(f"nakagami_bins bounds must be strictly "
+                              f"ascending, got {bounds}")
         if flat["range_m"] > flat["max_reception_range_m"]:
             raise ConfigError(
                 f"range_m={flat['range_m']} exceeds max_reception_range_m="
@@ -617,7 +619,6 @@ class Simulation:
         """Per-tick tracking error for every live record, collision risk
         for in-range pairs, and reception-timeout eviction."""
         cfg = self.cfg
-        self._flush_receptions()
         risk, dead = sample_te_and_risk(
             self.pairs, t_s, self._xs, self._ys, self._vxs, self._vys,
             self._speeds, self._dist, cfg.channel.range_m, cfg.safety,

@@ -11,16 +11,15 @@ corner. Cross-lane reasoning projects a vehicle onto the neighbor ring by
 holding its along-side coordinate.
 
 Externally supplied trajectories arrive as CSV traces with uniform tick
-spacing and are linearly interpolated between samples.
+spacing, parsed by one ``np.loadtxt`` call, and are linearly interpolated
+between samples.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
-import io
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -399,10 +398,6 @@ class TrajectoryTable:
 
 _TRACE_DTYPE = np.dtype([(name, "i8" if name in ("vehicle_id", "lane")
                           else "f8") for name in TRACE_FIELDS])
-_INT64 = np.iinfo(np.int64)
-# the bytes of plain numbers, and what is left of the header without them
-_PLAIN = b"0123456789.+-eE \t,\r\n"
-_HEADER_LETTERS = ",".join(TRACE_FIELDS).encode().translate(None, _PLAIN)
 
 
 def _build_table(t, vid, x, y, speed, heading, lane) -> TrajectoryTable:
@@ -452,104 +447,76 @@ def _build_table(t, vid, x, y, speed, heading, lane) -> TrajectoryTable:
                            heading[order], lane[order])
 
 
-def _loadtxt_columns(text: str):
-    """The seven columns of a trace, in file order, from one
-    ``np.loadtxt`` pass, when every line is plain ASCII numbers and
-    passes the row checks; otherwise None."""
-    # float() and int() take syntax np.loadtxt refuses, and np.loadtxt
-    # takes some they refuse (an id of 0\x1c): only a file of plain
-    # numbers under the header passes
-    if (not text.isascii()
-            or text.encode().translate(None, _PLAIN) != _HEADER_LETTERS):
-        return None
-    # the csv module ends a line at \r, \n and \r\n; np.loadtxt takes a
-    # line that ends in \r and refuses one with \r anywhere else
-    lines = text.split("\n")
-    # the lines hold all of the text: dropping it keeps it out of the
-    # load's peak memory
-    del text
-    if tuple(h.strip() for h in lines[0].split(",")) != TRACE_FIELDS:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # numpy before 1.23 parses an id written as 3.0 with a
-            # DeprecationWarning instead of refusing it
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines[1:], dtype=_TRACE_DTYPE,
-                              delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    columns = [rows[name] for name in TRACE_FIELDS]
-    t, _, x, y, speed, heading, lane = columns
-    if (len(t) == 0 or not all(np.isfinite(c).all()
-                               for c in (t, x, y, speed, heading))
-            or (speed < 0).any() or (lane < 0).any()):
-        return None
-    return columns
-
-
-def _row_columns(text: str) -> list:
-    """The seven columns of a trace, in file order, read row by row with
-    ``float()`` and ``int()``: the reading for any syntax ``np.loadtxt``
-    refuses (quoted fields, ``1_000.5``, non-ASCII digits), and the one
-    that names the line of every error."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != TRACE_FIELDS:
-        raise TraceError(f"bad trace header: {header!r}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(TRACE_FIELDS):
-            raise TraceError(f"line {lineno}: expected 7 fields, got {len(row)}")
-        try:
-            t = float(row[0])
-            vid = int(row[1])
-            x, y, speed, heading = (float(v) for v in row[2:6])
-            lane = int(row[6])
-        except ValueError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from None
-        for name, v in (("t", t), ("x", x), ("y", y), ("speed", speed),
-                        ("heading", heading)):
-            if not math.isfinite(v):
-                raise TraceError(f"line {lineno}: {name} is not finite: {v}")
-        if speed < 0:
-            raise TraceError(f"line {lineno}: negative speed {speed}")
-        if lane < 0:
-            raise TraceError(f"line {lineno}: negative lane {lane}")
-        for name, v in (("vehicle_id", vid), ("lane", lane)):
-            if not _INT64.min <= v <= _INT64.max:
-                raise TraceError(
-                    f"line {lineno}: {name} {v} does not fit 64 bits")
-        rows.append((t, vid, x, y, speed, heading, lane))
-    if not rows:
-        raise TraceError("trace contains no samples")
-    return [np.array(c, dtype=_TRACE_DTYPE[name])
-            for name, c in zip(TRACE_FIELDS, zip(*rows))]
-
-
 def load_trace(path) -> TrajectoryTable:
     """Parse a trajectory CSV. Schema (exact header):
     t,vehicle_id,x,y,speed,heading,lane. Rejects a file it cannot open or
-    decode, malformed rows, non-finite values, negative speeds or lanes,
-    duplicate timestamps and nonuniform ticks, all with TraceError. A file
-    of plain numbers is read in one ``np.loadtxt`` pass; anything else,
-    and any file that fails a row check, is read row by row, which takes
-    every syntax ``float()`` and ``int()`` take and names the failing
-    line."""
-    columns = _loadtxt_columns(_read_text(path))
-    if columns is None:
-        columns = _row_columns(_read_text(path))
-    return _build_table(*columns)
-
-
-def _read_text(path) -> str:
+    decode, malformed rows, ids and lanes beyond 64 bits, non-finite
+    values, negative speeds or lanes, duplicate timestamps and nonuniform
+    ticks, all with TraceError; every row error names its line. Lines
+    end where ``str.splitlines`` ends them: at \\n, \\r\\n and \\r, and also
+    at \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029."""
     try:
         with open(path, newline="") as fh:
-            return fh.read()
+            lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from None
+    header = next(csv.reader(lines[:1]), None)
+    if header is None or tuple(h.strip() for h in header) != TRACE_FIELDS:
+        raise TraceError(f"bad trace header: {header!r}")
+    del lines[0]
+    if not any(line.strip() for line in lines):
+        raise TraceError("trace contains no samples")
+    rows = _parse_rows(lines)
+    # per row: a non-finite t, x, y, speed or heading, in that order, then
+    # a negative speed, then a negative lane
+    checks = [(name, ~np.isfinite(rows[name]), f"{name} is not finite:")
+              for name in ("t", "x", "y", "speed", "heading")]
+    checks += [(name, rows[name] < 0, f"negative {name}")
+               for name in ("speed", "lane")]
+    bad = np.any([mask for _, mask, _ in checks], axis=0)
+    if bad.any():
+        r = int(np.argmax(bad))
+        name, what = next((name, what) for name, mask, what in checks
+                          if mask[r])
+        lineno = [n for n, line in enumerate(lines, start=2)
+                  if line.strip()][r]
+        raise TraceError(f"line {lineno}: {what} {rows[name][r].item()}")
+    # dropping the lines keeps them out of the table build's peak memory
+    del lines
+    return _build_table(*(rows[name] for name in TRACE_FIELDS))
+
+
+def _loadtxt(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=_TRACE_DTYPE, delimiter=",",
+                      comments=None, ndmin=1, quotechar='"')
+
+
+def _parse_rows(lines: list) -> np.ndarray:
+    """One row per non-blank line of the file's lines from line 2 on,
+    from one ``np.loadtxt`` call. Only a file that fails takes more
+    passes: one more call with its whitespace-only lines emptied, as
+    ``np.loadtxt`` skips only empty lines, and then one call per line,
+    which names the first that fails."""
+    try:
+        rows = _loadtxt(lines)
+    except ValueError:
+        lines = [line if line.strip() else "" for line in lines]
+        try:
+            rows = _loadtxt(lines)
+        except ValueError:
+            rows = None
+    # one call runs a quoted field left open on into the next line; a
+    # call per line keeps every field on its own line
+    if rows is not None and len(rows) == len(lines) - lines.count(""):
+        return rows
+    parsed = []
+    for lineno, line in enumerate(lines, start=2):
+        if line:
+            try:
+                parsed.append(_loadtxt([line]))
+            except ValueError as exc:
+                raise TraceError(f"line {lineno}: {exc}") from None
+    return np.concatenate(parsed)
 
 
 def write_trace(path, rows) -> None:

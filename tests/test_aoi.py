@@ -537,9 +537,9 @@ def _replay(n, timeout_ms, steps):
             cells = [(e[0][0], j) for e in sim._rx_log for j in e[1]]
             seen["rounds"] += len(cells) > len(set(cells))
             seen["at_flush_instant"] += last_rx_ms == now_ms
-        if kind == "flush":
-            sim._flush_receptions()
-        else:
+        # every point flushes first, a tick at its top before its sweep
+        sim._flush_receptions()
+        if kind != "flush":
             # a measurement boundary is also a tick, which runs first
             before = sim.risk_count
             sim._sample_te_and_risk(t)

@@ -20,12 +20,16 @@ def write_config(tmp_path, name="cfg.json", **kw):
     return str(path)
 
 
-# nakagami_bins that are no (bound, m) pairs of numbers, which validate
-# judges alone
+# nakagami_bins that are no (bound, m) pairs of finite numbers, which
+# validate judges alone; JSON writes 10**400 out in full, and it once
+# raised a raw OverflowError
 BAD_BINS = [{"nakagami_bins": [["80", 3]]}, {"nakagami_bins": [[True, 3]]},
-            {"nakagami_bins": [[80, 3, 5]]}, {"nakagami_bins": None}]
+            {"nakagami_bins": [[80, 3, 5]]}, {"nakagami_bins": None},
+            {"nakagami_bins": [[80, 10 ** 400]]},
+            {"nakagami_bins": [[10 ** 400, 3]]}]
 BAD_BIN_IDS = ["string_bin_bound", "bool_bin_bound", "bin_triple",
-               "null_nakagami_bins"]
+               "null_nakagami_bins", "bin_m_beyond_float",
+               "bin_bound_beyond_float"]
 
 
 class TestParseConfig:
