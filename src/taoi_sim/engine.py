@@ -595,8 +595,9 @@ class Simulation:
         (``lane_remap``) if it changed lane."""
         road, lanes, n = self.cfg.road, self._lanes, self.n
         start = old_arcs.copy()
+        old, new = old_lanes.tolist(), lanes.tolist()
         for i in np.flatnonzero(old_lanes != lanes).tolist():
-            start[i] = road.lane_remap(start[i], old_lanes[i], lanes[i])
+            start[i] = road.lane_remap(start[i], old[i], new[i])
         # each vehicle's leader is the next start on its new ring, ties in
         # id order, wrapping round; a vehicle alone on its ring leads itself
         order = np.lexsort((start, lanes))
@@ -604,7 +605,7 @@ class Simulation:
         leader = np.empty(n, dtype=np.intp)
         leader[order] = np.where(ring == lanes[after], after,
                                  order[np.searchsorted(ring, ring)])
-        perimeter = road.lane_columns[3][lanes]
+        perimeter = road.perimeter(lanes)
         gap_old = (start[leader] - start) % perimeter
         disp = (self._arcs - start) % perimeter
         self.negative_gap_events += int(np.count_nonzero(

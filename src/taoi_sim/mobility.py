@@ -21,7 +21,6 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,39 +54,22 @@ class RoadConfig:
     lanes: int = 3
     lane_width: float = 4.0
 
-    @cached_property
-    def _lane_geometry(self) -> tuple:
-        """(inset, long side, short side, perimeter) of every lane ring,
-        computed once per road, on first use: a road with a fractional
-        lane count must still construct so that validation can reject
-        it."""
-        geometry = []
-        for lane in range(self.lanes):
-            d = (lane + 0.5) * self.lane_width
-            long, short = self.length - 2.0 * d, self.width - 2.0 * d
-            geometry.append((d, long, short, 2.0 * (long + short)))
-        return tuple(geometry)
+    def lane_geometry(self, lanes):
+        """(inset, long side, short side, perimeter) of lane ring k, inset
+        (k + 0.5) lane widths, for one k or elementwise for an array."""
+        d = (lanes + 0.5) * self.lane_width
+        long, short = self.length - 2.0 * d, self.width - 2.0 * d
+        return d, long, short, 2.0 * (long + short)
 
-    @cached_property
-    def lane_columns(self) -> tuple:
-        """(inset, long side, short side, perimeter), each as an array
-        indexed by lane."""
-        return tuple(np.array(c) for c in zip(*self._lane_geometry))
-
-    def lane_geometry(self, lane: int) -> tuple[float, float, float, float]:
-        if not 0 <= lane < self.lanes:
-            raise ValueError(f"lane {lane} outside [0, {self.lanes})")
-        return self._lane_geometry[lane]
-
-    def perimeter(self, lane: int) -> float:
-        return self.lane_geometry(lane)[3]
+    def perimeter(self, lanes):
+        return self.lane_geometry(lanes)[3]
 
     def lane_poses(self, arcs, lanes) -> tuple:
         """Map arc coordinates on lane rings to (x, y, heading) arrays:
         each arc is reduced modulo its ring's perimeter and then walked
         along the sides from the ring's start, one chained subtraction per
         side passed."""
-        d, long, short, perimeter = (c[lanes] for c in self.lane_columns)
+        d, long, short, perimeter = self.lane_geometry(lanes)
         s0 = arcs % perimeter
         s1 = s0 - long
         s2 = s1 - short
@@ -107,19 +89,15 @@ class RoadConfig:
         dt_, lt, st, pt = self.lane_geometry(lane_to)
         s = arc % pf
         if s < lf:
-            u = min(max((df + s) - dt_, 0.0), lt)
-            return u
+            return min(max((df + s) - dt_, 0.0), lt)
         s -= lf
         if s < sf:
-            u = min(max((df + s) - dt_, 0.0), st)
-            return lt + u
+            return lt + min(max((df + s) - dt_, 0.0), st)
         s -= sf
         if s < lf:
             xabs = (self.length - df) - s
-            u = min(max((self.length - dt_) - xabs, 0.0), lt)
-            return lt + st + u
-        s -= lf
-        yabs = (self.width - df) - s
+            return lt + st + min(max((self.length - dt_) - xabs, 0.0), lt)
+        yabs = (self.width - df) - (s - lf)
         u = min(max((self.width - dt_) - yabs, 0.0), st)
         return (2.0 * lt + st + u) % pt
 
@@ -216,8 +194,7 @@ def _lane_change_target(i, lanes, arcs, speeds, rings, params, road) -> int:
             continue
         ach = _achievable(v, gf, leadt, speeds, params)
         if ach > best_gain:
-            best_gain = ach
-            best_lane = tgt
+            best_gain, best_lane = ach, tgt
     return best_lane
 
 
@@ -231,7 +208,8 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     the (possibly new) lane ring. The rng supplies one imperfection draw
     per vehicle per tick, in id order, regardless of traffic layout, as
     one ``rng.random(n)`` call. Each vehicle moves from the arc its state
-    carries, so a state without one (a replayed state) is rejected.
+    carries: a state without one (a replayed state) or on a lane outside
+    the road is rejected.
     """
     if dt <= 0:
         raise ValueError(f"tick must be positive, got {dt}")
@@ -242,11 +220,18 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     if None in arcs:
         raise ValueError(
             f"vehicle {states[arcs.index(None)].id} carries no arc")
+    for l in (min(lanes, default=0), max(lanes, default=0)):
+        if not 0 <= l < road.lanes:
+            raise ValueError(f"vehicle {states[lanes.index(l)].id} is on lane "
+                             f"{l}, outside [0, {road.lanes})")
 
-    rings = [_Ring(road.perimeter(l)) for l in range(road.lanes)]
+    # in lane order, a ring for each lane a lane change reads or enters
+    reach = {m for l in set(lanes) for m in (l - 1, l, l + 1)}
+    rings = {l: _Ring(road.perimeter(l)) for l in sorted(reach)
+             if 0 <= l < road.lanes}
     for i in range(n):
         rings[lanes[i]].insert(arcs[i], i)
-    for ring in rings:
+    for ring in rings.values():
         for a1, a2, j1, j2 in zip(ring.arcs, ring.arcs[1:], ring.idx, ring.idx[1:]):
             if a1 == a2:
                 raise ValueError(
@@ -271,13 +256,13 @@ def krauss_step(states, params: KraussParams, road: RoadConfig, dt: float,
     # vehicles and _lane_change_target vetoes a landing on an occupied
     # arc. A vehicle alone on its ring leads itself and drives free
     lead = np.empty(n, dtype=np.intp)
-    for ring in rings:
+    for ring in rings.values():
         if ring.idx:
             lead[ring.idx] = ring.idx[1:] + ring.idx[:1]
     led = lead != np.arange(n)
     arc_a = np.array(arcs)
     speed_a = np.array(speeds)
-    perimeter_a = road.lane_columns[3][lanes]
+    perimeter_a = road.perimeter(np.array(lanes))
     gap = np.remainder(arc_a[lead] - arc_a, perimeter_a)
 
     # min(v + a dt, s_max, v_safe) less the imperfection, floored at 0, in
@@ -486,9 +471,22 @@ def load_trace(path) -> TrajectoryTable:
     return _build_table(*(rows[name] for name in TRACE_FIELDS))
 
 
-def _loadtxt(lines) -> np.ndarray:
-    return np.loadtxt(lines, dtype=_TRACE_DTYPE, delimiter=",",
-                      comments=None, ndmin=1, quotechar='"')
+def _loadtxt(lines, dtype=_TRACE_DTYPE, usecols=None) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      ndmin=1, quotechar='"', usecols=usecols)
+
+
+def _row_error(line: str) -> str:
+    """Why ``np.loadtxt`` refuses a line: its field count, or else its
+    first field that does not convert, found one column at a time."""
+    fields = _loadtxt([line], dtype=str).tolist()
+    if len(fields) != len(TRACE_FIELDS):
+        return f"expected {len(TRACE_FIELDS)} fields, got {len(fields)}"
+    for k, name in enumerate(TRACE_FIELDS):
+        try:
+            _loadtxt([line], dtype=_TRACE_DTYPE[name], usecols=k)
+        except ValueError:
+            return f"could not convert string {fields[k]!r} in column {name}"
 
 
 def _parse_rows(lines: list) -> np.ndarray:
@@ -514,8 +512,8 @@ def _parse_rows(lines: list) -> np.ndarray:
         if line:
             try:
                 parsed.append(_loadtxt([line]))
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from None
+            except ValueError:
+                raise TraceError(f"line {lineno}: {_row_error(line)}") from None
     return np.concatenate(parsed)
 
 

@@ -165,6 +165,14 @@ class TestLifecycle:
         assert rep.overall_pdr is None
         assert rep.mean_interval_ms == pytest.approx(100.0)
 
+    def test_a_road_of_2_62_lanes_runs(self):
+        # nothing in a run is sized by the road's lane count
+        rep = run_simulation(SimConfig(
+            vehicle_count=6, duration_s=1.0,
+            road=RoadConfig(lanes=2**62, lane_width=1e-20)))
+        assert rep.negative_gap_events == 0
+        assert rep.counts["generated"] > 0
+
     def test_frame_conservation(self):
         rep = run_simulation(SimConfig(vehicle_count=10, duration_s=3.0,
                                        protocol="taoi", seed=4))

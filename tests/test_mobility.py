@@ -2,6 +2,7 @@
 
 import bisect
 import csv
+import dataclasses
 import math
 import re
 
@@ -255,6 +256,35 @@ class TestKraussStep:
         with pytest.raises(ValueError, match="vehicle 1 carries no arc"):
             krauss_step([_veh(0, 50.0, 10.0), replayed], KraussParams(),
                         ROAD, 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("lane", [-1, 3])
+    def test_a_lane_outside_the_road_is_rejected(self, lane):
+        states = initial_states(ROAD, KraussParams(), 6,
+                                np.random.default_rng(1))
+        states[0] = dataclasses.replace(states[0], lane=lane)
+        with pytest.raises(ValueError, match=rf"^vehicle 0 is on lane "
+                           rf"{lane}, outside \[0, 3\)$"):
+            krauss_step(states, KraussParams(), ROAD, 0.1,
+                        np.random.default_rng(2))
+
+    def test_only_the_lanes_in_reach_get_a_ring(self, monkeypatch):
+        # a lane change reads and enters only a vehicle's own lane and its
+        # neighbors, so a road's other lanes cost nothing
+        built = 0
+        init = mobility._Ring.__init__
+
+        def counting_init(ring, perimeter):
+            nonlocal built
+            built += 1
+            init(ring, perimeter)
+
+        monkeypatch.setattr(mobility._Ring, "__init__", counting_init)
+        road = RoadConfig(lanes=10**5, lane_width=1e-9)
+        states = initial_states(road, KraussParams(), 6,
+                                np.random.default_rng(1))
+        krauss_step(states, KraussParams(), road, 0.1,
+                    np.random.default_rng(2))
+        assert 0 < built <= 3 * len({s.lane for s in states})
 
     def test_nonpositive_tick_rejected(self):
         with pytest.raises(ValueError):
@@ -622,6 +652,14 @@ class TestRoadGeometry:
         assert ROAD.lane_geometry(0)[1:3] == (996.0, 96.0)
         assert ROAD.perimeter(0) == 2184.0
 
+    @pytest.mark.parametrize("road", [ROAD, *CORNER_ROADS,
+                                      RoadConfig(lanes=40, lane_width=1.1)])
+    def test_lane_arrays_equal_the_scalar_calls_bit_for_bit(self, road):
+        got = road.lane_geometry(np.arange(road.lanes))
+        want = zip(*(road.lane_geometry(lane) for lane in range(road.lanes)))
+        for vector, scalar in zip(got, want):
+            assert _bits(vector) == _bits(scalar)
+
     def test_inner_lanes_are_shorter(self):
         assert ROAD.perimeter(0) > ROAD.perimeter(1) > ROAD.perimeter(2)
 
@@ -730,6 +768,21 @@ class TestTraceIo:
                    f"0.0,0,0.0,2.0,10.0,0.0,0\n\n \t\n{row}\n")
         with pytest.raises(TraceError,
                            match=f"^line 5: .*{re.escape(message)}"):
+            load_trace(p)
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.0,0,0.0,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0,0\n"
+         "0.2,0,2.0,2.0,10.0,0.0,0\n0.3,0,ten,2.0,10.0,0.0,0\n",
+         "line 5: could not convert string 'ten' in column x"),
+        ("0.0,0,0.0,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0\n",
+         "line 3: expected 7 fields, got 6"),
+        ("\n\n0.0,0,0.0,2.0,10.0,0.0,0\n0.1,0,1.0,2.0,10.0,0.0\n",
+         "line 5: expected 7 fields, got 6"),
+    ])
+    def test_a_row_that_does_not_parse_names_its_line_and_field(
+            self, tmp_path, body, message):
+        p = _write(tmp_path / "bad.csv", body)
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
             load_trace(p)
 
     def test_a_quoted_field_ends_with_its_line(self, tmp_path):

@@ -39,3 +39,62 @@ def test_the_check_finds_an_unused_import():
                            "from os import path, sep\n"
                            "np.zeros(math.floor(1.5), sep)\n") == \
         ["line 1: io", "line 4: path"]
+
+
+def _definitions(tree):
+    """(line, name) of each module-level function, class and assigned
+    name, and of each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.lineno, m.name) for m in node.body
+                        if isinstance(m, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            yield from ((node.lineno, n.id) for t in targets
+                        for n in ast.walk(t) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Store))
+
+
+def _orphaned_private_names(sources: dict) -> list:
+    """The private names (one leading underscore, not a dunder) that the
+    modules in ``sources`` (file name -> source) define and none of them
+    reads. A read is a loaded name, a loaded attribute such as
+    ``self._m`` or a ``from ... import``."""
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        defined += [(module, line, name) for line, name in _definitions(tree)
+                    if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in read]
+
+
+def test_no_private_name_goes_unread():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _orphaned_private_names(sources) == []
+
+
+def test_the_check_finds_an_orphaned_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_spare: int = 4\n_x, _y = 1, 2\n\n"
+                "def _helper():\n    return _LIMIT + _x\n\n\n"
+                "class _Box:\n    def __init__(self):\n        self._n = 0\n\n"
+                "    def _grow(self):\n        self._n += 1\n\n"
+                "    def _unused(self):\n        return self._grow()\n",
+        "b.py": "from .a import _helper\n\n\ndef _lonely():\n"
+                "    return _helper()\n",
+    }
+    assert _orphaned_private_names(sources) == [
+        "a.py line 2: _spare", "a.py line 3: _y", "a.py line 9: _Box",
+        "a.py line 16: _unused", "b.py line 4: _lonely"]
