@@ -13,7 +13,8 @@ Every record of a run lives in one ``PairTable``: flat arrays of n * n
 cells, where cell ``r * n + s`` holds receiver r's record of sender s and
 ``live`` says which cells hold one. The functions below take the table
 and an integer array of cells and update those cells together; a cell may
-appear at most once per call.
+appear at most once per call. Receptions come instead as one columnar
+record per batch of decided frames (``apply_reception``).
 
 ``advance`` integrates the continuous sawtooth. The slotted mode accounts
 its areas as right-endpoint steps instead (``slotted.slot_sample``); both
@@ -22,13 +23,11 @@ add their areas through ``accrue``, and one table never mixes the two.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import UndefinedValueError
 
-# the cached snapshot of a record, in the order of a log entry's fields
+# the cached snapshot of a record, in the order of a frame row's fields
 SNAPSHOT = ("gen_time", "bx", "by", "bvx", "bvy", "risky", "interval")
 
 
@@ -100,12 +99,6 @@ def snapshot(bsm) -> tuple:
             bsm.interval)
 
 
-def log_entry(bsm, now: float, receivers) -> tuple:
-    """One decoded frame for ``apply_reception``: (sender, now, snapshot
-    fields) and the ids of the receivers that decoded it at ``now``."""
-    return (bsm.sender, now, *snapshot(bsm)), receivers
-
-
 def swap_snapshot(table: PairTable, cells, fields, now) -> None:
     """Replace the cached snapshots of ``cells`` with the snapshot fields
     (``SNAPSHOT`` order; scalars or arrays aligned with the cells)
@@ -174,26 +167,21 @@ def accrue(table: PairTable, cells, area, t) -> None:
     table.cursor[cells] = t
 
 
-def apply_reception(table: PairTable, log) -> None:
-    """Continuous-mode receptions: apply a log of decoded frames (see
-    ``log_entry``), in log order, which is time order.
+def apply_reception(table: PairTable, frames, frame, rx) -> None:
+    """Continuous-mode receptions of one batch of decided frames.
+    ``frames`` holds one row per frame, (sender, reception time,
+    *snapshot fields), in time order; link i is receiver ``rx[i]``
+    decoding frame row ``frame[i]``, in frame order.
 
     Each reception closes the pair's sawtooth up to its time under the
     outgoing snapshot's flag and installs the new snapshot, so the age
     right after it is the in-flight delay; a pair without a record gets
-    one. A pair that appears k times in the log is updated in k rounds,
+    one. A pair that appears k times in the batch is updated in k rounds,
     its i-th reception in round i, so every cell sees its receptions in
-    time order; new records are opened in log order.
+    time order; new records are opened in link order.
     """
-    if not log:
-        return
-    frames = np.array([fields for fields, _ in log], dtype=float)
-    counts = [len(rx) for _, rx in log]
-    frame = np.repeat(np.arange(len(log)), counts)
-    receivers = np.fromiter(chain.from_iterable(rx for _, rx in log),
-                            np.intp, len(frame))
-    cells = receivers * table.n + frames[frame, 0].astype(np.intp)
-    # an entry's round is the number of earlier entries of its cell
+    cells = rx * table.n + frames[frame, 0].astype(np.intp)
+    # a link's round is the number of earlier links of its cell
     order = np.argsort(cells, kind="stable")
     ranked = cells[order]
     starts = np.flatnonzero(np.concatenate(([True],
@@ -202,8 +190,8 @@ def apply_reception(table: PairTable, log) -> None:
     rank = np.empty(len(cells), np.intp)
     rank[order] = np.arange(len(ranked)) - np.repeat(starts, sizes)
     for k in range(sizes.max(initial=0)):
-        entries = np.flatnonzero(rank == k)
-        c, f = cells[entries], frames[frame[entries]]
+        links = np.flatnonzero(rank == k)
+        c, f = cells[links], frames[frame[links]]
         fresh = ~table.live[c]
         if fresh.any():
             new = f[fresh]

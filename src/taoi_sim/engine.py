@@ -349,11 +349,18 @@ def check_trace_coverage(trace: TrajectoryTable, n: int, duration_s: float
                          ) -> None:
     """Refuse a trace unless it holds exactly vehicles 0..n-1, each from 0
     to the run's end on the ns grid: the run reads everyone at both."""
+    ids, m = trace.ids, len(trace.ids)
     # the count first: a huge n must not allocate its whole range
-    if len(trace.ids) != n or not np.array_equal(trace.ids, np.arange(n)):
+    if m != n or not np.array_equal(ids, np.arange(n)):
+        # the ids are sorted and distinct: the first one off its position
+        # is extra, or its position's id is missing
+        k = min(m, n)
+        i = int(np.argmax(np.append(ids[:k] != np.arange(k), True)))
+        extra = i < m and (i == n or ids[i] < i)
         raise ConfigError(
-            f"trace vehicles {trace.ids.tolist()} do not match "
-            f"vehicle_count {n} (need ids 0..{n - 1})")
+            f"trace vehicles do not match vehicle_count {n}: the trace "
+            f"holds {m}, and id {int(ids[i]) if extra else i} is "
+            f"{'extra' if extra else 'missing'} (need ids 0..{n - 1})")
     T = round(duration_s * NS) / NS
     lo, hi = trace.t[trace.offsets[:-1]], trace.t[trace.offsets[1:] - 1]
     short = np.flatnonzero((lo > 0.0) | (hi < T))
@@ -481,7 +488,6 @@ class Simulation:
 
         self.pairs = aoi.PairTable(self.n)
         self._ended: list = []    # finished frames not yet decided
-        self._rx_log: list = []   # decoded frames not yet in the pair table
         self._unposed: set = set()  # frames awaiting their pose
         self.vehicles = [
             _Vehicle(i, ControllerState(cfg.delta_init_s),
@@ -529,10 +535,10 @@ class Simulation:
     # ------------------------------------------------------------ running
 
     def run(self) -> RunReport:
-        if self.T_ns == 0:
-            return self._finalize()
         if self.cfg.dump_trace_path is not None:
             self._record_trace_rows(0.0)
+        if self.T_ns == 0:
+            return self._finalize()
         self._push(self.tick_ns, EV_MOBILITY)
         self._push(self.t_mi_ns, EV_MEASUREMENT)
         self._push(self.T_ns, EV_END)
@@ -693,19 +699,16 @@ class Simulation:
             self._begin_access(v, t_ns)
 
     def _flush_receptions(self) -> None:
-        """Decide every frame that ended since the last flush, then fold
-        every decoded frame into the pair table. Runs wherever pair state
-        is read, before any vehicle moves: the top of the mobility tick,
-        the measurement boundary and the wrap-up."""
+        """Decide every frame that ended since the last flush and fold
+        what decoded into the pair table. Runs wherever pair state is
+        read, before any vehicle moves: the top of the mobility tick, the
+        measurement boundary and the wrap-up."""
         if self._unposed:
             self._pose_payloads(list(self._unposed))
             self._unposed = set()
         if self._ended:
             self._decide(self._ended)
             self._ended = []
-        if self._rx_log:
-            aoi.apply_reception(self.pairs, self._rx_log)
-            self._rx_log = []
 
     def _pose_payloads(self, pending: list) -> None:
         """Fill in the pose of each payload at its generation instant, as
@@ -730,10 +733,12 @@ class Simulation:
             p.x, p.y, p.speed, p.heading = px, py, pv, ph
 
     def _decide(self, ended: list) -> None:
-        """Delivery and PDR counting for a batch of finished frames, in end
-        order. A frame is offered to every other vehicle within the cutoff
-        of its sender, in id order; those within ``range_m`` are its PDR
-        opportunities, binned by the same distance."""
+        """Delivery, PDR counting and receptions for a batch of finished
+        frames, in end order. A frame is offered to every other vehicle
+        within the cutoff of its sender, in id order; those within
+        ``range_m`` are its PDR opportunities, binned by the same distance.
+        The decoded links, each as its frame's row and receiver, are the
+        PDR successes and the pair table's columnar record."""
         ch, n, k = self.cfg.channel, self.n, len(ended)
         frames = [(tx, over) for tx, _, over in ended]
         senders = np.array([tx.sender for tx, _ in frames], dtype=np.intp)
@@ -742,22 +747,22 @@ class Simulation:
         near[np.arange(k), senders] = False
         frame_of, rx = np.nonzero(near)
         links = link_budgets(frames, frame_of, rx, self._xs, self._ys, ch)
-        rng, log = self.fading_rng, self._rx_log
-        decoded = []
-        for (tx, t_s, over), lk in zip(ended, links):
-            got = delivery_outcome(tx, lk, over, rng, ch)
-            if got:
-                log.append(aoi.log_entry(tx, t_s, got))
-            decoded.append(got)
+        rng = self.fading_rng
+        decoded = [delivery_outcome(tx, lk, over, rng, ch)
+                   for (tx, _, over), lk in zip(ended, links)]
+        frame = np.repeat(np.arange(k), [len(got) for got in decoded])
+        rx = np.fromiter(chain.from_iterable(decoded), np.intp, len(frame))
         # range_m <= cutoff, so the PDR audience is a subset of the links
-        counts = [len(got) for got in decoded]
         hit = np.zeros((k, n), dtype=bool)
-        hit[np.repeat(np.arange(k), counts), np.fromiter(
-            chain.from_iterable(decoded), np.intp, sum(counts))] = True
+        hit[frame, rx] = True
         dist = rows[near]
         audience = dist <= ch.range_m
         pdr_record(self.pdr, dist[audience],
                    np.flatnonzero(hit[near][audience]))
+        if len(rx):
+            aoi.apply_reception(self.pairs, np.array(
+                [(tx.sender, t_s, *aoi.snapshot(tx)) for tx, t_s, _ in ended]),
+                frame, rx)
 
     # --------------------------------------------------- measurement loop
 
@@ -891,7 +896,7 @@ class Simulation:
              "mi_count": mi_count,
              "generated": v.generated}
             for v in self.vehicles]
-        if cfg.dump_trace_path is not None and self.trace_rows:
+        if cfg.dump_trace_path is not None:
             write_trace(cfg.dump_trace_path, self.trace_rows)
         report = RunReport(
             protocol=cfg.protocol,

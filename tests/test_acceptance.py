@@ -32,6 +32,7 @@ from taoi_sim.oracle import (
     replay_schedule,
     toy_problem,
 )
+from test_aoi import receive
 
 MS = 1e-3
 
@@ -112,10 +113,8 @@ def test_zero_threshold_collapses_taoi_to_aoi():
         # threshold zero means every flag assessment returns risky, so every
         # BSM raises the flag and the gate is open on every stretch of
         # every link; the whole log goes through one flush
-        aoi.apply_reception(rec, [
-            aoi.log_entry(Bsm(1, g * MS, 0.0, 0.0, 0.0, 0.0,
-                              riskiness_flag=1), r * MS, [0])
-            for r, g in zip(rx_ms, gens_ms)])
+        receive(rec, [(Bsm(1, g * MS, 0.0, 0.0, 0.0, 0.0, riskiness_flag=1),
+                       r * MS, [0]) for r, g in zip(rx_ms, gens_ms)])
         aoi.advance(rec, LINK, horizon_ms * MS)
         assert abs(rec.taoi_run[1] - rec.aoi_run[1]) <= 1e-9
         window = horizon_ms * MS
@@ -148,8 +147,7 @@ def test_pairwise_area_matches_a_millisecond_riemann_sum():
 
         rec = _fresh_link()
         for g, r in zip(gen_s, rx_s):
-            aoi.apply_reception(rec, [aoi.log_entry(
-                Bsm(1, g, 0.0, 0.0, 0.0, 0.0, 1), r, [0])])
+            receive(rec, [(Bsm(1, g, 0.0, 0.0, 0.0, 0.0, 1), r, [0])])
         aoi.advance(rec, LINK, horizon_ms * MS)
 
         # receptions sit on the grid, so the age is linear inside every

@@ -12,6 +12,7 @@ arithmetic it replaced, which this file keeps as ``_Record``.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,8 +32,21 @@ def _bsm(gen, risky=1, interval=0.1, sender=1):
                interval=interval)
 
 
+def receive(table, entries):
+    """Apply (bsm, now, receivers) entries, in time order, to ``table`` as
+    one batch: the frame rows and per-link columns the engine's flush hands
+    ``aoi.apply_reception``."""
+    frames = np.array([(bsm.sender, now, *aoi.snapshot(bsm))
+                       for bsm, now, _ in entries], dtype=float)
+    frame = np.repeat(np.arange(len(entries)),
+                      [len(rx) for *_, rx in entries])
+    rx = np.fromiter(chain.from_iterable(rx for *_, rx in entries), np.intp,
+                     len(frame))
+    aoi.apply_reception(table, frames, frame, rx)
+
+
 def _receive(table, bsm, now, receiver=0):
-    aoi.apply_reception(table, [aoi.log_entry(bsm, now, [receiver])])
+    receive(table, [(bsm, now, [receiver])])
 
 
 def _opened(bsm, now):
@@ -174,13 +188,46 @@ class TestReception:
 
     @given(st.floats(0.05, 2.0), st.integers(2, 12))
     def test_half_period_property(self, period, cycles):
-        # every reception in one log: the flush applies them in rounds
+        # every reception in one batch: the flush applies them in rounds
         table = _fresh()
-        aoi.apply_reception(table, [
-            aoi.log_entry(_bsm(k * period), k * period, [0])
-            for k in range(1, cycles + 1)])
+        receive(table, [(_bsm(k * period), k * period, [0])
+                        for k in range(1, cycles + 1)])
         avg = table.aoi_run[1] / (cycles * period)
         assert avg == pytest.approx(period / 2.0, rel=1e-9)
+
+
+def _batch(n):
+    """n and one batch of decided frames among n vehicles, in time order:
+    the sender, generation, delay, flag and distinct receivers of each."""
+    frame = st.integers(0, n - 1).flatmap(lambda s: st.tuples(
+        st.just(s), st.floats(0.0, 1.0), st.floats(0.0, 0.05),
+        st.integers(0, 1), st.lists(st.sampled_from(
+            [j for j in range(n) if j != s]), min_size=1, unique=True)))
+    return st.tuples(st.just(n), st.lists(frame, min_size=1, max_size=12).map(
+        lambda frames: sorted(frames, key=lambda f: f[1] + f[2])))
+
+
+class TestReceiverOrder:
+    @given(st.integers(2, 6).flatmap(_batch), st.data())
+    def test_the_order_inside_a_frame_does_not_matter(self, case, data):
+        # a frame reaches each receiver once, and each receiver walks its
+        # records by receiver first: permuting a frame's receivers moves
+        # only the global record numbers
+        n, batch = case
+        tables = aoi.PairTable(n), aoi.PairTable(n)
+        for table, permute in zip(tables, (False, True)):
+            receive(table, [
+                (_bsm(g, risky=risky, sender=s), g + delay,
+                 data.draw(st.permutations(rx)) if permute else rx)
+                for s, g, delay, risky, rx in batch])
+        a, b = (vars(t) for t in tables)
+        for name, value in a.items():
+            if isinstance(value, np.ndarray) and name != "seq":
+                assert np.array_equal(value, b[name]), name
+        assert a["next_seq"] == b["next_seq"]
+        live = np.flatnonzero(a["live"])
+        assert tables[0].by_insertion(live).tolist() == \
+            tables[1].by_insertion(live).tolist()
 
 
 class TestDualRouteArea:
@@ -212,9 +259,8 @@ class TestDualRouteArea:
         rxs = times[1::2][: len(gens)]
         # the record starts under gates[0]; reception i carries gates[i + 1]
         table = _fresh(risky=gates[0])
-        aoi.apply_reception(table, [
-            aoi.log_entry(_bsm(g, risky=gates[i + 1]), r, [0])
-            for i, (g, r) in enumerate(zip(gens, rxs))])
+        receive(table, [(_bsm(g, risky=gates[i + 1]), r, [0])
+                        for i, (g, r) in enumerate(zip(gens, rxs))])
         aoi.advance(table, CELL, 10.0)
         assert table.taoi_run[1] <= table.aoi_run[1] + 1e-12
         assert table.taoi_mi[1] <= table.aoi_mi[1] + 1e-12
@@ -291,11 +337,9 @@ class TestAggregation:
 
     def test_system_average_spreads_over_all_ordered_pairs(self):
         # one link heard once at t=0 averages 3 s over the 6 s run; the
-        # other five ordered pairs of three vehicles weigh zero. The
-        # reception is still in the log: the wrap-up flushes it
+        # other five ordered pairs of three vehicles weigh zero
         sim = _sim()
-        sim._rx_log.append(aoi.log_entry(_bsm(0.0, risky=1, sender=0), 0.0,
-                                         [1]))
+        receive(sim.pairs, [(_bsm(0.0, risky=1, sender=0), 0.0, [1])])
         rep = sim._finalize()
         assert rep.system_aoi_s == pytest.approx(0.5)
         assert rep.system_taoi_s == pytest.approx(0.5)
@@ -304,8 +348,8 @@ class TestAggregation:
         # heard at 0.5 s, silent over the (2, 3] window: no neighbor
         # population, so neither vehicle AoI nor TAoI has a value
         sim = _sim()
-        sim._rx_log.append(aoi.log_entry(
-            Bsm(1, 0.5, 30.0, 2.0, 15.0, 0.0, riskiness_flag=1), 0.5, [0]))
+        receive(sim.pairs, [
+            (Bsm(1, 0.5, 30.0, 2.0, 15.0, 0.0, riskiness_flag=1), 0.5, [0])])
         sim._on_measurement(3 * NS)
         rows = [row for row in sim.timeseries if row[1] == 0]
         t, vid, _, _, aoi_v, taoi_v = rows[-1]
@@ -325,11 +369,10 @@ class TestWindowReset:
     def test_mean_tracking_error_needs_samples(self):
         # the engine reports a pair's mean error only once it has samples
         sim = _sim()
-        sim._rx_log.append(aoi.log_entry(_bsm(0.0, sender=0), 0.0, [1]))
+        receive(sim.pairs, [(_bsm(0.0, sender=0), 0.0, [1])])
         assert sim._finalize().te_pairs == []
         sim = _sim()
-        sim._rx_log.append(aoi.log_entry(_bsm(0.0, sender=0), 0.0, [1]))
-        sim._flush_receptions()
+        receive(sim.pairs, [(_bsm(0.0, sender=0), 0.0, [1])])
         cell = 1 * 3 + 0   # receiver 1's record of sender 0
         sim.pairs.te_sum[cell], sim.pairs.te_count[cell] = 3.0, 2
         assert sim._finalize().te_pairs == [(1, 0, 1.5, 2)]
@@ -505,17 +548,18 @@ def _assert_same_state(table, ref):
 
 def _replay(n, timeout_ms, steps):
     """Drive one engine and the reference through the same steps:
-    ("rx", dt, sender, receivers, delay, risky, interval, x, v) logs a
+    ("rx", dt, sender, receivers, delay, risky, interval, x, v) queues a
     decoded frame; ("flush", dt), ("tick", dt) and ("measure", dt) are
-    the engine's flush points, and a measurement comes with a tick at
-    its instant, as in a run. Times are whole milliseconds, dt apart.
-    Returns what the scenario exercised."""
+    the engine's flush points, where the queued frames go into the pair
+    table as one batch, as they do at the wrap-up. A measurement comes
+    with a tick at its instant, as in a run. Times are whole
+    milliseconds, dt apart. Returns what the scenario exercised."""
     sim = Simulation(SimConfig(vehicle_count=n, duration_s=1.0, seed=n,
                                t_mi_s=0.1, protocol="taoi",
                                neighbor_timeout_s=timeout_ms / 1000.0))
     ref = _Reference(sim)
     seen = {"rounds": 0, "at_flush_instant": 0, "reheard": 0, "resets": 0}
-    now_ms, last_rx_ms = 0, None
+    now_ms, last_rx_ms, pending = 0, None, []
     for kind, dt, *args in steps:
         now_ms = min(now_ms + dt, 1000)
         t = now_ms * 10 ** 6 / NS
@@ -529,16 +573,17 @@ def _replay(n, timeout_ms, steps):
             if any((sender, j) in ref.pair_areas
                    and sender not in ref.records[j] for j in receivers):
                 seen["reheard"] += 1
-            sim._rx_log.append(aoi.log_entry(bsm, t, set(receivers)))
+            pending.append((bsm, t, set(receivers)))
             ref.receive(bsm, t, receivers)
             last_rx_ms = now_ms
             continue
-        if sim._rx_log:
-            cells = [(e[0][0], j) for e in sim._rx_log for j in e[1]]
+        # every point flushes first, a tick at its top before its sweep
+        if pending:
+            cells = [(bsm.sender, j) for bsm, _, rx in pending for j in rx]
             seen["rounds"] += len(cells) > len(set(cells))
             seen["at_flush_instant"] += last_rx_ms == now_ms
-        # every point flushes first, a tick at its top before its sweep
-        sim._flush_receptions()
+            receive(sim.pairs, pending)
+            pending = []
         if kind != "flush":
             # a measurement boundary is also a tick, which runs first
             before = sim.risk_count
@@ -551,6 +596,8 @@ def _replay(n, timeout_ms, steps):
             assert got == want
             seen["resets"] += 1
         _assert_same_state(sim.pairs, ref)
+    if pending:
+        receive(sim.pairs, pending)
     rep = sim._finalize()
     sys_aoi, te_pairs = ref.finish(1.0, 1.0)
     assert rep.system_aoi_s == sys_aoi

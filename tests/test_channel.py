@@ -616,7 +616,9 @@ class TestDrawForDraw:
                              ids=["overlap_free", "overlapped"])
     def test_decoded_ids_enter_the_set_in_receiver_order(self, far_frame):
         # 1, 9 and 17 share a hash slot of a small set, so the set's
-        # iteration order is its insertion order, which numbers records
+        # iteration order is its insertion order. Nothing downstream needs
+        # it: a frame's receivers are distinct, and the pair table orders
+        # each receiver's records by receiver first (see test_aoi.py)
         tx = _tx(0, 0.0, 0.0, 0.0)
         concurrent = [_tx(50, 0.0, 2000.0, 0.0)] if far_frame else []
         got = _deliver(tx, [_rx(i, 5.0) for i in (1, 9, 17)], concurrent,

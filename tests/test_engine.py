@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taoi_sim import aoi, engine, slotted
+from taoi_sim import aoi, engine, mobility, slotted
 from taoi_sim.channel import ChannelConfig
 from taoi_sim.cli import parse_config
 from taoi_sim.engine import NS, SimConfig, Simulation, run_simulation
@@ -209,10 +209,12 @@ class TestLifecycle:
     @pytest.mark.parametrize("kw", [
         dict(mobility_tick_s=0.0005, t_mi_s=0.1, duration_s=0.3),
         dict(mobility_tick_s=1 / 3, t_mi_s=1 / 3, duration_s=0.999999999),
-    ], ids=["half_ms_tick", "third_s_tick"])
+        dict(duration_s=0.0),
+    ], ids=["half_ms_tick", "third_s_tick", "zero_s"])
     def test_a_dump_at_any_tick_replays(self, tmp_path, kw):
         # t is dumped on the nanosecond grid: written to the millisecond, a
-        # 0.5 ms tick gave duplicate timestamps and a 1/3 s tick uneven ones
+        # 0.5 ms tick gave duplicate timestamps and a 1/3 s tick uneven ones.
+        # A 0 s run dumps its t=0 rows, the one instant it reads
         base = dict(vehicle_count=4, seed=1, **kw)
         krauss, replay = tmp_path / "krauss.csv", tmp_path / "replay.csv"
         run_simulation(SimConfig(**base, dump_trace_path=str(krauss)))
@@ -623,16 +625,19 @@ class TestPayloadPoses:
 
 
 class TestReceptionBookkeeping:
-    """Decoded frames wait in the reception log until the next flush;
-    receiver 0's record of sender 1 is cell 1 of the 3-vehicle table."""
+    """Finished frames wait undecided until the next flush, whose
+    ``_decide`` folds what decoded into the pair table. Here every frame
+    decodes at receiver 0 alone, whose record of sender 1 is cell 1 of the
+    3-vehicle table."""
 
     @pytest.fixture
-    def sim(self):
+    def sim(self, monkeypatch):
+        monkeypatch.setattr(engine, "delivery_outcome", lambda *args: {0})
         return Simulation(SimConfig(vehicle_count=3, duration_s=2.0, seed=0))
 
     @staticmethod
     def _receive(sim, bsm, t_s):
-        sim._rx_log.append(aoi.log_entry(bsm, t_s, {0}))
+        sim._ended.append((bsm, t_s, []))
 
     def test_age_resets_to_in_flight_delay(self, sim):
         bsm = Bsm(1, 0.0985, 30.0, 2.0, 15.0, 0.0, riskiness_flag=1,
@@ -960,6 +965,22 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="do not match vehicle_count"):
             Simulation(SimConfig(vehicle_count=2 ** 62, duration_s=5.0,
                                  trace_path=braking_trace))
+
+    @pytest.mark.parametrize("ids,n,offending", [
+        (range(20000), 10, "holds 20000, and id 10 is extra"),
+        ((0, 2), 3, "id 1 is missing"), ((0, 1), 3, "id 2 is missing"),
+        ((-1, 0, 1), 3, "id -1 is extra"), ((0, 1, 2, 7), 3, "id 7 is extra")],
+        ids=["20000_for_10", "gap", "short", "negative", "beyond"])
+    def test_a_coverage_error_names_the_first_offending_id(self, ids, n,
+                                                           offending):
+        # the message once listed every id: 128,951 characters for 20,000
+        ids = np.array(ids)
+        trace = mobility.TrajectoryTable(ids, np.arange(len(ids) + 1),
+                                         *np.zeros((6, len(ids))))
+        with pytest.raises(ConfigError,
+                           match="do not match vehicle_count") as err:
+            engine.check_trace_coverage(trace, n, 0.0)
+        assert offending in str(err.value) and len(str(err.value)) < 200
 
     @pytest.mark.parametrize("first,last", [(5e-10, 1.0), (0.0, 1.0 - 5e-10)],
                              ids=["starts_after_zero", "ends_before_the_end"])

@@ -41,13 +41,13 @@ def test_the_check_finds_an_unused_import():
         ["line 1: io", "line 4: path"]
 
 
-def _definitions(tree):
+def _definitions(tree, methods=True):
     """(line, name) of each module-level function, class and assigned
-    name, and of each method."""
+    name, and of each method unless ``methods`` is false."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and methods:
             yield from ((m.lineno, m.name) for m in node.body
                         if isinstance(m, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -58,24 +58,48 @@ def _definitions(tree):
                         and isinstance(n.ctx, ast.Store))
 
 
+def _reads(tree) -> set:
+    """The names a module reads: loaded names, loaded attributes such as
+    ``self._m`` and the names of a ``from ... import``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def _orphaned_private_names(sources: dict) -> list:
     """The private names (one leading underscore, not a dunder) that the
     modules in ``sources`` (file name -> source) define and none of them
-    reads. A read is a loaded name, a loaded attribute such as
-    ``self._m`` or a ``from ... import``."""
+    reads."""
     defined, read = [], set()
     for module, source in sorted(sources.items()):
         tree = ast.parse(source)
         defined += [(module, line, name) for line, name in _definitions(tree)
                     if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(
-                    node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= _reads(tree)
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in read]
+
+
+def _orphaned_public_names(sources: dict) -> list:
+    """The public module-level functions, classes and assigned names that
+    the modules in ``sources`` define and none of them reads (see
+    ``_reads``); ``__init__.py`` only re-exports, so its reads do not
+    count."""
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        defined += [(module, line, name)
+                    for line, name in _definitions(tree, methods=False)
+                    if not name.startswith("_")]
+        if module != "__init__.py":
+            read |= _reads(tree)
     return [f"{module} line {line}: {name}" for module, line, name in defined
             if name not in read]
 
@@ -98,3 +122,21 @@ def test_the_check_finds_an_orphaned_private_name():
     assert _orphaned_private_names(sources) == [
         "a.py line 2: _spare", "a.py line 3: _y", "a.py line 9: _Box",
         "a.py line 16: _unused", "b.py line 4: _lonely"]
+
+
+def test_no_public_name_goes_unread():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _orphaned_public_names(sources) == []
+
+
+def test_the_check_finds_an_orphaned_public_name():
+    sources = {
+        "__init__.py": "from .a import LIMIT, Box, spare\n",
+        "a.py": "LIMIT = 3\nspare: int = 4\n\n\n"
+                "def helper():\n    return LIMIT\n\n\n"
+                "class Box:\n    def grow(self):\n        return 1\n",
+        "b.py": "from .a import helper\n\n\ndef lonely():\n"
+                "    return helper()\n",
+    }
+    assert _orphaned_public_names(sources) == [
+        "a.py line 2: spare", "a.py line 9: Box", "b.py line 4: lonely"]
