@@ -4,17 +4,12 @@ and the no-capture collision rule."""
 import bisect
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import taoi_sim
 from taoi_sim.channel import (
     NS,
     ChannelConfig,
@@ -28,6 +23,8 @@ from taoi_sim.channel import (
     tx_duration,
 )
 from taoi_sim.mobility import VehicleState
+
+from test_source import _python
 
 CFG = ChannelConfig()
 AIFS = CFG.aifs_us * 1e-6
@@ -768,13 +765,6 @@ class TestVectorDraw:
         _assert_same_state(fast, ref)
 
 
-def _python(code):
-    src = str(Path(taoi_sim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
-
-
 class TestImportFootprint:
     def test_the_engine_loads_the_cffi_backend_without_cffi(self):
         # cffi's cdef parser pulls in pycparser: megabytes of peak RSS and
@@ -787,6 +777,6 @@ class TestImportFootprint:
 
     def test_a_missing_cffi_fails_the_import_and_names_it(self):
         out = _python("import sys; sys.modules['_cffi_backend'] = None; "
-                      "import taoi_sim")
+                      "import taoi_sim.channel")
         assert out.returncode != 0
         assert "needs the cffi package" in out.stderr

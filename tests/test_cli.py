@@ -505,3 +505,16 @@ class TestReproduceTables:
         out = capsys.readouterr().out
         assert "PASS alternating: all cells match" in out
         assert "PASS single_shot: all cells match" in out
+
+    def test_reports_each_mismatched_cell_and_fails(self, capsys,
+                                                    monkeypatch):
+        alternating = dict(cli.TABLE_ALTERNATING, aoi_uv=(0, 1, 0, 1, 0, 2))
+        single_shot = dict(cli.TABLE_SINGLE_SHOT, te_vu=(1, 4, 1, 1, 1))
+        monkeypatch.setattr(cli, "TABLE_ALTERNATING", alternating)
+        monkeypatch.setattr(cli, "TABLE_SINGLE_SHOT", single_shot)
+        assert main(["reproduce-tables"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines()
+                if line.startswith(("PASS", "FAIL"))] == [
+            "FAIL alternating: aoi_uv[slot 6]: expected 2, got 1",
+            "FAIL single_shot: te_vu: expected 5 slots, got 6"]

@@ -1,13 +1,24 @@
-"""Checks on the package's source that need no linter."""
+"""Checks on the package's source and imports that need no linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "taoi_sim"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+PUBLIC_MODULES = [name[:-3] for name in MODULES if not name.startswith("_")]
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter with this package on its path."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def _unused_imports(source: str) -> list:
@@ -90,16 +101,14 @@ def _orphaned_private_names(sources: dict) -> list:
 def _orphaned_public_names(sources: dict) -> list:
     """The public module-level functions, classes and assigned names that
     the modules in ``sources`` define and none of them reads (see
-    ``_reads``); ``__init__.py`` only re-exports, so its reads do not
-    count."""
+    ``_reads``)."""
     defined, read = [], set()
     for module, source in sorted(sources.items()):
         tree = ast.parse(source)
         defined += [(module, line, name)
                     for line, name in _definitions(tree, methods=False)
                     if not name.startswith("_")]
-        if module != "__init__.py":
-            read |= _reads(tree)
+        read |= _reads(tree)
     return [f"{module} line {line}: {name}" for module, line, name in defined
             if name not in read]
 
@@ -131,7 +140,6 @@ def test_no_public_name_goes_unread():
 
 def test_the_check_finds_an_orphaned_public_name():
     sources = {
-        "__init__.py": "from .a import LIMIT, Box, spare\n",
         "a.py": "LIMIT = 3\nspare: int = 4\n\n\n"
                 "def helper():\n    return LIMIT\n\n\n"
                 "class Box:\n    def grow(self):\n        return 1\n",
@@ -140,3 +148,18 @@ def test_the_check_finds_an_orphaned_public_name():
     }
     assert _orphaned_public_names(sources) == [
         "a.py line 2: spare", "a.py line 9: Box", "b.py line 4: lonely"]
+
+
+def test_the_package_loads_no_submodule():
+    # each public name has one import path, its module's
+    out = _python("import sys, taoi_sim; print(sorted(m for m in sys.modules"
+                  " if m.startswith('taoi_sim.')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]"]
+
+
+@pytest.mark.parametrize("module", PUBLIC_MODULES)
+def test_each_module_imports_first_and_alone(module):
+    # an import cycle shows only when its modules load in some orders
+    out = _python(f"import taoi_sim.{module}")
+    assert out.returncode == 0, out.stderr
